@@ -7,22 +7,34 @@ over the same denominator.  Sums are ``fractions.Fraction`` values, so
 results are exact, order-independent and comparable with ``==``; pairs
 whose maximum flow value is zero contribute nothing rather than 0/0.
 
-Per-pair terms are independent, which is what the ``jobs`` knob of
-:func:`centrality_report` exploits: terms fan out over a thread pool and
-are reduced in canonical pair order, so the result is identical for every
-worker width.
+Each pair ``(y, z)`` gets one canonical maximum flow ``f``, shared by every
+group of the call.  The chain ``0 <= drop <= passage <= min(throughput,
+max_flow)`` then settles each term of a group X by the first rule that
+applies:
+
+1. ``max_flow == 0``: the pair contributes nothing.
+2. ``y`` or ``z`` is in X: every path meets X, so drop = passage =
+   max_flow.
+3. ``f`` sends nothing through X (``flow_through(f, X) == 0``): drop =
+   passage = 0, since passage <= throughput <= ``flow_through(f, X)``.
+4. Otherwise the drop comes from one more max flow that never enters X.
+   If it equals ``flow_through(f, X)``, the passage is squeezed to the
+   same value.  If not, a singleton takes the shortcut passage = drop
+   (unless ``exact``), and anything else runs the passage search.
+
+The rules are proofs, so they apply in every mode; ``exact`` only turns
+off the singleton shortcut.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InvariantViolationError, ShortcutInvalidError
-from .flows import max_flow
-from .network import Network, VertexId, ordered_pairs, restrict, vertex_group
+from .errors import BudgetExceededError, InvariantViolationError, ShortcutInvalidError
+from .flows import max_flow, max_flow_value
+from .network import Network, VertexId, ordered_pairs, vertex_group
 from .quantities import DEFAULT_NODE_BUDGET, _min_passage, render_group
 
 
@@ -70,29 +82,67 @@ def decimal_text(value: Fraction, places: int = 6) -> str:
     return f"{digits[:-places]}.{digits[-places:]}"
 
 
-def _pair_term(
+def _group_terms(
     network: Network,
-    pair: tuple[VertexId, VertexId],
-    group: frozenset,
-    need_passage: bool,
-    use_exact: bool,
+    groups: Sequence[frozenset],
+    *,
+    passage: bool,
+    shortcut: bool,
     node_budget: int,
-) -> PairTerm | None:
-    y, z = pair
-    total, _ = max_flow(network, y, z)
-    if total == 0:
-        return None
-    restricted, _ = max_flow(restrict(network, group), y, z)
-    drop = total - restricted
-    passage: int | None = None
-    if need_passage:
-        if use_exact or len(group) > 1:
-            passage, _ = _min_passage(
-                network, y, z, group, node_budget, lower_bound=drop
-            )
-        else:
-            passage = drop
-    return PairTerm(y, z, total, drop, passage)
+) -> list[list[PairTerm]]:
+    """Each group's flow-positive pair terms, in canonical pair order.
+
+    Every term is settled by the first rule of the module docstring that
+    applies, all from one canonical max flow per pair.  ``passage`` asks for the forced passage as well as the drop;
+    ``shortcut`` allows passage = drop for singletons.  Budget errors of
+    the passage search name the pair and the group.
+    """
+    terms: list[list[PairTerm]] = [[] for _ in groups]
+    if not groups:
+        return terms
+    for y, z in ordered_pairs(network):
+        total, flow = max_flow(network, y, z)
+        if total == 0:
+            continue
+        outflow = dict.fromkeys(network.vertices, 0)
+        for (tail, _head), val in flow.values.items():
+            outflow[tail] += val
+        for group, kept in zip(groups, terms):
+            if y in group or z in group:
+                drop = settled = total
+            else:
+                # flow_through(flow, group), as no endpoint is in the group
+                through = sum(outflow[x] for x in group)
+                if through == 0:
+                    drop = settled = 0
+                else:
+                    drop = total - max_flow_value(network, y, z, group)
+                    settled = None
+                    if drop == through or (shortcut and len(group) <= 1):
+                        settled = drop
+            if passage and settled is None:
+                try:
+                    settled, _ = _min_passage(
+                        network, y, z, group, node_budget, lower_bound=drop
+                    )
+                except BudgetExceededError as exc:
+                    raise BudgetExceededError(
+                        f"{exc.reason} at pair ({y}, {z}) "
+                        f"group {render_group(group)}",
+                        partial=exc.partial,
+                        nodes=exc.nodes,
+                    ) from exc
+            kept.append(PairTerm(y, z, total, drop, settled if passage else None))
+    return terms
+
+
+def _ratio_sum(ratios: Iterable[tuple[int, int]]) -> Fraction:
+    """Exact sum of ``num / den``: integer numerators are added per
+    denominator first, then one Fraction is built per distinct denominator."""
+    by_den: dict[int, int] = {}
+    for num, den in ratios:
+        by_den[den] = by_den.get(den, 0) + num
+    return sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
 
 
 def full_flow_vitality(
@@ -100,12 +150,10 @@ def full_flow_vitality(
 ) -> Fraction:
     """Sum over flow-positive pairs of (vitality drop) / (max flow value)."""
     group = vertex_group(network, members)
-    total = Fraction(0)
-    for pair in ordered_pairs(network):
-        term = _pair_term(network, pair, group, False, False, 0)
-        if term is not None:
-            total += Fraction(term.vitality_drop, term.max_flow_total)
-    return total
+    (terms,) = _group_terms(
+        network, [group], passage=False, shortcut=True, node_budget=0
+    )
+    return _ratio_sum((t.vitality_drop, t.max_flow_total) for t in terms)
 
 
 def full_flow_betweenness(
@@ -120,17 +168,18 @@ def full_flow_betweenness(
     ``mode`` as in :func:`fullflow.quantities.forced_passage`.
     """
     group = vertex_group(network, members)
-    use_exact = mode == "exact"
     if mode == "singleton-shortcut" and len(group) > 1:
         raise ShortcutInvalidError(
             f"singleton shortcut asked for a {len(group)}-vertex group"
         )
-    total = Fraction(0)
-    for pair in ordered_pairs(network):
-        term = _pair_term(network, pair, group, True, use_exact, node_budget)
-        if term is not None:
-            total += Fraction(term.forced_passage, term.max_flow_total)
-    return total
+    (terms,) = _group_terms(
+        network,
+        [group],
+        passage=True,
+        shortcut=mode != "exact",
+        node_budget=node_budget,
+    )
+    return _ratio_sum((t.forced_passage, t.max_flow_total) for t in terms)
 
 
 def centrality_report(
@@ -139,36 +188,26 @@ def centrality_report(
     *,
     exact: bool = False,
     explain: bool = False,
-    jobs: int = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[CentralityReport]:
     """One report per group, in the given order.
 
-    ``exact`` forces enumeration-based passage even for singletons;
-    ``jobs`` widens the per-pair fan-out without affecting any output.
+    ``exact`` turns off the singleton shortcut, so every singleton term
+    that no rule settles runs the passage search.
     """
     validated = [vertex_group(network, g) for g in groups]
-    pairs = ordered_pairs(network)
+    all_terms = _group_terms(
+        network,
+        validated,
+        passage=True,
+        shortcut=not exact,
+        node_budget=node_budget,
+    )
     reports = []
-    for group in validated:
-
-        def term_for(pair, group=group):
-            return _pair_term(network, pair, group, True, exact, node_budget)
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                terms = list(pool.map(term_for, pairs))
-        else:
-            terms = [term_for(p) for p in pairs]
-        kept = tuple(t for t in terms if t is not None)
-        vitality = sum(
-            (Fraction(t.vitality_drop, t.max_flow_total) for t in kept),
-            Fraction(0),
-        )
-        betweenness = sum(
-            (Fraction(t.forced_passage, t.max_flow_total) for t in kept),
-            Fraction(0),
-        )
+    for group, terms in zip(validated, all_terms):
+        kept = tuple(terms)
+        vitality = _ratio_sum((t.vitality_drop, t.max_flow_total) for t in kept)
+        betweenness = _ratio_sum((t.forced_passage, t.max_flow_total) for t in kept)
         if vitality > betweenness:
             raise InvariantViolationError(
                 f"vitality {vitality} exceeds betweenness {betweenness} "

@@ -3,14 +3,13 @@
 Subcommands::
 
     fullflow pair FILE Y Z [--set X] [--exact] [--witness] [--dump-flow P]
-    fullflow centrality FILE [--set X ...] [--exact] [--explain] [--jobs K]
+    fullflow centrality FILE [--set X ...] [--exact] [--explain]
     fullflow examples
     fullflow selftest [--instances N] [--seed S] ...
 
 Exit codes: 0 success, 2 input error, 3 budget exceeded, 4 violated
 internal invariant (including failed example checks or self-test
-violations).  Output is plain text, byte-identical across runs and across
-``--jobs`` settings.
+violations).  Output is plain text, byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -89,7 +88,6 @@ def cmd_centrality(args) -> int:
         groups,
         exact=args.exact,
         explain=args.explain,
-        jobs=args.jobs,
         node_budget=args.budget,
     )
     sep = _sep(args.format)
@@ -215,16 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     cent.add_argument(
         "--exact",
         action="store_true",
-        help="force enumeration-based passage even for single vertices",
+        help="turn off the singleton shortcut: single-vertex terms that no "
+        "exact rule settles run the passage search",
     )
     cent.add_argument(
         "--explain", action="store_true", help="print per-pair terms"
-    )
-    cent.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="per-pair worker width; never changes the output",
     )
     cent.set_defaults(func=cmd_centrality)
 

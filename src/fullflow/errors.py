@@ -70,11 +70,13 @@ class InvalidSpecError(FullFlowError):
 class BudgetExceededError(FullFlowError):
     """A configured enumeration budget was exhausted before completion.
 
-    ``partial`` carries the count of complete results produced before the
-    budget ran out; ``nodes`` the number of search nodes visited.
+    ``reason`` is the message without the counts; ``partial`` carries the
+    count of complete results produced before the budget ran out;
+    ``nodes`` the number of search nodes visited.
     """
 
     def __init__(self, message: str, *, partial: int = 0, nodes: int = 0):
+        self.reason = message
         self.partial = partial
         self.nodes = nodes
         super().__init__(f"{message} (partial count: {partial}, nodes: {nodes})")

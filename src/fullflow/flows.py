@@ -13,15 +13,21 @@ every result here is a pure, deterministic function of its inputs:
 * ``find_augmenting_path`` returns the lexicographically least shortest
   augmenting path (breadth-first over the residual view, sorted neighbor
   expansion, forward moves preferred on ties);
+* ``max_flow`` saturates those paths one after another, and
+  ``max_flow_value`` does the same while avoiding a banned vertex set;
 * ``decompose`` peels the canonically least positive out-arc first,
   extracting all paths before hunting remaining cycles.
+
+The augmenting search runs on ``Network.compiled``, built once per
+network: vertices and arcs as integers, each vertex with one sorted list
+of the neighbors it shares an arc with, in either direction.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     InvalidFlowError,
@@ -31,7 +37,7 @@ from .errors import (
     SameEndpointsError,
     UnknownVertexError,
 )
-from .network import Arc, Network, VertexId
+from .network import Arc, CompiledNetwork, Network, VertexId
 from .paths import (
     BACKWARD,
     FORWARD,
@@ -197,9 +203,8 @@ class ResidualView:
 
 
 def _check_endpoints(network: Network, source: VertexId, sink: VertexId):
-    known = set(network.vertices)
     for endpoint in (source, sink):
-        if endpoint not in known:
+        if not network.has_vertex(endpoint):
             raise UnknownVertexError(f"unknown vertex {endpoint!r}")
     if source == sink:
         raise SameEndpointsError(f"source and sink must differ, both are {source!r}")
@@ -223,45 +228,83 @@ def _backward_adjacency(flow: Mapping[Arc, int]) -> dict[VertexId, list[VertexId
 
 
 def _bfs_augmenting(
-    caps: Mapping[Arc, int],
-    fwd_adj: Mapping[VertexId, list[VertexId]],
-    flow: Mapping[Arc, int],
-    source: VertexId,
-    sink: VertexId,
-) -> list[tuple[Arc, int]] | None:
-    """Lexicographically least shortest augmenting path, as (arc, dir) moves."""
-    bwd_adj = _backward_adjacency(flow)
-    parent: dict[VertexId, tuple[VertexId, Arc, int] | None] = {source: None}
-    queue: deque[VertexId] = deque([source])
-    while queue:
-        v = queue.popleft()
-        options: dict[VertexId, tuple[Arc, int]] = {}
-        for head in fwd_adj.get(v, ()):
-            if head not in parent and caps[(v, head)] - flow.get((v, head), 0) >= 1:
-                options[head] = ((v, head), FORWARD)
-        for tail in bwd_adj.get(v, ()):
-            if tail not in parent and tail not in options:
-                options[tail] = ((tail, v), BACKWARD)
-        for w in sorted(options):
-            parent[w] = (v, options[w][0], options[w][1])
+    net: CompiledNetwork,
+    caps: Sequence[int],
+    flow: Sequence[int],
+    source: int,
+    sink: int,
+    seen: bytearray,
+) -> list[tuple[int, int]] | None:
+    """Lexicographically least shortest augmenting path, as (arc id, dir) moves.
+
+    Works on the compiled network: ``caps`` and ``flow`` are indexed by arc
+    id (``caps`` may be any pointwise reduction of the network's
+    capacities).  Each vertex's neighbors are expanded in canonical order,
+    taking the forward arc when it has room and the backward arc
+    otherwise.  Vertices already marked in ``seen`` are never entered;
+    that is how callers ban a vertex set.  ``seen`` is consumed.
+    """
+    neighbors = net.neighbors
+    parent: dict[int, tuple[int, int, int]] = {}
+    seen[source] = 1
+    queue = [source]
+    for v in queue:
+        for w, out_arc, in_arc in neighbors[v]:
+            if seen[w]:
+                continue
+            if out_arc >= 0 and flow[out_arc] < caps[out_arc]:
+                parent[w] = (v, out_arc, FORWARD)
+            elif in_arc >= 0 and flow[in_arc]:
+                parent[w] = (v, in_arc, BACKWARD)
+            else:
+                continue
             if w == sink:
-                moves: list[tuple[Arc, int]] = []
-                cur = w
-                while parent[cur] is not None:
-                    prev, arc, direction = parent[cur]  # type: ignore[misc]
+                moves: list[tuple[int, int]] = []
+                while w != source:
+                    w, arc, direction = parent[w]
                     moves.append((arc, direction))
-                    cur = prev
                 moves.reverse()
                 return moves
+            seen[w] = 1
             queue.append(w)
     return None
 
 
-def _moves_to_gpath(moves: list[tuple[Arc, int]], source: VertexId) -> GeneralizedPath:
+def _augment(
+    net: CompiledNetwork,
+    caps: Sequence[int],
+    flow: list[int],
+    source: int,
+    sink: int,
+    banned: bytearray | None = None,
+) -> int:
+    """Saturate shortest augmenting paths until none is left.
+
+    The one augment loop behind every max-flow value in the package.
+    ``flow`` (indexed by arc id) is updated in place; the return value is
+    the amount added.  Vertices marked in ``banned`` carry no flow.
+    """
+    blocked = banned if banned is not None else bytearray(len(net.neighbors))
+    added = 0
+    while True:
+        moves = _bfs_augmenting(net, caps, flow, source, sink, bytearray(blocked))
+        if moves is None:
+            return added
+        bottleneck = min(
+            caps[arc] - flow[arc] if d == FORWARD else flow[arc] for arc, d in moves
+        )
+        for arc, d in moves:
+            flow[arc] += d * bottleneck
+        added += bottleneck
+
+
+def _moves_to_gpath(
+    net: CompiledNetwork, moves: list[tuple[int, int]], source: VertexId
+) -> GeneralizedPath:
     vertices = [source]
     directions = []
     for arc, direction in moves:
-        tail, head = arc
+        tail, head = net.arcs[arc]
         vertices.append(head if direction == FORWARD else tail)
         directions.append(direction)
     return GeneralizedPath(tuple(vertices), tuple(directions))
@@ -272,17 +315,25 @@ def find_augmenting_path(network: Network, flow: Flow) -> GeneralizedPath | None
 
     Returns None exactly when the flow is maximum.  The result is the
     unique lexicographically least shortest augmenting path under the
-    canonical vertex order.
+    canonical vertex order.  Raises InvalidFlowError when the flow uses an
+    arc the network lacks.
     """
     _check_endpoints(network, flow.source, flow.sink)
+    net = network.compiled
+    values = [0] * len(net.arcs)
+    for arc, val in flow.values.items():
+        if arc not in net.arc_ids:
+            raise InvalidFlowError(f"flow {val} on arc {arc!r} without capacity")
+        values[net.arc_ids[arc]] = val
     moves = _bfs_augmenting(
-        network.capacities,
-        _forward_adjacency(network.capacities),
-        flow.values,
-        flow.source,
-        flow.sink,
+        net,
+        net.capacities,
+        values,
+        net.index[flow.source],
+        net.index[flow.sink],
+        bytearray(len(net.neighbors)),
     )
-    return None if moves is None else _moves_to_gpath(moves, flow.source)
+    return None if moves is None else _moves_to_gpath(net, moves, flow.source)
 
 
 def augment(flow: Flow, gpath: GeneralizedPath) -> Flow:
@@ -317,25 +368,36 @@ def max_flow(network: Network, source: VertexId, sink: VertexId) -> tuple[int, F
     path saturates, but is independent of capacity magnitude.
     """
     _check_endpoints(network, source, sink)
-    caps = network.capacities
-    fwd_adj = _forward_adjacency(caps)
-    flow: dict[Arc, int] = {}
-    while True:
-        moves = _bfs_augmenting(caps, fwd_adj, flow, source, sink)
-        if moves is None:
-            break
-        bottleneck = min(
-            caps[arc] - flow.get(arc, 0) if d == FORWARD else flow[arc]
-            for arc, d in moves
-        )
-        for arc, d in moves:
-            nxt = flow.get(arc, 0) + d * bottleneck
-            if nxt:
-                flow[arc] = nxt
-            else:
-                flow.pop(arc, None)
-    result = Flow(source, sink, flow)
-    return flow_value(result), result
+    net = network.compiled
+    flow = [0] * len(net.arcs)
+    value = _augment(net, net.capacities, flow, net.index[source], net.index[sink])
+    support = {net.arcs[arc]: val for arc, val in enumerate(flow) if val}
+    return value, Flow(source, sink, support)
+
+
+def max_flow_value(
+    network: Network,
+    source: VertexId,
+    sink: VertexId,
+    banned: Iterable[VertexId] = (),
+) -> int:
+    """Maximum flow value when no flow may touch a banned vertex.
+
+    Equals ``max_flow(restrict(network, banned), source, sink)[0]`` without
+    building the restricted network: the banned vertices are simply never
+    entered by the augmenting search.  A banned endpoint gives 0.
+    """
+    _check_endpoints(network, source, sink)
+    net = network.compiled
+    blocked = bytearray(len(net.neighbors))
+    for vertex in banned:
+        if vertex not in net.index:
+            raise UnknownVertexError(f"unknown vertex {vertex!r}")
+        blocked[net.index[vertex]] = 1
+    s, t = net.index[source], net.index[sink]
+    if blocked[s] or blocked[t]:
+        return 0
+    return _augment(net, net.capacities, [0] * len(net.arcs), s, t, blocked)
 
 
 def min_cost_max_flow(

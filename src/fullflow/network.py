@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import (
@@ -50,13 +51,41 @@ def check_token(token: str) -> str:
     return token
 
 
+def _check_capacity(arc: Arc, cap) -> None:
+    """Raise ValueError unless ``cap`` is a nonnegative ``int`` (not a bool)."""
+    if isinstance(cap, bool) or not isinstance(cap, int):
+        raise ValueError(f"capacity {cap!r} on arc {arc!r} is not an integer")
+    if cap < 0:
+        raise ValueError(f"negative capacity {cap} on arc {arc!r}")
+
+
+@dataclass(frozen=True)
+class CompiledNetwork:
+    """Integer-indexed form of a network, built once per network.
+
+    Vertex ``i`` is the ``i``-th vertex in canonical order and arc ``a`` is
+    ``arcs[a]``, the ``a``-th positive arc in canonical order, with
+    capacity ``capacities[a]``.  ``neighbors[i]`` lists every vertex joined
+    to vertex ``i`` by an arc in either direction, in canonical order, as
+    ``(j, out_arc, in_arc)``: the ids of the arcs ``i->j`` and ``j->i``,
+    or -1 where there is no such arc.  These are exactly the residual
+    moves a flow can ever offer at ``i``.
+    """
+
+    index: dict[VertexId, int]
+    arcs: tuple[Arc, ...]
+    arc_ids: dict[Arc, int]
+    capacities: tuple[int, ...]
+    neighbors: tuple[tuple[tuple[int, int, int], ...], ...]
+
+
 @dataclass(frozen=True)
 class Network:
     """Immutable capacitated complete digraph.
 
     ``vertices`` is kept sorted; ``capacities`` maps arcs to their positive
     capacities (zero entries are normalized away on construction).  Treat
-    both fields as read-only.
+    both fields as read-only: the compiled form is built from them once.
     """
 
     vertices: tuple[VertexId, ...]
@@ -82,8 +111,7 @@ class Network:
                 raise UnknownVertexError(f"unknown vertex {head!r} in arc {arc!r}")
             if tail == head:
                 raise SelfLoopError(f"self-loop on vertex {tail!r}")
-            if cap < 0:
-                raise ValueError(f"negative capacity {cap} on arc {arc!r}")
+            _check_capacity(arc, cap)
             if cap > 0:
                 cleaned[(tail, head)] = cap
         object.__setattr__(self, "capacities", cleaned)
@@ -99,9 +127,38 @@ class Network:
     def has_vertex(self, token: VertexId) -> bool:
         return token in self._vertex_set
 
-    @property
+    @cached_property
     def _vertex_set(self) -> frozenset:
         return frozenset(self.vertices)
+
+    @cached_property
+    def compiled(self) -> CompiledNetwork:
+        """The integer-indexed form the flow solvers run on."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        arcs = self.positive_arcs()
+        arc_ids = {arc: a for a, arc in enumerate(arcs)}
+        joined: list[set[int]] = [set() for _ in self.vertices]
+        for tail, head in arcs:
+            joined[index[tail]].add(index[head])
+            joined[index[head]].add(index[tail])
+        neighbors = tuple(
+            tuple(
+                (
+                    j,
+                    arc_ids.get((v, self.vertices[j]), -1),
+                    arc_ids.get((self.vertices[j], v), -1),
+                )
+                for j in sorted(joined[i])
+            )
+            for i, v in enumerate(self.vertices)
+        )
+        return CompiledNetwork(
+            index=index,
+            arcs=arcs,
+            arc_ids=arc_ids,
+            capacities=tuple(self.capacities[arc] for arc in arcs),
+            neighbors=neighbors,
+        )
 
 
 def vertex_group(network: Network, members: Iterable[VertexId]) -> frozenset:
@@ -126,7 +183,8 @@ def build_network(
 
     Zero-capacity entries are accepted and dropped.  Raises
     TooFewVerticesError, UnknownVertexError, SelfLoopError or
-    DuplicateArcError, each naming the offending token or arc.
+    DuplicateArcError, each naming the offending token or arc, and
+    ValueError for a capacity that is negative or not an ``int``.
     """
     tokens = [check_token(v) for v in vertices]
     if len(tokens) < 2:
@@ -150,10 +208,9 @@ def build_network(
         if (tail, head) in seen_arcs:
             raise DuplicateArcError(f"duplicate arc ({tail!r}, {head!r})")
         seen_arcs.add((tail, head))
-        if cap < 0:
-            raise ValueError(f"negative capacity {cap} on arc ({tail!r}, {head!r})")
+        _check_capacity((tail, head), cap)
         if cap > 0:
-            caps[(tail, head)] = int(cap)
+            caps[(tail, head)] = cap
     return Network(tuple(tokens), caps)
 
 

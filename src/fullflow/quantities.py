@@ -29,14 +29,13 @@ from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, InvariantViolationError, ShortcutInvalidError
 from .flows import (
-    _bfs_augmenting,
+    _augment,
     _check_endpoints,
-    _forward_adjacency,
-    max_flow,
+    max_flow_value,
     min_cost_max_flow,
 )
-from .network import Arc, Network, VertexId, restrict, vertex_group
-from .paths import FORWARD, ArcDisjointSequence, Path
+from .network import CompiledNetwork, Network, VertexId, vertex_group
+from .paths import ArcDisjointSequence, Path
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -53,31 +52,17 @@ def vitality_drop(
     """
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
-    total, _ = max_flow(network, source, sink)
     if not group:
         return 0
-    rest, _ = max_flow(restrict(network, group), source, sink)
-    return total - rest
+    total = max_flow_value(network, source, sink)
+    return total - max_flow_value(network, source, sink, group)
 
 
 def _residual_max_value(
-    caps: dict[Arc, int], source: VertexId, sink: VertexId
+    net: CompiledNetwork, caps: list[int], source: int, sink: int
 ) -> int:
-    """Max-flow value on a plain capacity dict (zero entries allowed)."""
-    fwd_adj = _forward_adjacency(caps)
-    flow: dict[Arc, int] = {}
-    total = 0
-    while True:
-        moves = _bfs_augmenting(caps, fwd_adj, flow, source, sink)
-        if moves is None:
-            return total
-        bottleneck = min(
-            caps[arc] - flow.get(arc, 0) if d == FORWARD else flow[arc]
-            for arc, d in moves
-        )
-        for arc, d in moves:
-            flow[arc] = flow.get(arc, 0) + d * bottleneck
-        total += bottleneck
+    """Max-flow value under capacities ``caps`` (by arc id, zeros allowed)."""
+    return _augment(net, caps, [0] * len(caps), source, sink)
 
 
 def _path_candidates(
@@ -125,13 +110,15 @@ def enumerate_max_sequences(
     (carrying the partial count) when the node budget runs out.
     """
     _check_endpoints(network, source, sink)
-    target, _ = max_flow(network, source, sink)
+    target = max_flow_value(network, source, sink)
     if target == 0:
         yield ArcDisjointSequence((), source, sink)
         return
+    net = network.compiled
     cands = _path_candidates(network, source, sink)
-    cand_arcs = [p.arcs for p in cands]
-    caps = dict(network.capacities)
+    cand_arcs = [tuple(net.arc_ids[a] for a in p.arcs) for p in cands]
+    caps = list(net.capacities)
+    s, t = net.index[source], net.index[sink]
     chosen: list[int] = []
     state = {"nodes": 0, "found": 0}
 
@@ -149,7 +136,7 @@ def enumerate_max_sequences(
                 tuple(cands[i] for i in chosen), source, sink
             )
             return
-        if _residual_max_value(caps, source, sink) < remaining:
+        if _residual_max_value(net, caps, s, t) < remaining:
             return
         for i in range(start, len(cands)):
             arcs = cand_arcs[i]
@@ -174,15 +161,17 @@ def _min_passage(
     lower_bound: int | None = None,
 ) -> tuple[int, ArcDisjointSequence]:
     """Exact minimum passage count plus a witness sequence attaining it."""
-    target, _ = max_flow(network, source, sink)
+    target = max_flow_value(network, source, sink)
     if target == 0:
         return 0, ArcDisjointSequence((), source, sink)
     if lower_bound is None:
         lower_bound = vitality_drop(network, source, sink, group)
+    net = network.compiled
     cands = _path_candidates(network, source, sink)
-    cand_arcs = [p.arcs for p in cands]
+    cand_arcs = [tuple(net.arc_ids[a] for a in p.arcs) for p in cands]
     meets = [any(v in group for v in p.vertices) for p in cands]
-    caps = dict(network.capacities)
+    caps = list(net.capacities)
+    s, t = net.index[source], net.index[sink]
     chosen: list[int] = []
     state = {"nodes": 0, "found": 0}
     best: list = [None, None]  # passage count, witness indices
@@ -202,7 +191,7 @@ def _min_passage(
             best[0] = hits
             best[1] = tuple(chosen)
             return hits == lower_bound
-        if _residual_max_value(caps, source, sink) < remaining:
+        if _residual_max_value(net, caps, s, t) < remaining:
             return False
         for i in range(start, len(cands)):
             arcs = cand_arcs[i]
@@ -335,8 +324,8 @@ def pair_report(
     """
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
-    total, _ = max_flow(network, source, sink)
-    restricted, _ = max_flow(restrict(network, group), source, sink)
+    total = max_flow_value(network, source, sink)
+    restricted = max_flow_value(network, source, sink, group)
     drop = total - restricted
     use_exact = exact or len(group) > 1
     if use_exact:

@@ -12,6 +12,8 @@ from fullflow import (
     full_flow_betweenness,
     full_flow_vitality,
     max_flow,
+    ordered_pairs,
+    pair_report,
 )
 
 from strategies import networks
@@ -99,13 +101,6 @@ def test_report_record_format(fig6):
     assert rep.record() == "x1,x2 10 1 10 1 10.000000 10.000000"
 
 
-def test_jobs_do_not_change_results(fig5):
-    groups = [{"x1"}, {"x1", "x2"}, set()]
-    seq = centrality_report(fig5, groups, exact=True, jobs=1)
-    par = centrality_report(fig5, groups, exact=True, jobs=4)
-    assert seq == par
-
-
 def test_decimal_text():
     assert decimal_text(Fraction(1, 3)) == "0.333333"
     assert decimal_text(Fraction(2, 3)) == "0.666667"
@@ -142,3 +137,43 @@ def test_determinism_across_runs(fig5):
     a = full_flow_betweenness(fig5, {"x1", "x2"}, mode="exact")
     b = full_flow_betweenness(fig5, {"x1", "x2"}, mode="exact")
     assert a == b and isinstance(a, Fraction)
+
+
+def _assert_terms_match_pair_report(net, groups):
+    # every rule that settles a term without the search must agree with
+    # pair_report, which runs the search for every exact term
+    reports = centrality_report(net, groups, exact=True, explain=True)
+    for group, report in zip(groups, reports):
+        terms = {(t.source, t.sink): t for t in report.pair_terms}
+        for y, z in ordered_pairs(net):
+            expected = pair_report(net, y, z, group, exact=True)
+            if expected.max_flow_total == 0:
+                assert (y, z) not in terms
+                continue
+            term = terms[(y, z)]
+            assert (term.max_flow_total, term.vitality_drop, term.forced_passage) \
+                == (expected.max_flow_total, expected.vitality_drop,
+                    expected.forced_passage), (y, z, sorted(group))
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks(max_vertices=6, max_capacity=2), st.data())
+def test_report_terms_match_pair_report(net, data):
+    vertices = net.vertices
+    groups = [frozenset(), frozenset(vertices), frozenset(vertices[:1] + vertices[-1:])]
+    for _ in range(3):
+        groups.append(
+            frozenset(data.draw(st.sets(st.sampled_from(vertices)), label="group"))
+        )
+    _assert_terms_match_pair_report(net, groups)
+
+
+def test_report_terms_match_pair_report_on_figures(fig1, fig5, fig6):
+    # fig5 and fig6 separate drop from passage, so the search really runs
+    for net in (fig1, fig5, fig6):
+        vertices = net.vertices
+        groups = [frozenset(), frozenset(vertices)]
+        groups.extend(
+            frozenset({a, b}) for i, a in enumerate(vertices) for b in vertices[i:]
+        )
+        _assert_terms_match_pair_report(net, groups)

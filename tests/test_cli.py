@@ -120,12 +120,14 @@ def test_centrality_explain_and_tsv(fig1_file, capsys):
     assert all(line.split("\t")[0] == "term" for line in lines[1:])
 
 
-def test_centrality_jobs_byte_identical(fig5_file, capsys):
-    assert main(["centrality", fig5_file, "--set", "x1,x2", "--exact"]) == 0
-    serial = capsys.readouterr().out
-    assert main(["centrality", fig5_file, "--set", "x1,x2", "--exact",
-                 "--jobs", "4"]) == 0
-    assert capsys.readouterr().out == serial
+def test_centrality_budget_error_names_pair_and_group(fig5_file, capsys):
+    # on fig5 the y->z term separates drop from passage, so the search runs
+    code = main(["centrality", fig5_file, "--set", "x1,x2", "--exact",
+                 "--budget", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "pair (y, z)" in err
+    assert "group x1,x2" in err
 
 
 def test_centrality_repeat_runs_byte_identical(fig1_file, capsys):
@@ -180,9 +182,16 @@ def test_output_stable_under_hash_randomization(fig5_file):
     # canonical ordering must not lean on set/dict hash order
     import subprocess
     import sys
+    from pathlib import Path
+
+    import fullflow
+
+    # the package directory's parent, so the subprocess imports this copy
+    import_path = str(Path(fullflow.__file__).resolve().parent.parent)
 
     def run(seed):
-        env = {"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"}
+        env = {"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin",
+               "PYTHONPATH": import_path}
         return subprocess.run(
             [sys.executable, "-m", "fullflow.cli", "centrality", fig5_file,
              "--set", "x1,x2", "--exact", "--explain"],

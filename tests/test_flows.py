@@ -30,8 +30,10 @@ from fullflow import (
     parse_flow,
     path_of,
     recompose,
+    restrict,
     validate_flow,
 )
+from fullflow.flows import max_flow_value
 
 from helpers import random_flow
 from strategies import networks_with_endpoints, reduced_capacities
@@ -99,6 +101,14 @@ def test_find_augmenting_path_null_flow_fig1(fig1):
 
 def test_find_augmenting_path_none_when_maximum(fig2):
     assert find_augmenting_path(fig2, fig2_stored_flow()) is None
+
+
+def test_find_augmenting_path_prefers_forward_move():
+    # s->a has room and a->s carries flow: both reach a, forward wins
+    net = build_network(["s", "a", "t"], [("s", "a", 2), ("a", "s", 1), ("a", "t", 1)])
+    gp = find_augmenting_path(net, Flow("s", "t", {("s", "a"): 1, ("a", "s"): 1}))
+    assert gp.vertices == ("s", "a", "t")
+    assert gp.directions == (FORWARD, FORWARD)
 
 
 def test_find_augmenting_path_empty_network():
@@ -402,3 +412,23 @@ def test_capacity_decrease_equivalence(net_yz, data):
         for f in reduced_max_flows
     )
     assert (reduced_value == full_value) == all_carry_over
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_banned_value_matches_restricted_network(n):
+    # the banned-vertex search against max flow on the restricted network
+    rng = random.Random(f"banned:{n}")
+    tokens = [f"v{i:02d}" for i in range(n)]
+    for _ in range(3):
+        entries = [
+            (t, h, rng.randint(1, 4))
+            for t in tokens
+            for h in tokens
+            if t != h and rng.random() < 0.3
+        ]
+        net = build_network(tokens, entries)
+        for _ in range(20):
+            y, z = rng.sample(tokens, 2)
+            group = rng.sample(tokens, rng.randint(0, 4))
+            expected = max_flow(restrict(net, group), y, z)[0]
+            assert max_flow_value(net, y, z, group) == expected

@@ -4,6 +4,7 @@ import pytest
 
 from fullflow import (
     DuplicateArcError,
+    Network,
     NetworkParseError,
     SelfLoopError,
     TooFewVerticesError,
@@ -50,6 +51,16 @@ def test_build_errors_name_the_offender():
         build_network(["a", "b"], [("a", "b", 1), ("a", "b", 2)])
     with pytest.raises(TooFewVerticesError):
         build_network(["a"], [])
+
+
+@pytest.mark.parametrize("bad", [2.7, True, "3"])
+def test_non_int_capacity_rejected(bad):
+    with pytest.raises(ValueError, match=r"\('a', 'b'\)") as info:
+        build_network(["a", "b"], [("a", "b", bad)])
+    assert repr(bad) in str(info.value)
+    with pytest.raises(ValueError, match=r"\('b', 'a'\)") as info:
+        Network(("a", "b"), {("b", "a"): bad})
+    assert repr(bad) in str(info.value)
 
 
 def test_vertices_kept_sorted():
