@@ -7,8 +7,8 @@ Subcommands::
     fullflow examples
     fullflow selftest [--instances N] [--seed S] ...
 
-Exit codes: 0 success, 2 input error, 3 budget exceeded, 4 violated
-internal invariant (including failed example checks or self-test
+Exit codes: 0 success, 2 input error, 3 budget or recursion limit exceeded,
+4 violated internal invariant (failed example checks, self-test
 violations).  Output is plain text, byte-identical across runs.
 """
 
@@ -126,6 +126,10 @@ def cmd_examples(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if not 2 <= args.max_vertices <= 6:
+        raise _CliError(f"--max-vertices {args.max_vertices} outside 2..6", 2)
+    if args.instances < 0:
+        raise _CliError(f"--instances {args.instances} is negative", 2)
     sizes = list(range(2, args.max_vertices + 1))
     batch = [
         InstanceSpec(
@@ -258,6 +262,9 @@ def main(argv=None) -> int:
         return exc.code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("error: passage search exceeded the recursion limit", file=sys.stderr)
         return 3
     except InvariantViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)

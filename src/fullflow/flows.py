@@ -18,16 +18,18 @@ every result here is a pure, deterministic function of its inputs:
 * ``decompose`` peels the canonically least positive out-arc first,
   extracting all paths before hunting remaining cycles.
 
-The augmenting search runs on ``Network.compiled``, built once per
-network: vertices and arcs as integers, each vertex with one sorted list
-of the neighbors it shares an arc with, in either direction.
+Max flow and min-cost max flow run on ``Network.compiled``, built once
+per network (vertices and arcs as integers, each vertex with one sorted
+list of the neighbors it shares an arc with, in either direction), through
+one augment loop (``_augment``) that takes the path finder as an argument.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     InvalidFlowError,
@@ -210,23 +212,6 @@ def _check_endpoints(network: Network, source: VertexId, sink: VertexId):
         raise SameEndpointsError(f"source and sink must differ, both are {source!r}")
 
 
-def _forward_adjacency(caps: Mapping[Arc, int]) -> dict[VertexId, list[VertexId]]:
-    adj: dict[VertexId, list[VertexId]] = {}
-    for tail, head in sorted(caps):
-        adj.setdefault(tail, []).append(head)
-    return adj
-
-
-def _backward_adjacency(flow: Mapping[Arc, int]) -> dict[VertexId, list[VertexId]]:
-    adj: dict[VertexId, list[VertexId]] = {}
-    for (tail, head), val in flow.items():
-        if val >= 1:
-            adj.setdefault(head, []).append(tail)
-    for tails in adj.values():
-        tails.sort()
-    return adj
-
-
 def _bfs_augmenting(
     net: CompiledNetwork,
     caps: Sequence[int],
@@ -270,28 +255,96 @@ def _bfs_augmenting(
     return None
 
 
+def _cheapest_augmenting(
+    net: CompiledNetwork,
+    caps: Sequence[int],
+    flow: Sequence[int],
+    source: int,
+    sink: int,
+    seen: bytearray,
+    costs: Sequence[int],
+) -> list[tuple[int, int]] | None:
+    """Minimum-cost augmenting path, as (arc id, dir) moves.
+
+    Bellman-Ford label correction over the same residual moves as
+    :func:`_bfs_augmenting`: forward along arc ``a`` at cost ``costs[a]``
+    when ``flow[a] < caps[a]``, backward at cost ``-costs[a]`` when
+    ``flow[a] > 0``.  Vertices marked in ``seen`` are never entered.
+    Sweeps run in canonical vertex order with strict improvement, so ties
+    keep the first label found and the result is deterministic.
+    """
+    neighbors = net.neighbors
+    n = len(neighbors)
+    dist: list[int | None] = [None] * n
+    parent: list[tuple[int, int, int] | None] = [None] * n
+    dist[source] = 0
+    for sweep in range(n + 1):
+        changed = False
+        for v in range(n):
+            dv = dist[v]
+            if dv is None:
+                continue
+            for w, out_arc, in_arc in neighbors[v]:
+                if seen[w]:
+                    continue
+                if out_arc >= 0 and flow[out_arc] < caps[out_arc]:
+                    nd = dv + costs[out_arc]
+                    dw = dist[w]
+                    if dw is None or nd < dw:
+                        dist[w] = nd
+                        parent[w] = (v, out_arc, FORWARD)
+                        changed = True
+                if in_arc >= 0 and flow[in_arc]:
+                    nd = dv - costs[in_arc]
+                    dw = dist[w]
+                    if dw is None or nd < dw:
+                        dist[w] = nd
+                        parent[w] = (v, in_arc, BACKWARD)
+                        changed = True
+        if not changed:
+            break
+        if sweep == n:
+            raise InvariantViolationError(
+                "negative-cost residual cycle: min-cost search did not converge"
+            )
+    if dist[sink] is None:
+        return None
+    moves: list[tuple[int, int]] = []
+    w = sink
+    while w != source:
+        w, arc, direction = parent[w]
+        moves.append((arc, direction))
+        if len(moves) > n:
+            raise InvariantViolationError("parent chain cycle in min-cost search")
+    moves.reverse()
+    return moves
+
+
 def _augment(
     net: CompiledNetwork,
     caps: Sequence[int],
     flow: list[int],
     source: int,
     sink: int,
+    find: Callable[..., list[tuple[int, int]] | None],
     banned: bytearray | None = None,
 ) -> int:
-    """Saturate shortest augmenting paths until none is left.
+    """Saturate the augmenting paths ``find`` returns until it finds none.
 
-    The one augment loop behind every max-flow value in the package.
+    The one augment loop in the package.  ``find(net, caps, flow, source,
+    sink, seen)`` is :func:`_bfs_augmenting` for maximum flows and
+    :func:`_cheapest_augmenting`, cost-bound, for min-cost maximum flows.
     ``flow`` (indexed by arc id) is updated in place; the return value is
     the amount added.  Vertices marked in ``banned`` carry no flow.
     """
     blocked = banned if banned is not None else bytearray(len(net.neighbors))
     added = 0
     while True:
-        moves = _bfs_augmenting(net, caps, flow, source, sink, bytearray(blocked))
+        moves = find(net, caps, flow, source, sink, bytearray(blocked))
         if moves is None:
             return added
         bottleneck = min(
-            caps[arc] - flow[arc] if d == FORWARD else flow[arc] for arc, d in moves
+            [caps[arc] - flow[arc] if d == FORWARD else flow[arc] for arc, d in moves]
         )
         for arc, d in moves:
             flow[arc] += d * bottleneck
@@ -370,7 +423,9 @@ def max_flow(network: Network, source: VertexId, sink: VertexId) -> tuple[int, F
     _check_endpoints(network, source, sink)
     net = network.compiled
     flow = [0] * len(net.arcs)
-    value = _augment(net, net.capacities, flow, net.index[source], net.index[sink])
+    value = _augment(
+        net, net.capacities, flow, net.index[source], net.index[sink], _bfs_augmenting
+    )
     support = {net.arcs[arc]: val for arc, val in enumerate(flow) if val}
     return value, Flow(source, sink, support)
 
@@ -397,7 +452,8 @@ def max_flow_value(
     s, t = net.index[source], net.index[sink]
     if blocked[s] or blocked[t]:
         return 0
-    return _augment(net, net.capacities, [0] * len(net.arcs), s, t, blocked)
+    flow = [0] * len(net.arcs)
+    return _augment(net, net.capacities, flow, s, t, _bfs_augmenting, blocked)
 
 
 def min_cost_max_flow(
@@ -408,93 +464,26 @@ def min_cost_max_flow(
 ) -> tuple[int, int, Flow]:
     """Cheapest maximum flow for nonnegative integer arc costs.
 
-    Successive shortest paths: starting from the null flow, repeatedly
-    augment along a minimum-cost residual path (label-correcting search,
-    tolerant of the negative costs cancellation introduces) until no
-    augmenting path remains.  Integral capacities and costs make the
-    optimum integral.  Returns (value, total cost, flow).
+    Successive shortest paths on ``Network.compiled``: starting from the
+    null flow, the one augment loop saturates a minimum-cost residual path
+    (:func:`_cheapest_augmenting`, label correction tolerant of the
+    negative costs cancellation introduces) until no augmenting path
+    remains.  Integral capacities and costs make the optimum integral.
+    Returns (value, total cost, flow).
     """
     _check_endpoints(network, source, sink)
     for arc, cost in arc_cost.items():
         if cost < 0:
             raise ValueError(f"negative cost {cost} on arc {arc!r}")
-    caps = network.capacities
-    fwd_adj = _forward_adjacency(caps)
-    vertices = network.vertices
-    flow: dict[Arc, int] = {}
-    while True:
-        moves = _cheapest_augmenting(
-            caps, fwd_adj, flow, arc_cost, source, sink, vertices
-        )
-        if moves is None:
-            break
-        bottleneck = min(
-            caps[arc] - flow.get(arc, 0) if d == FORWARD else flow[arc]
-            for arc, d in moves
-        )
-        for arc, d in moves:
-            nxt = flow.get(arc, 0) + d * bottleneck
-            if nxt:
-                flow[arc] = nxt
-            else:
-                flow.pop(arc, None)
-    result = Flow(source, sink, flow)
-    total_cost = sum(arc_cost.get(arc, 0) * v for arc, v in flow.items())
-    return flow_value(result), total_cost, result
-
-
-def _cheapest_augmenting(
-    caps: Mapping[Arc, int],
-    fwd_adj: Mapping[VertexId, list[VertexId]],
-    flow: Mapping[Arc, int],
-    arc_cost: Mapping[Arc, int],
-    source: VertexId,
-    sink: VertexId,
-    vertices: tuple[VertexId, ...],
-) -> list[tuple[Arc, int]] | None:
-    """Minimum-cost augmenting path via Bellman-Ford label correction."""
-    bwd_adj = _backward_adjacency(flow)
-    dist: dict[VertexId, int] = {source: 0}
-    parent: dict[VertexId, tuple[VertexId, Arc, int]] = {}
-    for sweep in range(len(vertices) + 1):
-        changed = False
-        for v in vertices:
-            if v not in dist:
-                continue
-            dv = dist[v]
-            for head in fwd_adj.get(v, ()):
-                if caps[(v, head)] - flow.get((v, head), 0) >= 1:
-                    nd = dv + arc_cost.get((v, head), 0)
-                    if nd < dist.get(head, nd + 1):
-                        dist[head] = nd
-                        parent[head] = (v, (v, head), FORWARD)
-                        changed = True
-            for tail in bwd_adj.get(v, ()):
-                nd = dv - arc_cost.get((tail, v), 0)
-                if nd < dist.get(tail, nd + 1):
-                    dist[tail] = nd
-                    parent[tail] = (v, (tail, v), BACKWARD)
-                    changed = True
-        if not changed:
-            break
-        if sweep == len(vertices):
-            raise InvariantViolationError(
-                "negative-cost residual cycle: min-cost search did not converge"
-            )
-    if sink not in dist:
-        return None
-    moves: list[tuple[Arc, int]] = []
-    cur = sink
-    hops = 0
-    while cur != source:
-        prev, arc, direction = parent[cur]
-        moves.append((arc, direction))
-        cur = prev
-        hops += 1
-        if hops > len(vertices):
-            raise InvariantViolationError("parent chain cycle in min-cost search")
-    moves.reverse()
-    return moves
+    net = network.compiled
+    costs = [arc_cost.get(arc, 0) for arc in net.arcs]
+    flow = [0] * len(net.arcs)
+    find = partial(_cheapest_augmenting, costs=costs)
+    s, t = net.index[source], net.index[sink]
+    value = _augment(net, net.capacities, flow, s, t, find)
+    cost = sum(c * f for c, f in zip(costs, flow))
+    support = {net.arcs[arc]: val for arc, val in enumerate(flow) if val}
+    return value, cost, Flow(source, sink, support)
 
 
 @dataclass(frozen=True)

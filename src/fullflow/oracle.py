@@ -102,32 +102,32 @@ def brute_force_flows(
     BudgetExceededError up front.
     """
     _check_endpoints(network, source, sink)
-    arcs = network.positive_arcs()
-    space = prod(network.capacities[a] + 1 for a in arcs)
+    net = network.compiled
+    arcs, caps = net.arcs, net.capacities
+    space = prod(c + 1 for c in caps)
     if space > assignment_budget:
         raise BudgetExceededError(
             f"assignment space {space} exceeds budget {assignment_budget}",
             partial=0,
             nodes=0,
         )
+    s, t = net.index[source], net.index[sink]
+    ends = [(net.index[tail], net.index[head]) for tail, head in arcs]
     # conservation can be settled for a vertex once its incident arcs are
-    # all assigned
-    finish_at: dict[int, list[VertexId]] = {}
-    last_index: dict[VertexId, int] = {}
-    for idx, (tail, head) in enumerate(arcs):
-        last_index[tail] = idx
-        last_index[head] = idx
+    # all assigned, that is at the last arc index touching it
+    last_index = {v: idx for idx, pair in enumerate(ends) for v in pair}
+    settles: list[tuple[int, ...]] = [()] * len(arcs)
     for vertex, idx in last_index.items():
-        if vertex not in (source, sink):
-            finish_at.setdefault(idx, []).append(vertex)
-    balance: dict[VertexId, int] = {v: 0 for v in network.vertices}
+        if vertex not in (s, t):
+            settles[idx] += (vertex,)
+    balance = [0] * len(net.neighbors)
     assignment: list[int] = [0] * len(arcs)
     best_value = 0
     best: list[Flow] = []
 
     def leaf():
         nonlocal best_value
-        value = -balance[source]
+        value = -balance[s]
         if value < best_value:
             return
         flow = Flow(
@@ -144,12 +144,15 @@ def brute_force_flows(
         if idx == len(arcs):
             leaf()
             return
-        tail, head = arcs[idx]
-        for val in range(network.capacities[arcs[idx]] + 1):
+        (tail, head), settled = ends[idx], settles[idx]
+        for val in range(caps[idx] + 1):
             assignment[idx] = val
             balance[tail] -= val
             balance[head] += val
-            if all(balance[v] == 0 for v in finish_at.get(idx, ())):
+            for v in settled:
+                if balance[v]:
+                    break
+            else:
                 rec(idx + 1)
             balance[tail] += val
             balance[head] -= val
@@ -250,6 +253,8 @@ def cross_check(
             sampled_groups.append(
                 frozenset(sample_rng.sample(net.vertices, size))
             )
+        singletons = [frozenset({x}) for x in net.vertices]
+        space = prod(c + 1 for c in net.capacities.values())
         for y, z in ordered_pairs(net):
             where = f"{label} pair ({y},{z})"
             report.pairs_checked += 1
@@ -274,27 +279,28 @@ def cross_check(
             except BudgetExceededError:
                 sequences = None
                 report.enumeration_skips += 1
+            throughput = {
+                group: forced_throughput(net, y, z, group)
+                for group in singletons + sampled_groups
+            }
             if sequences is not None:
-                for x in net.vertices:
-                    exact = min(passage_count(s, {x}) for s in sequences)
-                    drop = vitality_drop(net, y, z, {x})
-                    throughput = forced_throughput(net, y, z, {x})
+                for group in singletons:
+                    exact = min(passage_count(s, group) for s in sequences)
+                    drop = vitality_drop(net, y, z, group)
                     check(
-                        exact == drop == throughput,
-                        f"{where} singleton {x}: passage {exact}, "
-                        f"drop {drop}, throughput {throughput}",
+                        exact == drop == throughput[group],
+                        f"{where} singleton {render_group(group)}: passage "
+                        f"{exact}, drop {drop}, throughput {throughput[group]}",
                     )
                 for group in sampled_groups:
                     exact = min(passage_count(s, group) for s in sequences)
                     drop = vitality_drop(net, y, z, group)
-                    throughput = forced_throughput(net, y, z, group)
                     check(
-                        drop <= exact <= min(throughput, value),
+                        drop <= exact <= min(throughput[group], value),
                         f"{where} group {render_group(group)}: chain broken: "
                         f"drop {drop}, passage {exact}, throughput "
-                        f"{throughput}, max flow {value}",
+                        f"{throughput[group]}, max flow {value}",
                     )
-            space = prod(c + 1 for c in net.capacities.values())
             if space > assignment_budget:
                 report.oracle_skips += 1
                 continue
@@ -313,14 +319,11 @@ def cross_check(
                 bad is None,
                 f"{where}: oracle produced an invalid maximum flow {bad}",
             )
-            groups_to_check = [frozenset({x}) for x in net.vertices]
-            groups_to_check.extend(sampled_groups)
-            for group in groups_to_check:
+            for group in singletons + sampled_groups:
                 oracle_min = min(flow_through(f, group) for f in oracle_flows)
-                solver_min = forced_throughput(net, y, z, group)
                 check(
-                    oracle_min == solver_min,
+                    oracle_min == throughput[group],
                     f"{where} group {render_group(group)}: oracle throughput "
-                    f"{oracle_min}, solver {solver_min}",
+                    f"{oracle_min}, solver {throughput[group]}",
                 )
     return report

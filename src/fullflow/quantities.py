@@ -30,6 +30,7 @@ from typing import Iterable, Iterator
 from .errors import BudgetExceededError, InvariantViolationError, ShortcutInvalidError
 from .flows import (
     _augment,
+    _bfs_augmenting,
     _check_endpoints,
     max_flow_value,
     min_cost_max_flow,
@@ -62,7 +63,7 @@ def _residual_max_value(
     net: CompiledNetwork, caps: list[int], source: int, sink: int
 ) -> int:
     """Max-flow value under capacities ``caps`` (by arc id, zeros allowed)."""
-    return _augment(net, caps, [0] * len(caps), source, sink)
+    return _augment(net, caps, [0] * len(caps), source, sink, _bfs_augmenting)
 
 
 def _path_candidates(

@@ -61,6 +61,20 @@ def test_pair_budget_exits_3(fig1_file, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_pair_deep_passage_search_exits_3(tmp_path, capsys):
+    # the passage search recurses once per path: 3005 paths outrun the
+    # default recursion limit
+    path = tmp_path / "big.net"
+    path.write_text("vertices a b y z\ny a 3000\na z 3000\ny b 5\nb z 5\n",
+                    encoding="utf-8")
+    assert main(["pair", str(path), "y", "z", "--set", "a,b"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: passage search exceeded the recursion limit"
+    )
+
+
 def test_parse_error_names_file_and_line(tmp_path, capsys):
     bad = tmp_path / "bad.net"
     bad.write_text("vertices a b\na b nope\n", encoding="utf-8")
@@ -214,3 +228,18 @@ def test_selftest_byte_identical(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--max-vertices", "1"], "--max-vertices 1"),
+        (["--max-vertices", "7"], "--max-vertices 7"),
+        (["--instances", "-3"], "--instances -3"),
+    ],
+)
+def test_selftest_rejects_bad_sizes(args, flag, capsys):
+    assert main(["selftest", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} ")

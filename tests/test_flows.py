@@ -397,6 +397,41 @@ def test_min_cost_value_matches_and_cost_bounded(net_yz, data):
     assert cost <= plain_cost
 
 
+@settings(max_examples=40)
+@given(networks_with_endpoints(max_vertices=4, max_capacity=2), st.data())
+def test_min_cost_is_optimal_against_assignment_oracle(net_yz, data):
+    net, y, z = net_yz
+    costs = {}
+    for arc in sorted(net.capacities):
+        costs[arc] = data.draw(st.integers(0, 3), label=f"cost {arc}")
+    value, cost, f = min_cost_max_flow(net, y, z, costs)
+    oracle_value, oracle_flows = brute_force_flows(net, y, z)
+    assert value == oracle_value
+    assert validate_flow(net, f) is None
+    assert f in oracle_flows
+    assert cost == sum(costs[a] * v for a, v in f.values.items())
+    assert cost == min(
+        sum(costs[a] * v for a, v in g.values.items()) for g in oracle_flows
+    )
+
+
+def test_min_cost_takes_cancellation_over_forward_move():
+    # from c the search may move to a forward along (c, a) at cost 3 or,
+    # once (a, c) carries flow, backward along it at cost 0; taking the
+    # forward move whenever it has room ends at cost 10, not 7
+    net = build_network(
+        ["a", "b", "c", "d"],
+        [("a", "b", 1), ("a", "c", 1), ("a", "d", 2), ("b", "c", 2),
+         ("c", "a", 1), ("c", "b", 2), ("d", "a", 1), ("d", "b", 2),
+         ("d", "c", 2)],
+    )
+    costs = {("a", "b"): 1, ("a", "d"): 3, ("c", "a"): 3, ("d", "b"): 1,
+             ("d", "c"): 2}
+    value, cost, f = min_cost_max_flow(net, "d", "b", costs)
+    assert (value, cost) == (5, 7)
+    assert validate_flow(net, f) is None
+
+
 @settings(max_examples=30)
 @given(networks_with_endpoints(max_vertices=4, max_capacity=2), st.data())
 def test_capacity_decrease_equivalence(net_yz, data):

@@ -1,7 +1,12 @@
+import itertools
+import random
+from math import prod
+
 import pytest
 
 from fullflow import (
     BudgetExceededError,
+    Flow,
     InstanceSpec,
     InvalidSpecError,
     brute_force_flows,
@@ -100,3 +105,45 @@ def test_cross_check_reports_are_deterministic():
     first = cross_check(batch).render()
     second = cross_check(batch).render()
     assert first == second
+
+
+def _unpruned_max_flows(net, y, z):
+    arcs = net.positive_arcs()
+    ranges = [range(net.capacities[arc] + 1) for arc in arcs]
+    flows = [Flow(y, z, dict(zip(arcs, values)))
+             for values in itertools.product(*ranges)]
+    flows = [f for f in flows if validate_flow(net, f) is None]
+    best = max(flow_value(f) for f in flows)
+    return best, [f for f in flows if flow_value(f) == best]
+
+
+def test_brute_force_matches_unpruned_enumeration():
+    # the pruned enumeration keeps exactly the maximum flows of the raw
+    # assignment product, in the product's order
+    rng = random.Random("unpruned")
+    checked = 0
+    while checked < 40:
+        spec = InstanceSpec(rng.randint(2, 4), rng.randint(1, 2), 0.5,
+                            rng.randrange(2**32))
+        net = generate(spec)
+        if prod(cap + 1 for cap in net.capacities.values()) > 3000:
+            continue
+        y, z = rng.sample(net.vertices, 2)
+        assert brute_force_flows(net, y, z) == _unpruned_max_flows(net, y, z)
+        checked += 1
+
+
+def test_cross_check_render_pinned():
+    # counts of a fixed batch that exercises both skip kinds; any check
+    # dropped or added changes the assertion count
+    batch = [InstanceSpec(2 + i % 5, 2, 0.5, 300 + i) for i in range(10)]
+    report = cross_check(batch, assignment_budget=5000, node_budget=200)
+    assert report.render() == (
+        "generator python-random-mersenne-twister\n"
+        "instances 10\n"
+        "pairs_checked 140\n"
+        "assertions 2221\n"
+        "oracle_skips 80\n"
+        "enumeration_skips 6\n"
+        "violations 0\n"
+    )

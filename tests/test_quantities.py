@@ -12,6 +12,7 @@ from fullflow import (
     ShortcutInvalidError,
     UnknownVertexError,
     brute_force_flows,
+    brute_force_min_throughput,
     build_network,
     capacity_of_set,
     decompose,
@@ -131,6 +132,15 @@ def test_forced_throughput_matches_oracle_fig1(fig1):
     assert value == 3
     oracle = min(flow_through(f, {"x"}) for f in flows)
     assert oracle == forced_throughput(fig1, "y", "z", {"x"}) == 2
+
+
+@settings(max_examples=40)
+@given(networks_with_endpoints_and_group(max_vertices=4, max_capacity=2))
+def test_forced_throughput_matches_oracle(net_yzg):
+    net, y, z, group = net_yzg
+    assert forced_throughput(net, y, z, group) == brute_force_min_throughput(
+        net, y, z, group
+    )
 
 
 def test_pair_report_fig5(fig5):
