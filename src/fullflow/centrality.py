@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceededError, InvariantViolationError, ShortcutInvalidError
+from .errors import BudgetExceededError, InvariantViolationError
 from .flows import max_flow, max_flow_value
 from .network import Network, VertexId, ordered_pairs, vertex_group
-from .quantities import DEFAULT_NODE_BUDGET, _min_passage, render_group
+from .quantities import DEFAULT_NODE_BUDGET, _check_mode, _min_passage, render_group
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def _group_terms(
             if passage and settled is None:
                 try:
                     settled, _ = _min_passage(
-                        network, y, z, group, node_budget, lower_bound=drop
+                        network, y, z, group, node_budget, total, drop
                     )
                 except BudgetExceededError as exc:
                     raise BudgetExceededError(
@@ -168,10 +168,7 @@ def full_flow_betweenness(
     ``mode`` as in :func:`fullflow.quantities.forced_passage`.
     """
     group = vertex_group(network, members)
-    if mode == "singleton-shortcut" and len(group) > 1:
-        raise ShortcutInvalidError(
-            f"singleton shortcut asked for a {len(group)}-vertex group"
-        )
+    _check_mode(mode, group)
     (terms,) = _group_terms(
         network,
         [group],

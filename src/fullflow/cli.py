@@ -7,9 +7,9 @@ Subcommands::
     fullflow examples
     fullflow selftest [--instances N] [--seed S] ...
 
-Exit codes: 0 success, 2 input error, 3 budget or recursion limit exceeded,
-4 violated internal invariant (failed example checks, self-test
-violations).  Output is plain text, byte-identical across runs.
+Exit codes: 0 success, 2 input error, 3 budget exceeded, 4 violated
+internal invariant (failed example checks, self-test violations).
+Output is plain text, byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .centrality import centrality_report
 from .errors import (
     BudgetExceededError,
     FullFlowError,
+    InvalidSpecError,
     InvariantViolationError,
     NetworkParseError,
 )
@@ -31,6 +32,11 @@ from .oracle import InstanceSpec, cross_check
 from .quantities import DEFAULT_NODE_BUDGET, pair_report
 
 DEFAULT_CAPACITY_CAP = 10**9
+
+# the selftest flag behind each InstanceSpec field cmd_selftest leaves unchecked
+_SPEC_FLAGS = dict(
+    max_capacity="--capacity", arc_probability="--arc-probability", seed="--seed"
+)
 
 
 class _CliError(Exception):
@@ -131,15 +137,18 @@ def cmd_selftest(args) -> int:
     if args.instances < 0:
         raise _CliError(f"--instances {args.instances} is negative", 2)
     sizes = list(range(2, args.max_vertices + 1))
-    batch = [
-        InstanceSpec(
-            vertex_count=sizes[i % len(sizes)],
-            max_capacity=args.capacity,
-            arc_probability=args.arc_probability,
-            seed=args.seed + i,
-        )
-        for i in range(args.instances)
-    ]
+    try:
+        batch = [
+            InstanceSpec(
+                vertex_count=sizes[i % len(sizes)],
+                max_capacity=args.capacity,
+                arc_probability=args.arc_probability,
+                seed=args.seed + i,
+            )
+            for i in range(args.instances)
+        ]
+    except InvalidSpecError as exc:
+        raise _CliError(f"{_SPEC_FLAGS[exc.field]} {exc.detail}", 2) from exc
     report = cross_check(
         batch,
         assignment_budget=args.assignment_budget,
@@ -262,9 +271,6 @@ def main(argv=None) -> int:
         return exc.code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RecursionError:
-        print("error: passage search exceeded the recursion limit", file=sys.stderr)
         return 3
     except InvariantViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -64,7 +64,12 @@ class ShortcutInvalidError(FullFlowError):
 
 
 class InvalidSpecError(FullFlowError):
-    """A random-instance specification is out of bounds."""
+    """A random-instance specification is out of bounds: ``field`` is the
+    offending field, ``detail`` what is wrong with its value."""
+
+    def __init__(self, field: str, detail: str):
+        self.field, self.detail = field, detail
+        super().__init__(f"{field} {detail}")
 
 
 class BudgetExceededError(FullFlowError):

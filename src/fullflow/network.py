@@ -51,8 +51,16 @@ def check_token(token: str) -> str:
     return token
 
 
-def _check_capacity(arc: Arc, cap) -> None:
-    """Raise ValueError unless ``cap`` is a nonnegative ``int`` (not a bool)."""
+def _check_arc(arc: Arc, cap, known) -> None:
+    """Raise unless ``arc`` joins two distinct vertices of ``known`` and
+    ``cap`` is a nonnegative ``int`` (not a bool)."""
+    tail, head = arc
+    if tail not in known:
+        raise UnknownVertexError(f"unknown vertex {tail!r} in arc {arc!r}")
+    if head not in known:
+        raise UnknownVertexError(f"unknown vertex {head!r} in arc {arc!r}")
+    if tail == head:
+        raise SelfLoopError(f"self-loop on vertex {tail!r}")
     if isinstance(cap, bool) or not isinstance(cap, int):
         raise ValueError(f"capacity {cap!r} on arc {arc!r} is not an integer")
     if cap < 0:
@@ -104,16 +112,9 @@ class Network:
         known = set(tokens)
         cleaned: dict[Arc, int] = {}
         for arc, cap in self.capacities.items():
-            tail, head = arc
-            if tail not in known:
-                raise UnknownVertexError(f"unknown vertex {tail!r} in arc {arc!r}")
-            if head not in known:
-                raise UnknownVertexError(f"unknown vertex {head!r} in arc {arc!r}")
-            if tail == head:
-                raise SelfLoopError(f"self-loop on vertex {tail!r}")
-            _check_capacity(arc, cap)
+            _check_arc(arc, cap, known)
             if cap > 0:
-                cleaned[(tail, head)] = cap
+                cleaned[tuple(arc)] = cap
         object.__setattr__(self, "capacities", cleaned)
 
     def capacity(self, arc: Arc) -> int:
@@ -186,32 +187,20 @@ def build_network(
     DuplicateArcError, each naming the offending token or arc, and
     ValueError for a capacity that is negative or not an ``int``.
     """
-    tokens = [check_token(v) for v in vertices]
-    if len(tokens) < 2:
-        raise TooFewVerticesError(
-            f"a network needs at least 2 vertices, got {len(tokens)}"
-        )
-    seen_v = set()
-    for v in tokens:
-        if v in seen_v:
-            raise ValueError(f"vertex {v!r} declared more than once")
-        seen_v.add(v)
+    bare = Network(tuple(vertices), {})  # checks the vertices
     caps: dict[Arc, int] = {}
     seen_arcs = set()
     for tail, head, cap in entries:
-        if tail not in seen_v:
-            raise UnknownVertexError(f"unknown vertex {tail!r} in arc ({tail!r}, {head!r})")
-        if head not in seen_v:
-            raise UnknownVertexError(f"unknown vertex {head!r} in arc ({tail!r}, {head!r})")
-        if tail == head:
-            raise SelfLoopError(f"self-loop on vertex {tail!r}")
-        if (tail, head) in seen_arcs:
-            raise DuplicateArcError(f"duplicate arc ({tail!r}, {head!r})")
-        seen_arcs.add((tail, head))
-        _check_capacity((tail, head), cap)
+        arc = (tail, head)
+        # before _check_arc: a repeat of an accepted arc can fail only its
+        # capacity check, and the duplicate error comes first
+        if arc in seen_arcs:
+            raise DuplicateArcError(f"duplicate arc {arc!r}")
+        _check_arc(arc, cap, bare._vertex_set)
+        seen_arcs.add(arc)
         if cap > 0:
-            caps[(tail, head)] = cap
-    return Network(tuple(tokens), caps)
+            caps[arc] = cap
+    return Network(bare.vertices, caps)
 
 
 def restrict(network: Network, members: Iterable[VertexId]) -> Network:

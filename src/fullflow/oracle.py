@@ -56,19 +56,15 @@ class InstanceSpec:
 
     def __post_init__(self):
         if not 2 <= self.vertex_count <= 6:
-            raise InvalidSpecError(
-                f"vertex_count {self.vertex_count} outside 2..6"
-            )
+            raise InvalidSpecError("vertex_count", f"{self.vertex_count} outside 2..6")
         if not 0 <= self.max_capacity <= 3:
-            raise InvalidSpecError(
-                f"max_capacity {self.max_capacity} outside 0..3"
-            )
+            raise InvalidSpecError("max_capacity", f"{self.max_capacity} outside 0..3")
         if not 0 <= self.arc_probability <= 1:
             raise InvalidSpecError(
-                f"arc_probability {self.arc_probability} outside [0, 1]"
+                "arc_probability", f"{self.arc_probability} outside [0, 1]"
             )
         if not 0 <= self.seed < 2**64:
-            raise InvalidSpecError(f"seed {self.seed} not a 64-bit integer")
+            raise InvalidSpecError("seed", f"{self.seed} not a 64-bit integer")
 
 
 def generate(spec: InstanceSpec) -> Network:

@@ -13,12 +13,15 @@ They always satisfy ``0 <= drop <= passage <= min(throughput, max_flow)``,
 and all three coincide whenever X is a single vertex, which justifies the
 singleton shortcut mode: for ``|X| <= 1`` the passage can be answered by
 two max-flow runs instead of an enumeration.  For larger groups the
-passage is computed exactly by backtracking over all canonical maximum
-sequences with capacity bookkeeping, two sound prunings (a partial
-sequence already meeting X at least best-so-far times cannot improve; a
-completed sequence matching the vitality-drop lower bound ends the
-search), and a feasibility cut (remaining capacity must still admit the
-missing number of paths).  The search is budgeted by node count and fails
+passage is computed exactly by one backtracking search over the canonical
+maximum sequences, which both the enumeration and the minimization
+consume.  It keeps an explicit stack rather than recursing, so a pair
+with a large max-flow value needs no deep Python stack.  Capacity
+bookkeeping and a feasibility cut (remaining capacity must still admit
+the missing number of paths) bound it; the minimization adds two sound
+prunings (a partial sequence already meeting X at least best-so-far times
+cannot improve; a completed sequence matching the vitality-drop lower
+bound ends the search).  The search is budgeted by node count and fails
 loudly rather than approximating.
 """
 
@@ -74,23 +77,97 @@ def _path_candidates(
     for tail, head in network.positive_arcs():
         adj.setdefault(tail, []).append(head)
     found: list[Path] = []
+    if source == sink:
+        return found
     trail = [source]
     on_trail = {source}
-
-    def walk(v: VertexId):
-        for w in adj.get(v, ()):
+    heads = [iter(adj.get(source, ()))]  # unvisited heads of each trail vertex
+    while heads:
+        for w in heads[-1]:
             if w == sink:
                 found.append(Path(tuple(trail) + (sink,)))
             elif w not in on_trail:
                 trail.append(w)
                 on_trail.add(w)
-                walk(w)
-                on_trail.discard(w)
-                trail.pop()
-
-    if source != sink:
-        walk(source)
+                heads.append(iter(adj.get(w, ())))
+                break
+        else:
+            heads.pop()
+            on_trail.discard(trail.pop())
     return found
+
+
+def _max_sequences(
+    network: Network,
+    source: VertexId,
+    sink: VertexId,
+    target: int,
+    node_budget: int,
+    what: str,
+    group: frozenset | None = None,
+) -> Iterator[tuple[int, tuple[Path, ...]]]:
+    """Yield ``(hits, paths)`` for the maximum sequences, canonically.
+
+    ``target`` is the pair's max-flow value; ``hits`` counts the paths
+    meeting ``group``.  Without a group every sequence is yielded; with
+    one, a node meeting it at least as often as the last yield is cut, so
+    each yield improves on the one before.  Each node is counted against
+    the budget as it is entered.  The stack holds the next candidate
+    index of each open node, so the depth is not bounded by Python's.
+    """
+    if target == 0:
+        yield 0, ()
+        return
+    net = network.compiled
+    cands = _path_candidates(network, source, sink)
+    cand_arcs = [tuple(net.arc_ids[a] for a in p.arcs) for p in cands]
+    meets = [group is not None and not group.isdisjoint(p.vertices) for p in cands]
+    caps = list(net.capacities)
+    s, t = net.index[source], net.index[sink]
+    chosen: list[int] = []
+    frames: list[int] = []
+    hits = nodes = found = start = 0
+    best = None
+    n = len(cands)
+    while True:
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(
+                f"{what} budget exhausted", partial=found, nodes=nodes
+            )
+        if best is not None and hits >= best:
+            pass
+        elif len(chosen) == target:
+            found += 1
+            if group is not None:
+                best = hits
+            yield hits, tuple(cands[i] for i in chosen)
+        elif _residual_max_value(net, caps, s, t) >= target - len(chosen):
+            frames.append(start)
+        # an open node at depth d has d chosen paths, so a path beyond that
+        # was chosen by the node just left: undo it, then enter the next
+        # candidate that fits
+        while frames:
+            if len(chosen) == len(frames):
+                i = chosen.pop()
+                for a in cand_arcs[i]:
+                    caps[a] += 1
+                hits -= meets[i]
+            i = frames[-1]
+            while i < n and not all(caps[a] for a in cand_arcs[i]):
+                i += 1
+            if i == n:
+                frames.pop()
+                continue
+            frames[-1] = i + 1
+            for a in cand_arcs[i]:
+                caps[a] -= 1
+            chosen.append(i)
+            hits += meets[i]
+            start = i
+            break
+        else:
+            return
 
 
 def enumerate_max_sequences(
@@ -104,53 +181,15 @@ def enumerate_max_sequences(
 
     Yields exactly one representative per reordering class -- the one
     whose components are sorted -- in lexicographic order of those
-    canonical forms.  Candidates are chosen with nondecreasing candidate
-    index under live capacity bookkeeping, so completeness follows from
-    the backtracking; a branch is cut when the remaining capacities no
-    longer admit the missing number of paths.  Raises BudgetExceededError
-    (carrying the partial count) when the node budget runs out.
+    canonical forms.  Raises BudgetExceededError (carrying the partial
+    count) when the node budget runs out.
     """
     _check_endpoints(network, source, sink)
     target = max_flow_value(network, source, sink)
-    if target == 0:
-        yield ArcDisjointSequence((), source, sink)
-        return
-    net = network.compiled
-    cands = _path_candidates(network, source, sink)
-    cand_arcs = [tuple(net.arc_ids[a] for a in p.arcs) for p in cands]
-    caps = list(net.capacities)
-    s, t = net.index[source], net.index[sink]
-    chosen: list[int] = []
-    state = {"nodes": 0, "found": 0}
-
-    def rec(start: int, remaining: int) -> Iterator[ArcDisjointSequence]:
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
-            raise BudgetExceededError(
-                "sequence enumeration budget exhausted",
-                partial=state["found"],
-                nodes=state["nodes"],
-            )
-        if remaining == 0:
-            state["found"] += 1
-            yield ArcDisjointSequence(
-                tuple(cands[i] for i in chosen), source, sink
-            )
-            return
-        if _residual_max_value(net, caps, s, t) < remaining:
-            return
-        for i in range(start, len(cands)):
-            arcs = cand_arcs[i]
-            if all(caps[a] >= 1 for a in arcs):
-                for a in arcs:
-                    caps[a] -= 1
-                chosen.append(i)
-                yield from rec(i, remaining - 1)
-                chosen.pop()
-                for a in arcs:
-                    caps[a] += 1
-
-    yield from rec(0, target)
+    for _, paths in _max_sequences(
+        network, source, sink, target, node_budget, "sequence enumeration"
+    ):
+        yield ArcDisjointSequence(paths, source, sink)
 
 
 def _min_passage(
@@ -159,65 +198,33 @@ def _min_passage(
     sink: VertexId,
     group: frozenset,
     node_budget: int,
-    lower_bound: int | None = None,
+    target: int,
+    lower_bound: int,
 ) -> tuple[int, ArcDisjointSequence]:
-    """Exact minimum passage count plus a witness sequence attaining it."""
-    target = max_flow_value(network, source, sink)
-    if target == 0:
-        return 0, ArcDisjointSequence((), source, sink)
-    if lower_bound is None:
-        lower_bound = vitality_drop(network, source, sink, group)
-    net = network.compiled
-    cands = _path_candidates(network, source, sink)
-    cand_arcs = [tuple(net.arc_ids[a] for a in p.arcs) for p in cands]
-    meets = [any(v in group for v in p.vertices) for p in cands]
-    caps = list(net.capacities)
-    s, t = net.index[source], net.index[sink]
-    chosen: list[int] = []
-    state = {"nodes": 0, "found": 0}
-    best: list = [None, None]  # passage count, witness indices
-
-    def rec(start: int, remaining: int, hits: int) -> bool:
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
-            raise BudgetExceededError(
-                "passage minimization budget exhausted",
-                partial=state["found"],
-                nodes=state["nodes"],
-            )
-        if best[0] is not None and hits >= best[0]:
-            return False
-        if remaining == 0:
-            state["found"] += 1
-            best[0] = hits
-            best[1] = tuple(chosen)
-            return hits == lower_bound
-        if _residual_max_value(net, caps, s, t) < remaining:
-            return False
-        for i in range(start, len(cands)):
-            arcs = cand_arcs[i]
-            if all(caps[a] >= 1 for a in arcs):
-                for a in arcs:
-                    caps[a] -= 1
-                chosen.append(i)
-                done = rec(i, remaining - 1, hits + (1 if meets[i] else 0))
-                chosen.pop()
-                for a in arcs:
-                    caps[a] += 1
-                if done:
-                    return True
-        return False
-
-    rec(0, target, 0)
-    if best[0] is None:
+    """Exact minimum passage count plus a witness sequence attaining it,
+    given the pair's max-flow value and its vitality drop."""
+    best = None
+    for best in _max_sequences(
+        network, source, sink, target, node_budget, "passage minimization", group
+    ):
+        if best[0] == lower_bound:
+            break
+    if best is None:
         raise InvariantViolationError(
             f"no maximum sequence found for {source!r}->{sink!r} "
             f"despite max flow {target}"
         )
-    witness = ArcDisjointSequence(
-        tuple(cands[i] for i in best[1]), source, sink
-    )
-    return best[0], witness
+    return best[0], ArcDisjointSequence(best[1], source, sink)
+
+
+def _check_mode(mode: str, group: frozenset) -> None:
+    """Raise unless ``mode`` is a passage mode that applies to ``group``."""
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {_MODES}")
+    if mode == "singleton-shortcut" and len(group) > 1:
+        raise ShortcutInvalidError(
+            f"singleton shortcut asked for a {len(group)}-vertex group"
+        )
 
 
 def forced_passage(
@@ -235,17 +242,14 @@ def forced_passage(
     (answers with the vitality drop; valid only for groups of at most one
     vertex) or ``"auto"`` (shortcut when it applies, exact otherwise).
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {_MODES}")
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
-    if mode == "singleton-shortcut" and len(group) > 1:
-        raise ShortcutInvalidError(
-            f"singleton shortcut asked for a {len(group)}-vertex group"
-        )
+    _check_mode(mode, group)
     if mode != "exact" and len(group) <= 1:
         return vitality_drop(network, source, sink, group)
-    value, _ = _min_passage(network, source, sink, group, node_budget)
+    total = max_flow_value(network, source, sink)
+    drop = total - max_flow_value(network, source, sink, group)
+    value, _ = _min_passage(network, source, sink, group, node_budget, total, drop)
     return value
 
 
@@ -331,7 +335,7 @@ def pair_report(
     use_exact = exact or len(group) > 1
     if use_exact:
         passage, witness = _min_passage(
-            network, source, sink, group, node_budget, lower_bound=drop
+            network, source, sink, group, node_budget, total, drop
         )
     else:
         passage, witness = drop, None

@@ -54,6 +54,8 @@ def test_betweenness_shortcut_mode(fig1, fig5):
 
     with pytest.raises(ShortcutInvalidError):
         full_flow_betweenness(fig5, {"x1", "x2"}, mode="singleton-shortcut")
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        full_flow_betweenness(fig1, {"x"}, mode="bogus")
 
 
 def test_unknown_vertex(fig1):

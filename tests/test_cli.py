@@ -61,18 +61,16 @@ def test_pair_budget_exits_3(fig1_file, capsys):
     assert "budget" in capsys.readouterr().err
 
 
-def test_pair_deep_passage_search_exits_3(tmp_path, capsys):
-    # the passage search recurses once per path: 3005 paths outrun the
+def test_pair_deep_passage_search_answers(tmp_path, capsys):
+    # a sequence of 3005 paths: the search runs deeper than Python's
     # default recursion limit
     path = tmp_path / "big.net"
     path.write_text("vertices a b y z\ny a 3000\na z 3000\ny b 5\nb z 5\n",
                     encoding="utf-8")
-    assert main(["pair", str(path), "y", "z", "--set", "a,b"]) == 3
+    assert main(["pair", str(path), "y", "z", "--set", "a,b"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(
-        "error: passage search exceeded the recursion limit"
-    )
+    assert captured.out.startswith("y z a,b 3005 0 3005 3005 3005 ")
+    assert captured.err == ""
 
 
 def test_parse_error_names_file_and_line(tmp_path, capsys):
@@ -236,6 +234,9 @@ def test_selftest_byte_identical(capsys):
         (["--max-vertices", "1"], "--max-vertices 1"),
         (["--max-vertices", "7"], "--max-vertices 7"),
         (["--instances", "-3"], "--instances -3"),
+        (["--capacity", "5"], "--capacity 5"),
+        (["--arc-probability", "2"], "--arc-probability 2.0"),
+        (["--seed", "-1"], "--seed -1"),
     ],
 )
 def test_selftest_rejects_bad_sizes(args, flag, capsys):

@@ -86,9 +86,12 @@ def test_enumerate_lengths_and_disjointness(fig1):
 
 
 def test_enumerate_budget_exceeded(fig1):
-    with pytest.raises(BudgetExceededError) as info:
-        list(enumerate_max_sequences(fig1, "y", "z", node_budget=3))
-    assert info.value.nodes > 3 or info.value.partial >= 0
+    # the counts fix which nodes the search visits, and in what order
+    for budget, partial, nodes in [(3, 0, 4), (5, 1, 6)]:
+        with pytest.raises(BudgetExceededError) as info:
+            list(enumerate_max_sequences(fig1, "y", "z", node_budget=budget))
+        assert info.value.reason == "sequence enumeration budget exhausted"
+        assert (info.value.partial, info.value.nodes) == (partial, nodes)
 
 
 def test_forced_passage_fig1(fig1):
@@ -102,6 +105,12 @@ def test_forced_passage_fig5_strict_gap(fig5):
     group = {"x1", "x2"}
     assert forced_passage(fig5, "y", "z", group, mode="exact") == 2
     assert vitality_drop(fig5, "y", "z", group) == 1
+    # the minimization proves 2 optimal at its eleventh node
+    assert forced_passage(fig5, "y", "z", group, "exact", node_budget=11) == 2
+    with pytest.raises(BudgetExceededError) as info:
+        forced_passage(fig5, "y", "z", group, "exact", node_budget=10)
+    assert info.value.reason == "passage minimization budget exhausted"
+    assert (info.value.partial, info.value.nodes) == (1, 11)
 
 
 def test_forced_passage_fig6(fig6):
