@@ -1,104 +1,29 @@
-"""Flow-based pair quantities and group centrality on capacitated digraphs."""
+"""Flow-based pair quantities and group centrality on capacitated digraphs.
 
-from .centrality import (
-    CentralityReport,
-    PairTerm,
-    centrality_report,
-    decimal_text,
-    full_flow_betweenness,
-    full_flow_vitality,
-)
-from .errors import (
-    BadTokenError,
-    BudgetExceededError,
-    DuplicateArcError,
-    FullFlowError,
-    InvalidFlowError,
-    InvalidSpecError,
-    InvariantViolationError,
-    MixedEndpointsError,
-    NetworkParseError,
-    NotArcDisjointError,
-    NotAugmentingError,
-    SameEndpointsError,
-    SelfLoopError,
-    ShortcutInvalidError,
-    TooFewVerticesError,
-    UnknownVertexError,
-)
-from .figures import (
-    FIGURE_NAMES,
-    FigureCheck,
-    fig2_stored_flow,
-    figure_checks,
-    figure_network,
-    figure_networks,
-)
-from .flows import (
-    Decomposition,
-    Flow,
-    FlowViolation,
-    ResidualView,
-    augment,
-    decompose,
-    find_augmenting_path,
-    flow_through,
-    flow_to_text,
-    flow_value,
-    max_flow,
-    min_cost_max_flow,
-    null_flow,
-    parse_flow,
-    recompose,
-    validate_flow,
-)
-from .network import (
-    Arc,
-    Network,
-    VertexId,
-    boundary_arcs,
-    build_network,
-    capacity_of_set,
-    load_network,
-    network_to_text,
-    ordered_pairs,
-    parse_network,
-    restrict,
-    vertex_group,
-)
-from .oracle import (
-    CrossCheckReport,
-    InstanceSpec,
-    brute_force_flows,
-    brute_force_min_throughput,
-    cross_check,
-    generate,
-)
-from .paths import (
-    BACKWARD,
-    FORWARD,
-    ArcDisjointSequence,
-    Cycle,
-    GeneralizedPath,
-    Path,
-    chi,
-    cycle_of,
-    induced_flow,
-    is_arc_disjoint,
-    passage_count,
-    passes_through,
-    path_of,
-    sequences_equivalent,
-)
-from .quantities import (
-    DEFAULT_NODE_BUDGET,
-    PairQuantities,
-    enumerate_max_sequences,
-    forced_passage,
-    forced_throughput,
-    pair_report,
-    render_group,
-    vitality_drop,
-)
+The package exports the names of the README quick start and the main
+entry points; everything else is public in its module (``fullflow.flows``,
+``fullflow.network``, ``fullflow.quantities``, ...).
+"""
 
-__version__ = "0.1.0"
+from .centrality import centrality_report, full_flow_betweenness, full_flow_vitality
+from .errors import BudgetExceededError, FullFlowError, InvariantViolationError
+from .flows import decompose, max_flow
+from .network import build_network, parse_network
+from .oracle import InstanceSpec, cross_check
+from .quantities import pair_report
+
+__all__ = [
+    "BudgetExceededError",
+    "FullFlowError",
+    "InstanceSpec",
+    "InvariantViolationError",
+    "build_network",
+    "centrality_report",
+    "cross_check",
+    "decompose",
+    "full_flow_betweenness",
+    "full_flow_vitality",
+    "max_flow",
+    "parse_network",
+    "pair_report",
+]

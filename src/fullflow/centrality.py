@@ -22,8 +22,8 @@ applies:
    same value.  If not, a singleton takes the shortcut passage = drop
    (unless ``exact``), and anything else runs the passage search.
 
-The rules are proofs, so they apply in every mode; ``exact`` only turns
-off the singleton shortcut.
+The rules are proofs, so they apply with or without ``exact``, which only
+turns off the singleton shortcut.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 from .errors import BudgetExceededError, InvariantViolationError
 from .flows import max_flow, max_flow_value
 from .network import Network, VertexId, ordered_pairs, vertex_group
-from .quantities import DEFAULT_NODE_BUDGET, _check_mode, _min_passage, render_group
+from .quantities import DEFAULT_NODE_BUDGET, _min_passage, render_group
 
 
 @dataclass(frozen=True)
@@ -159,21 +159,20 @@ def full_flow_vitality(
 def full_flow_betweenness(
     network: Network,
     members: Iterable[VertexId],
-    mode: str = "auto",
     *,
+    exact: bool = False,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Fraction:
     """Sum over flow-positive pairs of (forced passage) / (max flow value).
 
-    ``mode`` as in :func:`fullflow.quantities.forced_passage`.
+    ``exact`` as in :func:`centrality_report`.
     """
     group = vertex_group(network, members)
-    _check_mode(mode, group)
     (terms,) = _group_terms(
         network,
         [group],
         passage=True,
-        shortcut=mode != "exact",
+        shortcut=not exact,
         node_budget=node_budget,
     )
     return _ratio_sum((t.forced_passage, t.max_flow_total) for t in terms)

@@ -59,10 +59,6 @@ class InvalidFlowError(FullFlowError):
     """An arc assignment is not a flow (or not valid for this operation)."""
 
 
-class ShortcutInvalidError(FullFlowError):
-    """The single-vertex shortcut was requested for a larger vertex group."""
-
-
 class InvalidSpecError(FullFlowError):
     """A random-instance specification is out of bounds: ``field`` is the
     offending field, ``detail`` what is wrong with its value."""

@@ -83,11 +83,11 @@ def figure_checks(networks: Mapping[str, Network] | None = None) -> list[FigureC
     _expect(checks, "fig1", "max-sequence-classes", len(classes), 2)
     _expect(
         checks, "fig1", "forced-passage-x",
-        forced_passage(fig1, "y", "z", {"x"}, mode="exact"), 2,
+        forced_passage(fig1, "y", "z", {"x"}, exact=True), 2,
     )
     _expect(
         checks, "fig1", "forced-passage-x-v",
-        forced_passage(fig1, "y", "z", {"x", "v"}, mode="exact"), 2,
+        forced_passage(fig1, "y", "z", {"x", "v"}, exact=True), 2,
     )
 
     fig2 = nets["fig2"]
@@ -126,19 +126,19 @@ def figure_checks(networks: Mapping[str, Network] | None = None) -> list[FigureC
             vitality_drop(fig5, "y", "z", {"x1", "x2"}), 1)
     _expect(
         checks, "fig5", "forced-passage-x1-x2",
-        forced_passage(fig5, "y", "z", {"x1", "x2"}, mode="exact"), 2,
+        forced_passage(fig5, "y", "z", {"x1", "x2"}, exact=True), 2,
     )
 
     fig6 = nets["fig6"]
     _expect(
         checks, "fig6", "forced-passage-x1-x2",
-        forced_passage(fig6, "y", "z", {"x1", "x2"}, mode="exact"), 1,
+        forced_passage(fig6, "y", "z", {"x1", "x2"}, exact=True), 1,
     )
     _expect(checks, "fig6", "forced-throughput-x1-x2",
             forced_throughput(fig6, "y", "z", {"x1", "x2"}), 2)
     _expect(checks, "fig6", "vitality-x1-x2",
             full_flow_vitality(fig6, {"x1", "x2"}), 10)
     _expect(checks, "fig6", "betweenness-x1-x2",
-            full_flow_betweenness(fig6, {"x1", "x2"}, mode="exact"), 10)
+            full_flow_betweenness(fig6, {"x1", "x2"}, exact=True), 10)
 
     return checks

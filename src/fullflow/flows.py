@@ -11,7 +11,7 @@ All search orders follow the canonical lexicographic vertex order, so
 every result here is a pure, deterministic function of its inputs:
 
 * ``find_augmenting_path`` returns the lexicographically least shortest
-  augmenting path (breadth-first over the residual view, sorted neighbor
+  augmenting path (breadth-first over the residual moves, sorted neighbor
   expansion, forward moves preferred on ties);
 * ``max_flow`` saturates those paths one after another, and
   ``max_flow_value`` does the same while avoiding a banned vertex set;
@@ -163,45 +163,6 @@ def validate_flow(network: Network, flow: Flow) -> FlowViolation | None:
                 f"conservation fails at vertex {x!r}: in {into}, out {outof}",
             )
     return None
-
-
-class ResidualView:
-    """Read-only residual quantities derived from a network and a flow.
-
-    ``room`` is the unused capacity of an arc, ``cancelable`` the flow that
-    could be pushed back.  ``moves_from`` lists the residual steps leaving a
-    vertex in canonical order (sorted by neighbor, forward preferred when
-    both directions reach the same neighbor).
-    """
-
-    def __init__(self, network: Network, flow: Flow):
-        self.network = network
-        self.flow = flow
-        self._into: dict[VertexId, list[VertexId]] = {}
-        for (tail, head), val in flow.values.items():
-            if val >= 1:
-                self._into.setdefault(head, []).append(tail)
-        for tails in self._into.values():
-            tails.sort()
-        self._out: dict[VertexId, list[VertexId]] = {}
-        for tail, head in network.positive_arcs():
-            self._out.setdefault(tail, []).append(head)
-
-    def room(self, arc: Arc) -> int:
-        return self.network.capacity(arc) - self.flow.values.get(arc, 0)
-
-    def cancelable(self, arc: Arc) -> int:
-        return self.flow.values.get(arc, 0)
-
-    def moves_from(self, vertex: VertexId) -> list[tuple[VertexId, Arc, int]]:
-        options: dict[VertexId, tuple[Arc, int]] = {}
-        for head in self._out.get(vertex, ()):
-            if self.room((vertex, head)) >= 1:
-                options[head] = ((vertex, head), FORWARD)
-        for tail in self._into.get(vertex, ()):
-            if tail not in options:
-                options[tail] = ((tail, vertex), BACKWARD)
-        return [(w, arc, d) for w, (arc, d) in sorted(options.items())]
 
 
 def _check_endpoints(network: Network, source: VertexId, sink: VertexId):

@@ -27,11 +27,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import (
     BadTokenError,
     DuplicateArcError,
+    FullFlowError,
     NetworkParseError,
     SelfLoopError,
     TooFewVerticesError,
@@ -49,6 +51,20 @@ def check_token(token: str) -> str:
     if not isinstance(token, str) or not _TOKEN_RE.match(token):
         raise BadTokenError(f"bad vertex token {token!r}: expected [A-Za-z0-9_]+")
     return token
+
+
+def _check_vertices(vertices: Iterable[VertexId]) -> tuple[VertexId, ...]:
+    """The vertices in canonical order; raise on a bad token, a repeated
+    vertex or fewer than two vertices."""
+    tokens = tuple(check_token(v) for v in vertices)
+    if len(set(tokens)) != len(tokens):
+        dupe = next(v for v in tokens if tokens.count(v) > 1)
+        raise ValueError(f"vertex {dupe!r} declared more than once")
+    if len(tokens) < 2:
+        raise TooFewVerticesError(
+            f"a network needs at least 2 vertices, got {len(tokens)}"
+        )
+    return tuple(sorted(tokens))
 
 
 def _check_arc(arc: Arc, cap, known) -> None:
@@ -91,31 +107,23 @@ class CompiledNetwork:
 class Network:
     """Immutable capacitated complete digraph.
 
-    ``vertices`` is kept sorted; ``capacities`` maps arcs to their positive
-    capacities (zero entries are normalized away on construction).  Treat
-    both fields as read-only: the compiled form is built from them once.
+    ``vertices`` is kept sorted; ``capacities`` is a read-only mapping from
+    arcs to their positive capacities (zero entries are normalized away on
+    construction), so the compiled form built from them once stays valid.
     """
 
     vertices: tuple[VertexId, ...]
-    capacities: dict[Arc, int]
+    capacities: Mapping[Arc, int]
 
     def __post_init__(self):
-        tokens = tuple(check_token(v) for v in self.vertices)
-        if len(set(tokens)) != len(tokens):
-            dupe = next(v for v in tokens if tokens.count(v) > 1)
-            raise ValueError(f"vertex {dupe!r} declared more than once")
-        if len(tokens) < 2:
-            raise TooFewVerticesError(
-                f"a network needs at least 2 vertices, got {len(tokens)}"
-            )
-        object.__setattr__(self, "vertices", tuple(sorted(tokens)))
-        known = set(tokens)
+        object.__setattr__(self, "vertices", _check_vertices(self.vertices))
+        known = set(self.vertices)
         cleaned: dict[Arc, int] = {}
         for arc, cap in self.capacities.items():
             _check_arc(arc, cap, known)
             if cap > 0:
                 cleaned[tuple(arc)] = cap
-        object.__setattr__(self, "capacities", cleaned)
+        object.__setattr__(self, "capacities", MappingProxyType(cleaned))
 
     def capacity(self, arc: Arc) -> int:
         """Capacity of ``arc``; 0 for any pair without a stored entry."""
@@ -185,22 +193,22 @@ def build_network(
     Zero-capacity entries are accepted and dropped.  Raises
     TooFewVerticesError, UnknownVertexError, SelfLoopError or
     DuplicateArcError, each naming the offending token or arc, and
-    ValueError for a capacity that is negative or not an ``int``.
+    ValueError for a repeated vertex or for a capacity that is negative or
+    not an ``int``.  A repeated arc is reported after the first entries of
+    all arcs have been checked.
     """
-    bare = Network(tuple(vertices), {})  # checks the vertices
     caps: dict[Arc, int] = {}
-    seen_arcs = set()
+    repeat = None
     for tail, head, cap in entries:
         arc = (tail, head)
-        # before _check_arc: a repeat of an accepted arc can fail only its
-        # capacity check, and the duplicate error comes first
-        if arc in seen_arcs:
-            raise DuplicateArcError(f"duplicate arc {arc!r}")
-        _check_arc(arc, cap, bare._vertex_set)
-        seen_arcs.add(arc)
-        if cap > 0:
+        if arc not in caps:
             caps[arc] = cap
-    return Network(bare.vertices, caps)
+        elif repeat is None:
+            repeat = arc
+    network = Network(tuple(vertices), caps)
+    if repeat is not None:
+        raise DuplicateArcError(f"duplicate arc {repeat!r}")
+    return network
 
 
 def restrict(network: Network, members: Iterable[VertexId]) -> Network:
@@ -257,51 +265,40 @@ def parse_network(text: str, *, max_capacity: int | None = None) -> Network:
     CLI to keep downstream arithmetic comfortably in machine range).
     All failures raise NetworkParseError carrying the 1-based line number.
     """
-    vertices: list[str] | None = None
+    vertices: tuple[VertexId, ...] | None = None
     caps: dict[Arc, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if vertices is None:
-            if fields[0] != "vertices":
-                raise NetworkParseError(line_no, "expected a 'vertices' line first")
-            vertices = fields[1:]
-            if len(vertices) < 2:
-                raise NetworkParseError(line_no, "need at least 2 vertices")
-            for tok in vertices:
-                if not _TOKEN_RE.match(tok):
-                    raise NetworkParseError(line_no, f"bad vertex token {tok!r}")
-            if len(set(vertices)) != len(vertices):
-                dupe = next(v for v in vertices if vertices.count(v) > 1)
-                raise NetworkParseError(line_no, f"duplicate vertex {dupe!r}")
-            continue
-        if len(fields) != 3:
-            raise NetworkParseError(line_no, "expected 'tail head capacity'")
-        tail, head, cap_text = fields
-        for tok in (tail, head):
-            if tok not in vertices:
-                raise NetworkParseError(line_no, f"unknown vertex {tok!r}")
-        if tail == head:
-            raise NetworkParseError(line_no, f"self-loop on vertex {tail!r}")
         try:
-            cap = int(cap_text)
-        except ValueError:
-            raise NetworkParseError(line_no, f"bad capacity {cap_text!r}") from None
-        if cap < 0:
-            raise NetworkParseError(line_no, f"negative capacity {cap}")
-        if max_capacity is not None and cap > max_capacity:
-            raise NetworkParseError(
-                line_no, f"capacity {cap} exceeds the configured cap {max_capacity}"
-            )
-        if (tail, head) in caps:
-            raise NetworkParseError(line_no, f"duplicate arc ({tail!r}, {head!r})")
-        # zero entries are remembered here for duplicate detection, dropped below
+            if vertices is None:
+                if fields[0] != "vertices":
+                    raise ValueError("expected a 'vertices' line first")
+                vertices = _check_vertices(fields[1:])
+                continue
+            if len(fields) != 3:
+                raise ValueError("expected 'tail head capacity'")
+            tail, head, cap_text = fields
+            try:
+                cap = int(cap_text)
+            except ValueError:
+                raise ValueError(f"bad capacity {cap_text!r}") from None
+            _check_arc((tail, head), cap, vertices)
+            if max_capacity is not None and cap > max_capacity:
+                raise ValueError(
+                    f"capacity {cap} exceeds the configured cap {max_capacity}"
+                )
+            if (tail, head) in caps:
+                raise ValueError(f"duplicate arc ({tail!r}, {head!r})")
+        except (FullFlowError, ValueError) as exc:
+            raise NetworkParseError(line_no, str(exc)) from None
+        # zero entries are kept here for duplicate detection; Network drops them
         caps[(tail, head)] = cap
     if vertices is None:
         raise NetworkParseError(1, "empty input: no 'vertices' line")
-    return Network(tuple(vertices), {a: c for a, c in caps.items() if c > 0})
+    return Network(vertices, caps)
 
 
 def network_to_text(network: Network) -> str:

@@ -26,6 +26,7 @@ from .flows import (
     decompose,
     flow_through,
     max_flow,
+    max_flow_value,
     recompose,
     validate_flow,
 )
@@ -36,11 +37,11 @@ from .quantities import (
     enumerate_max_sequences,
     forced_throughput,
     render_group,
-    vitality_drop,
 )
 
 GENERATOR_ID = "python-random-mersenne-twister"
 DEFAULT_ASSIGNMENT_BUDGET = 10**7
+_RANDOM_GROUPS = 2  # sampled groups per instance besides the empty and whole set
 
 _TOKEN_POOL = ("a", "b", "c", "d", "e", "f")
 
@@ -215,7 +216,6 @@ def cross_check(
     *,
     assignment_budget: int = DEFAULT_ASSIGNMENT_BUDGET,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    group_samples: int = 2,
 ) -> CrossCheckReport:
     """Verify the solvers against first principles on every batch instance.
 
@@ -244,7 +244,7 @@ def cross_check(
         )
         sample_rng = random.Random(spec.seed * 1_000_003 + 17)
         sampled_groups = [frozenset(), frozenset(net.vertices)]
-        for _ in range(group_samples):
+        for _ in range(_RANDOM_GROUPS):
             size = sample_rng.randint(0, len(net.vertices))
             sampled_groups.append(
                 frozenset(sample_rng.sample(net.vertices, size))
@@ -282,7 +282,7 @@ def cross_check(
             if sequences is not None:
                 for group in singletons:
                     exact = min(passage_count(s, group) for s in sequences)
-                    drop = vitality_drop(net, y, z, group)
+                    drop = value - max_flow_value(net, y, z, group)
                     check(
                         exact == drop == throughput[group],
                         f"{where} singleton {render_group(group)}: passage "
@@ -290,7 +290,7 @@ def cross_check(
                     )
                 for group in sampled_groups:
                     exact = min(passage_count(s, group) for s in sequences)
-                    drop = vitality_drop(net, y, z, group)
+                    drop = value - max_flow_value(net, y, z, group)
                     check(
                         drop <= exact <= min(throughput[group], value),
                         f"{where} group {render_group(group)}: chain broken: "

@@ -11,8 +11,8 @@ Three numbers, all nonnegative integers:
 
 They always satisfy ``0 <= drop <= passage <= min(throughput, max_flow)``,
 and all three coincide whenever X is a single vertex, which justifies the
-singleton shortcut mode: for ``|X| <= 1`` the passage can be answered by
-two max-flow runs instead of an enumeration.  For larger groups the
+singleton shortcut: for ``|X| <= 1`` the passage can be answered by two
+max-flow runs instead of an enumeration.  For larger groups the
 passage is computed exactly by one backtracking search over the canonical
 maximum sequences, which both the enumeration and the minimization
 consume.  It keeps an explicit stack rather than recursing, so a pair
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import BudgetExceededError, InvariantViolationError, ShortcutInvalidError
+from .errors import BudgetExceededError, InvariantViolationError
 from .flows import (
     _augment,
     _bfs_augmenting,
@@ -42,8 +42,6 @@ from .network import CompiledNetwork, Network, VertexId, vertex_group
 from .paths import ArcDisjointSequence, Path
 
 DEFAULT_NODE_BUDGET = 10**6
-
-_MODES = ("auto", "exact", "singleton-shortcut")
 
 
 def vitality_drop(
@@ -217,35 +215,24 @@ def _min_passage(
     return best[0], ArcDisjointSequence(best[1], source, sink)
 
 
-def _check_mode(mode: str, group: frozenset) -> None:
-    """Raise unless ``mode`` is a passage mode that applies to ``group``."""
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {_MODES}")
-    if mode == "singleton-shortcut" and len(group) > 1:
-        raise ShortcutInvalidError(
-            f"singleton shortcut asked for a {len(group)}-vertex group"
-        )
-
-
 def forced_passage(
     network: Network,
     source: VertexId,
     sink: VertexId,
     members: Iterable[VertexId],
-    mode: str = "auto",
     *,
+    exact: bool = False,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
     """Minimum number of paths meeting the group in a maximum sequence.
 
-    ``mode`` is ``"exact"`` (enumeration), ``"singleton-shortcut"``
-    (answers with the vitality drop; valid only for groups of at most one
-    vertex) or ``"auto"`` (shortcut when it applies, exact otherwise).
+    A group of at most one vertex is answered with the vitality drop,
+    which equals the passage there, unless ``exact`` forces the search;
+    larger groups always run the search.
     """
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
-    _check_mode(mode, group)
-    if mode != "exact" and len(group) <= 1:
+    if not exact and len(group) <= 1:
         return vitality_drop(network, source, sink, group)
     total = max_flow_value(network, source, sink)
     drop = total - max_flow_value(network, source, sink, group)
@@ -324,8 +311,9 @@ def pair_report(
 ) -> PairQuantities:
     """Compute all pair quantities and assert their chain before returning.
 
-    Passage mode follows the auto rule unless ``exact`` forces the
-    enumeration; the witness is attached whenever the enumeration ran.
+    The passage of a group of at most one vertex is the vitality drop
+    unless ``exact`` forces the search; the witness is attached whenever
+    the search ran.
     """
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)

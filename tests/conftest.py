@@ -1,6 +1,6 @@
 import pytest
 
-from fullflow import figure_network
+from fullflow.figures import figure_network
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,47 @@
 """Builders shared between test modules (not hypothesis strategies)."""
 
-from fullflow import (
-    GeneralizedPath,
-    ResidualView,
-    augment,
-    max_flow,
-    null_flow,
-)
+from fullflow.flows import Flow, augment, max_flow, null_flow
+from fullflow.network import Arc, Network, VertexId
+from fullflow.paths import BACKWARD, FORWARD, GeneralizedPath
+
+
+class ResidualView:
+    """Read-only residual quantities derived from a network and a flow.
+
+    ``room`` is the unused capacity of an arc, ``cancelable`` the flow that
+    could be pushed back.  ``moves_from`` lists the residual steps leaving a
+    vertex in canonical order (sorted by neighbor, forward preferred when
+    both directions reach the same neighbor).
+    """
+
+    def __init__(self, network: Network, flow: Flow):
+        self.network = network
+        self.flow = flow
+        self._into: dict[VertexId, list[VertexId]] = {}
+        for (tail, head), val in flow.values.items():
+            if val >= 1:
+                self._into.setdefault(head, []).append(tail)
+        for tails in self._into.values():
+            tails.sort()
+        self._out: dict[VertexId, list[VertexId]] = {}
+        for tail, head in network.positive_arcs():
+            self._out.setdefault(tail, []).append(head)
+
+    def room(self, arc: Arc) -> int:
+        return self.network.capacity(arc) - self.flow.values.get(arc, 0)
+
+    def cancelable(self, arc: Arc) -> int:
+        return self.flow.values.get(arc, 0)
+
+    def moves_from(self, vertex: VertexId) -> list[tuple[VertexId, Arc, int]]:
+        options: dict[VertexId, tuple[Arc, int]] = {}
+        for head in self._out.get(vertex, ()):
+            if self.room((vertex, head)) >= 1:
+                options[head] = ((vertex, head), FORWARD)
+        for tail in self._into.get(vertex, ()):
+            if tail not in options:
+                options[tail] = ((tail, vertex), BACKWARD)
+        return [(w, arc, d) for w, (arc, d) in sorted(options.items())]
 
 
 def random_augmenting_path(net, flow, rng):

@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from fullflow import Network
+from fullflow.network import Network
 
 TOKENS = ("a", "b", "c", "d", "e", "f")
 

@@ -9,31 +9,29 @@ from fractions import Fraction
 
 import pytest
 
-from fullflow import (
-    ArcDisjointSequence,
+from fullflow.centrality import full_flow_betweenness, full_flow_vitality
+from fullflow.figures import FIGURE_NAMES, fig2_stored_flow, figure_network
+from fullflow.flows import (
     Decomposition,
-    FIGURE_NAMES,
-    InstanceSpec,
-    capacity_of_set,
-    cross_check,
-    cycle_of,
     decompose,
-    enumerate_max_sequences,
-    fig2_stored_flow,
-    figure_network,
     flow_value,
-    forced_passage,
-    forced_throughput,
-    full_flow_betweenness,
-    full_flow_vitality,
-    generate,
-    is_arc_disjoint,
     max_flow,
-    ordered_pairs,
-    passage_count,
-    path_of,
     recompose,
     validate_flow,
+)
+from fullflow.network import capacity_of_set, ordered_pairs
+from fullflow.oracle import InstanceSpec, cross_check, generate
+from fullflow.paths import (
+    ArcDisjointSequence,
+    cycle_of,
+    is_arc_disjoint,
+    passage_count,
+    path_of,
+)
+from fullflow.quantities import (
+    enumerate_max_sequences,
+    forced_passage,
+    forced_throughput,
     vitality_drop,
 )
 from helpers import random_flow
@@ -67,8 +65,8 @@ def test_criterion_01_fig1_values():
     assert value == 3
     classes = list(enumerate_max_sequences(fig1, "y", "z"))
     assert len(classes) == 2
-    assert forced_passage(fig1, "y", "z", {"x"}, mode="exact") == 2
-    assert forced_passage(fig1, "y", "z", {"x", "v"}, mode="exact") == 2
+    assert forced_passage(fig1, "y", "z", {"x"}, exact=True) == 2
+    assert forced_passage(fig1, "y", "z", {"x", "v"}, exact=True) == 2
     print("criterion 1: PASS - fig1: max flow 3, 2 sequence classes, "
           "passage 2 for {x} and {x,v}")
 
@@ -109,7 +107,7 @@ def test_criterion_04_fig5_strict_gap():
     group = {"x1", "x2"}
     value, _ = max_flow(fig5, "y", "z")
     drop = vitality_drop(fig5, "y", "z", group)
-    passage = forced_passage(fig5, "y", "z", group, mode="exact")
+    passage = forced_passage(fig5, "y", "z", group, exact=True)
     assert value == 3
     assert drop == 1
     assert passage == 2
@@ -120,7 +118,7 @@ def test_criterion_04_fig5_strict_gap():
 def test_criterion_05_fig6_throughput_gap():
     fig6 = figure_network("fig6")
     group = {"x1", "x2"}
-    passage = forced_passage(fig6, "y", "z", group, mode="exact")
+    passage = forced_passage(fig6, "y", "z", group, exact=True)
     throughput = forced_throughput(fig6, "y", "z", group)
     assert passage == 1
     assert throughput == 2
@@ -176,7 +174,7 @@ def test_criterion_07_chain_monotonicity_degree_bound(batch_specs):
                     violations.append((index, y, z, "degree-bound", x))
             if index % 50 == 0:
                 # tie the public exact op to the enumeration minimum
-                if forced_passage(net, y, z, small, mode="exact") != lam[small]:
+                if forced_passage(net, y, z, small, exact=True) != lam[small]:
                     violations.append((index, y, z, "exact-op-mismatch", small))
     assert violations == []
     print(f"criterion 7: PASS - chain, monotonicity and degree bound over "
@@ -216,10 +214,10 @@ def test_criterion_10_centrality_exactness():
         net = figure_network(name)
         for x in net.vertices:
             vit = full_flow_vitality(net, {x})
-            bet = full_flow_betweenness(net, {x}, mode="exact")
+            bet = full_flow_betweenness(net, {x}, exact=True)
             assert vit == bet, (name, x, vit, bet)
     fig6 = figure_network("fig6")
     assert full_flow_vitality(fig6, {"x1", "x2"}) == Fraction(10)
-    assert full_flow_betweenness(fig6, {"x1", "x2"}, mode="exact") == Fraction(10)
+    assert full_flow_betweenness(fig6, {"x1", "x2"}, exact=True) == Fraction(10)
     print("criterion 10: PASS - singleton vitality equals betweenness on all "
           "figures; fig6 {x1,x2} totals 10 for both")

@@ -5,16 +5,16 @@ from hypothesis import strategies as st
 
 import pytest
 
-from fullflow import (
-    UnknownVertexError,
+from fullflow.centrality import (
     centrality_report,
     decimal_text,
     full_flow_betweenness,
     full_flow_vitality,
-    max_flow,
-    ordered_pairs,
-    pair_report,
 )
+from fullflow.errors import UnknownVertexError
+from fullflow.flows import max_flow
+from fullflow.network import ordered_pairs
+from fullflow.quantities import pair_report
 
 from strategies import networks
 
@@ -40,22 +40,11 @@ def test_vitality_fig6_whole_set(fig6):
 
 
 def test_betweenness_fig6_pair_group(fig6):
-    assert full_flow_betweenness(fig6, {"x1", "x2"}, mode="exact") == Fraction(10)
+    assert full_flow_betweenness(fig6, {"x1", "x2"}, exact=True) == Fraction(10)
 
 
 def test_betweenness_empty_group(fig5):
-    assert full_flow_betweenness(fig5, set(), mode="exact") == 0
-
-
-def test_betweenness_shortcut_mode(fig1, fig5):
-    assert full_flow_betweenness(fig1, {"x"}, mode="singleton-shortcut") \
-        == full_flow_betweenness(fig1, {"x"}, mode="exact")
-    from fullflow import ShortcutInvalidError
-
-    with pytest.raises(ShortcutInvalidError):
-        full_flow_betweenness(fig5, {"x1", "x2"}, mode="singleton-shortcut")
-    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-        full_flow_betweenness(fig1, {"x"}, mode="bogus")
+    assert full_flow_betweenness(fig5, set(), exact=True) == 0
 
 
 def test_unknown_vertex(fig1):
@@ -67,14 +56,14 @@ def test_singleton_equality_on_figures(fig1, fig2, fig5):
     for net in (fig1, fig2, fig5):
         for x in net.vertices:
             vit = full_flow_vitality(net, {x})
-            bet = full_flow_betweenness(net, {x}, mode="exact")
-            assert vit == bet
+            bet = full_flow_betweenness(net, {x}, exact=True)
+            assert vit == bet == full_flow_betweenness(net, {x})
 
 
 def test_fig5_gap_term(fig5):
     # the y->z term separates the measures: drop 1/3 vs passage 2/3
     vit = full_flow_vitality(fig5, {"x1", "x2"})
-    bet = full_flow_betweenness(fig5, {"x1", "x2"}, mode="exact")
+    bet = full_flow_betweenness(fig5, {"x1", "x2"}, exact=True)
     assert bet - vit == Fraction(1, 3)
     assert vit < bet
 
@@ -115,7 +104,7 @@ def test_decimal_text():
 def test_singleton_equality_random(net):
     for x in net.vertices:
         assert full_flow_vitality(net, {x}) == full_flow_betweenness(
-            net, {x}, mode="exact"
+            net, {x}, exact=True
         )
 
 
@@ -127,8 +116,8 @@ def test_measure_monotonicity_and_order(net, data):
     larger = members | extra
     vit_small = full_flow_vitality(net, members)
     vit_large = full_flow_vitality(net, larger)
-    bet_small = full_flow_betweenness(net, members, mode="exact")
-    bet_large = full_flow_betweenness(net, larger, mode="exact")
+    bet_small = full_flow_betweenness(net, members, exact=True)
+    bet_large = full_flow_betweenness(net, larger, exact=True)
     assert vit_small <= vit_large
     assert bet_small <= bet_large
     assert vit_small <= bet_small
@@ -136,8 +125,8 @@ def test_measure_monotonicity_and_order(net, data):
 
 
 def test_determinism_across_runs(fig5):
-    a = full_flow_betweenness(fig5, {"x1", "x2"}, mode="exact")
-    b = full_flow_betweenness(fig5, {"x1", "x2"}, mode="exact")
+    a = full_flow_betweenness(fig5, {"x1", "x2"}, exact=True)
+    b = full_flow_betweenness(fig5, {"x1", "x2"}, exact=True)
     assert a == b and isinstance(a, Fraction)
 
 

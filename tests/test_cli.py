@@ -1,8 +1,9 @@
 import pytest
 
-from fullflow import figure_network, network_to_text, parse_flow
 from fullflow.cli import main
-from fullflow.figures import figure_checks
+from fullflow.figures import figure_checks, figure_network
+from fullflow.flows import parse_flow
+from fullflow.network import network_to_text
 
 
 @pytest.fixture()
@@ -101,7 +102,7 @@ def test_dump_flow(fig1_file, tmp_path, capsys):
     capsys.readouterr()
     dumped = parse_flow(out_path.read_text(encoding="utf-8"))
     assert dumped.source == "y" and dumped.sink == "z"
-    from fullflow import flow_value
+    from fullflow.flows import flow_value
 
     assert flow_value(dumped) == 3
 
@@ -167,7 +168,7 @@ def test_tampered_fixture_fails_named_check(fig5):
     # negative control: deleting an arc of fig5 must trip its assertions
     capacities = dict(fig5.capacities)
     del capacities[("v2", "z")]
-    from fullflow import Network
+    from fullflow.network import Network
 
     broken = Network(fig5.vertices, capacities)
     checks = figure_checks(networks={"fig5": broken})

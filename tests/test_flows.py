@@ -5,37 +5,35 @@ from hypothesis import strategies as st
 
 import pytest
 
-from fullflow import (
-    ArcDisjointSequence,
-    BACKWARD,
+from fullflow.errors import NotAugmentingError, SameEndpointsError
+from fullflow.figures import fig2_stored_flow
+from fullflow.flows import (
     Decomposition,
-    FORWARD,
     Flow,
-    GeneralizedPath,
-    NotAugmentingError,
-    ResidualView,
-    SameEndpointsError,
     augment,
-    brute_force_flows,
-    build_network,
     decompose,
-    fig2_stored_flow,
     find_augmenting_path,
     flow_through,
     flow_to_text,
     flow_value,
     max_flow,
+    max_flow_value,
     min_cost_max_flow,
     null_flow,
     parse_flow,
-    path_of,
     recompose,
-    restrict,
     validate_flow,
 )
-from fullflow.flows import max_flow_value
-
-from helpers import random_flow
+from fullflow.network import build_network, restrict
+from fullflow.oracle import brute_force_flows
+from fullflow.paths import (
+    BACKWARD,
+    FORWARD,
+    ArcDisjointSequence,
+    GeneralizedPath,
+    path_of,
+)
+from helpers import ResidualView, random_flow
 from strategies import networks_with_endpoints, reduced_capacities
 
 
@@ -239,7 +237,7 @@ def test_decompose_unit_path(fig6):
 
 
 def test_decompose_rejects_invalid_flow(fig1):
-    from fullflow import InvalidFlowError
+    from fullflow.errors import InvalidFlowError
 
     with pytest.raises(InvalidFlowError):
         decompose(fig1, Flow("y", "z", {("y", "v"): 3}))
@@ -247,7 +245,8 @@ def test_decompose_rejects_invalid_flow(fig1):
 
 def test_decompose_rejects_negative_value():
     # conservation holds everywhere, but the net movement runs z->y
-    from fullflow import InvalidFlowError, build_network
+    from fullflow.errors import InvalidFlowError
+    from fullflow.network import build_network
 
     net = build_network(["y", "z"], [("z", "y", 1)])
     backwards = Flow("y", "z", {("z", "y"): 1})
@@ -259,7 +258,7 @@ def test_decompose_rejects_negative_value():
 
 def test_recompose_known_decompositions(fig2):
     f = fig2_stored_flow()
-    from fullflow import cycle_of
+    from fullflow.paths import cycle_of
 
     with_cycle = Decomposition(
         ArcDisjointSequence(
@@ -288,7 +287,7 @@ def test_flow_serialization_round_trip(fig2):
 
 
 def test_parse_flow_value_mismatch():
-    from fullflow import NetworkParseError
+    from fullflow.errors import NetworkParseError
 
     with pytest.raises(NetworkParseError, match="declared value"):
         parse_flow("flow y z 5\ny z 1\n")
@@ -354,7 +353,7 @@ def test_decompose_recompose_round_trip(net_yz, seed):
     dec = decompose(net, f)
     assert recompose(dec) == f
     assert len(dec.paths) == flow_value(f)
-    from fullflow import is_arc_disjoint
+    from fullflow.paths import is_arc_disjoint
 
     assert is_arc_disjoint(net, dec.paths.paths)
 

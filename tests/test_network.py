@@ -2,13 +2,16 @@ from hypothesis import given
 
 import pytest
 
-from fullflow import (
+from fullflow.errors import (
     DuplicateArcError,
-    Network,
     NetworkParseError,
     SelfLoopError,
     TooFewVerticesError,
     UnknownVertexError,
+)
+from fullflow.flows import max_flow
+from fullflow.network import (
+    Network,
     boundary_arcs,
     build_network,
     capacity_of_set,
@@ -61,6 +64,16 @@ def test_non_int_capacity_rejected(bad):
     with pytest.raises(ValueError, match=r"\('b', 'a'\)") as info:
         Network(("a", "b"), {("b", "a"): bad})
     assert repr(bad) in str(info.value)
+
+
+def test_capacities_are_read_only():
+    net = build_network(["a", "b"], [("a", "b", 1)])
+    assert max_flow(net, "a", "b")[0] == 1
+    with pytest.raises(TypeError):
+        net.capacities[("a", "b")] = 5
+    with pytest.raises(TypeError):
+        net.capacities[("a", "a")] = 4
+    assert net.capacity(("a", "b")) == max_flow(net, "a", "b")[0] == 1
 
 
 def test_vertices_kept_sorted():
@@ -149,6 +162,16 @@ def test_parse_reports_line_numbers():
         parse_network("a b 1\n")
     with pytest.raises(NetworkParseError, match="line 3"):
         parse_network("# fine\nvertices a b\na a 1\n")
+    for text, message in [
+        ("vertices a b\na q 1\n", "line 2: unknown vertex 'q' in arc ('a', 'q')"),
+        ("vertices a b\n\na b -1\n", "line 3: negative capacity -1 on arc ('a', 'b')"),
+        ("vertices a b-c\n", "line 1: bad vertex token 'b-c'"),
+        ("vertices a b a\n", "line 1: vertex 'a' declared more than once"),
+        ("# one\nvertices a\n", "line 2: a network needs at least 2 vertices, got 1"),
+    ]:
+        with pytest.raises(NetworkParseError) as info:
+            parse_network(text)
+        assert str(info.value).startswith(message)
 
 
 def test_parse_comments_and_blanks():

@@ -4,18 +4,14 @@ from math import prod
 
 import pytest
 
-from fullflow import (
-    BudgetExceededError,
-    Flow,
+from fullflow.errors import BudgetExceededError, InvalidSpecError
+from fullflow.flows import Flow, flow_value, max_flow, validate_flow
+from fullflow.oracle import (
     InstanceSpec,
-    InvalidSpecError,
     brute_force_flows,
     brute_force_min_throughput,
     cross_check,
-    flow_value,
     generate,
-    max_flow,
-    validate_flow,
 )
 
 
@@ -56,7 +52,7 @@ def test_brute_force_fig6(fig6):
 
 
 def test_brute_force_zero_capacity():
-    from fullflow import build_network
+    from fullflow.network import build_network
 
     net = build_network(["a", "b"], [])
     value, flows = brute_force_flows(net, "a", "b")

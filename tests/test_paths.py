@@ -5,23 +5,21 @@ from hypothesis import strategies as st
 
 import pytest
 
-from fullflow import (
+from fullflow.errors import MixedEndpointsError, NotArcDisjointError
+from fullflow.flows import flow_value, validate_flow
+from fullflow.paths import (
     BACKWARD,
     FORWARD,
     ArcDisjointSequence,
     GeneralizedPath,
-    MixedEndpointsError,
-    NotArcDisjointError,
     chi,
     cycle_of,
-    flow_value,
     induced_flow,
     is_arc_disjoint,
     passage_count,
     passes_through,
     path_of,
     sequences_equivalent,
-    validate_flow,
 )
 
 from strategies import networks_with_endpoints

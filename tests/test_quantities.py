@@ -5,26 +5,16 @@ from hypothesis import strategies as st
 
 import pytest
 
-from fullflow import (
-    ArcDisjointSequence,
-    BudgetExceededError,
-    SameEndpointsError,
-    ShortcutInvalidError,
-    UnknownVertexError,
-    brute_force_flows,
-    brute_force_min_throughput,
-    build_network,
-    capacity_of_set,
-    decompose,
+from fullflow.errors import BudgetExceededError, SameEndpointsError, UnknownVertexError
+from fullflow.flows import decompose, flow_through, max_flow, min_cost_max_flow
+from fullflow.network import build_network, capacity_of_set
+from fullflow.oracle import brute_force_flows, brute_force_min_throughput
+from fullflow.paths import ArcDisjointSequence, induced_flow, passage_count
+from fullflow.quantities import (
     enumerate_max_sequences,
-    flow_through,
     forced_passage,
     forced_throughput,
-    induced_flow,
-    max_flow,
-    min_cost_max_flow,
     pair_report,
-    passage_count,
     vitality_drop,
 )
 
@@ -76,7 +66,7 @@ def test_enumerate_no_path_yields_empty_sequence():
 
 
 def test_enumerate_lengths_and_disjointness(fig1):
-    from fullflow import is_arc_disjoint
+    from fullflow.paths import is_arc_disjoint
 
     value, _ = max_flow(fig1, "y", "z")
     for s in enumerate_max_sequences(fig1, "y", "z"):
@@ -95,38 +85,31 @@ def test_enumerate_budget_exceeded(fig1):
 
 
 def test_forced_passage_fig1(fig1):
-    assert forced_passage(fig1, "y", "z", {"x"}, mode="exact") == 2
-    assert forced_passage(fig1, "y", "z", {"x", "v"}, mode="exact") == 2
-    # singleton shortcut agrees with the exact answer
-    assert forced_passage(fig1, "y", "z", {"x"}, mode="singleton-shortcut") == 2
+    assert forced_passage(fig1, "y", "z", {"x"}, exact=True) == 2
+    assert forced_passage(fig1, "y", "z", {"x", "v"}, exact=True) == 2
 
 
 def test_forced_passage_fig5_strict_gap(fig5):
     group = {"x1", "x2"}
-    assert forced_passage(fig5, "y", "z", group, mode="exact") == 2
+    assert forced_passage(fig5, "y", "z", group, exact=True) == 2
     assert vitality_drop(fig5, "y", "z", group) == 1
     # the minimization proves 2 optimal at its eleventh node
-    assert forced_passage(fig5, "y", "z", group, "exact", node_budget=11) == 2
+    assert forced_passage(fig5, "y", "z", group, exact=True, node_budget=11) == 2
     with pytest.raises(BudgetExceededError) as info:
-        forced_passage(fig5, "y", "z", group, "exact", node_budget=10)
+        forced_passage(fig5, "y", "z", group, exact=True, node_budget=10)
     assert info.value.reason == "passage minimization budget exhausted"
     assert (info.value.partial, info.value.nodes) == (1, 11)
 
 
 def test_forced_passage_fig6(fig6):
-    assert forced_passage(fig6, "y", "z", {"x1", "x2"}, mode="exact") == 1
-
-
-def test_forced_passage_shortcut_rejected_for_pairs(fig5):
-    with pytest.raises(ShortcutInvalidError):
-        forced_passage(fig5, "y", "z", {"x1", "x2"}, mode="singleton-shortcut")
+    assert forced_passage(fig6, "y", "z", {"x1", "x2"}, exact=True) == 1
 
 
 def test_forced_passage_auto_mode(fig5):
-    # auto = shortcut for singletons, exact for larger groups
+    # by default: shortcut for singletons, search for larger groups
     assert forced_passage(fig5, "y", "z", {"x1", "x2"}) == 2
     assert forced_passage(fig5, "y", "z", {"x1"}) == forced_passage(
-        fig5, "y", "z", {"x1"}, mode="exact"
+        fig5, "y", "z", {"x1"}, exact=True
     )
 
 
@@ -190,7 +173,7 @@ def test_singleton_identity_all_three(net_yz):
     # for every single vertex: exact passage == vitality drop == throughput
     net, y, z = net_yz
     for x in net.vertices:
-        exact = forced_passage(net, y, z, {x}, mode="exact")
+        exact = forced_passage(net, y, z, {x}, exact=True)
         drop = vitality_drop(net, y, z, {x})
         through = forced_throughput(net, y, z, {x})
         assert exact == drop == through
@@ -202,7 +185,7 @@ def test_chain_inequality(net_yzg):
     net, y, z, group = net_yzg
     value, _ = max_flow(net, y, z)
     drop = vitality_drop(net, y, z, group)
-    passage = forced_passage(net, y, z, group, mode="exact")
+    passage = forced_passage(net, y, z, group, exact=True)
     through = forced_throughput(net, y, z, group)
     assert 0 <= drop <= passage <= min(through, value)
 
@@ -214,8 +197,8 @@ def test_monotonicity_under_group_growth(net_yzg, data):
     extra = data.draw(st.sets(st.sampled_from(net.vertices)), label="extra")
     larger = group | extra
     assert vitality_drop(net, y, z, group) <= vitality_drop(net, y, z, larger)
-    assert forced_passage(net, y, z, group, mode="exact") <= forced_passage(
-        net, y, z, larger, mode="exact"
+    assert forced_passage(net, y, z, group, exact=True) <= forced_passage(
+        net, y, z, larger, exact=True
     )
     assert forced_throughput(net, y, z, group) <= forced_throughput(
         net, y, z, larger
@@ -230,7 +213,7 @@ def test_degree_bound(net_yz):
     for x in others:
         out_cap = capacity_of_set(net, {x})
         in_cap = capacity_of_set(net, set(net.vertices) - {x})
-        assert forced_passage(net, y, z, {x}, mode="exact") <= min(out_cap, in_cap)
+        assert forced_passage(net, y, z, {x}, exact=True) <= min(out_cap, in_cap)
 
 
 @settings(max_examples=40)
@@ -244,7 +227,7 @@ def test_flow_through_lower_bound(net_yz, data):
         costs[arc] = data.draw(st.integers(0, 2), label=f"cost {arc}")
     flows = [max_flow(net, y, z)[1], min_cost_max_flow(net, y, z, costs)[2]]
     for x in net.vertices:
-        bound = forced_passage(net, y, z, {x}, mode="exact")
+        bound = forced_passage(net, y, z, {x}, exact=True)
         for f in flows:
             assert flow_through(f, {x}) >= bound
 
@@ -256,10 +239,10 @@ def test_boundary_cases(net_yz):
     value, _ = max_flow(net, y, z)
     for touching in ({y}, {z}, {y, z}):
         assert vitality_drop(net, y, z, touching) == value
-        assert forced_passage(net, y, z, touching, mode="exact") == value
+        assert forced_passage(net, y, z, touching, exact=True) == value
     # passage of the full vertex set equals the max flow value; it is zero
     # exactly when there is no path at all
-    assert forced_passage(net, y, z, set(net.vertices), mode="exact") == value
+    assert forced_passage(net, y, z, set(net.vertices), exact=True) == value
 
 
 @settings(max_examples=60)
