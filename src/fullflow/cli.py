@@ -7,8 +7,9 @@ Subcommands::
     fullflow examples
     fullflow selftest [--instances N] [--seed S] ...
 
-Exit codes: 0 success, 2 input error, 3 budget exceeded, 4 violated
-internal invariant (failed example checks, self-test violations).
+Exit codes: 0 success, 2 input error, 3 budget exceeded or out of
+memory, 4 violated internal invariant (failed example checks, self-test
+violations).
 Output is plain text, byte-identical across runs.
 """
 
@@ -99,7 +100,7 @@ def cmd_centrality(args) -> int:
     sep = _sep(args.format)
     for report in reports:
         print(report.record(sep=sep))
-        if args.explain and report.pair_terms is not None:
+        if args.explain:
             for term in report.pair_terms:
                 print(
                     sep.join(
@@ -271,6 +272,10 @@ def main(argv=None) -> int:
         return exc.code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        where = f"{args.command} {args.file}" if "file" in args else args.command
+        print(f"error: out of memory in {where}", file=sys.stderr)
         return 3
     except InvariantViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,14 +47,6 @@ class SameEndpointsError(FullFlowError):
     """Source and sink must be distinct vertices."""
 
 
-class NotArcDisjointError(FullFlowError):
-    """A path sequence exceeds some arc capacity."""
-
-
-class NotAugmentingError(FullFlowError):
-    """The given generalized path cannot augment the given flow."""
-
-
 class InvalidFlowError(FullFlowError):
     """An arc assignment is not a flow (or not valid for this operation)."""
 

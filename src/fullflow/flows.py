@@ -35,7 +35,6 @@ from .errors import (
     InvalidFlowError,
     InvariantViolationError,
     NetworkParseError,
-    NotAugmentingError,
     SameEndpointsError,
     UnknownVertexError,
 )
@@ -79,10 +78,6 @@ class Flow:
             if val > 0:
                 cleaned[(tail, head)] = val
         object.__setattr__(self, "values", cleaned)
-
-
-def null_flow(source: VertexId, sink: VertexId) -> Flow:
-    return Flow(source, sink, {})
 
 
 def flow_value(flow: Flow) -> int:
@@ -350,28 +345,6 @@ def find_augmenting_path(network: Network, flow: Flow) -> GeneralizedPath | None
     return None if moves is None else _moves_to_gpath(net, moves, flow.source)
 
 
-def augment(flow: Flow, gpath: GeneralizedPath) -> Flow:
-    """Add one unit along the generalized path: +1 forward, -1 backward.
-
-    The value rises by exactly 1.  Raises NotAugmentingError when the path
-    does not run source->sink or would drive some arc negative; capacity
-    headroom is the caller's responsibility and is rechecked wherever a
-    network is at hand (validate_flow, max_flow).
-    """
-    if gpath.source != flow.source or gpath.sink != flow.sink:
-        raise NotAugmentingError(
-            f"path runs {gpath.source!r}->{gpath.sink!r}, "
-            f"flow is {flow.source!r}->{flow.sink!r}"
-        )
-    updated = dict(flow.values)
-    for arc, direction in gpath.signed_arcs:
-        nxt = updated.get(arc, 0) + direction
-        if nxt < 0:
-            raise NotAugmentingError(f"no flow to cancel on backward arc {arc!r}")
-        updated[arc] = nxt
-    return Flow(flow.source, flow.sink, updated)
-
-
 def max_flow(network: Network, source: VertexId, sink: VertexId) -> tuple[int, Flow]:
     """Maximum flow value and a deterministic maximum flow.
 
@@ -399,9 +372,10 @@ def max_flow_value(
 ) -> int:
     """Maximum flow value when no flow may touch a banned vertex.
 
-    Equals ``max_flow(restrict(network, banned), source, sink)[0]`` without
-    building the restricted network: the banned vertices are simply never
-    entered by the augmenting search.  A banned endpoint gives 0.
+    This is the max-flow value of the network with every arc touching a
+    banned vertex zeroed, found without building that network: the banned
+    vertices are simply never entered by the augmenting search.  A banned
+    endpoint gives 0.
     """
     _check_endpoints(network, source, sink)
     net = network.compiled

@@ -211,53 +211,6 @@ def build_network(
     return network
 
 
-def restrict(network: Network, members: Iterable[VertexId]) -> Network:
-    """Zero out every arc with an endpoint in the group; keep the rest.
-
-    ``restrict(network, ())`` returns the network unchanged.
-    """
-    group = vertex_group(network, members)
-    if not group:
-        return network
-    kept = {
-        arc: cap
-        for arc, cap in network.capacities.items()
-        if arc[0] not in group and arc[1] not in group
-    }
-    return Network(network.vertices, kept)
-
-
-def boundary_arcs(
-    network: Network, members: Iterable[VertexId]
-) -> tuple[frozenset, frozenset]:
-    """Arcs of the complete digraph crossing the group boundary.
-
-    Returns ``(outgoing, incoming)``: all ordered pairs from the group to
-    its complement and vice versa, regardless of capacity (the arc set of
-    a complete digraph is determined by the vertex set alone).
-    """
-    group = vertex_group(network, members)
-    rest = [v for v in network.vertices if v not in group]
-    inside = sorted(group)
-    outgoing = frozenset((x, u) for x in inside for u in rest)
-    incoming = frozenset((u, x) for x in inside for u in rest)
-    return outgoing, incoming
-
-
-def capacity_of_set(network: Network, members: Iterable[VertexId]) -> int:
-    """Total capacity leaving the group: sum over arcs from it to its complement.
-
-    For a singleton ``{x}`` this is the outdegree of ``x``; applied to the
-    complement of ``{x}`` it gives the indegree of ``x``.
-    """
-    group = vertex_group(network, members)
-    return sum(
-        cap
-        for (tail, head), cap in network.capacities.items()
-        if tail in group and head not in group
-    )
-
-
 def parse_network(text: str, *, max_capacity: int | None = None) -> Network:
     """Parse the text format described in the module docstring.
 
@@ -299,14 +252,6 @@ def parse_network(text: str, *, max_capacity: int | None = None) -> Network:
     if vertices is None:
         raise NetworkParseError(1, "empty input: no 'vertices' line")
     return Network(vertices, caps)
-
-
-def network_to_text(network: Network) -> str:
-    """Serialize in canonical order; parse_network round-trips exactly."""
-    lines = ["vertices " + " ".join(network.vertices)]
-    for tail, head in network.positive_arcs():
-        lines.append(f"{tail} {head} {network.capacities[(tail, head)]}")
-    return "\n".join(lines) + "\n"
 
 
 def load_network(path, *, max_capacity: int | None = None) -> Network:

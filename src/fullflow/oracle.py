@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import BudgetExceededError, InvalidSpecError
 from .flows import (
@@ -25,18 +25,17 @@ from .flows import (
     _check_endpoints,
     decompose,
     flow_through,
-    max_flow,
-    max_flow_value,
     recompose,
     validate_flow,
 )
-from .network import Network, VertexId, ordered_pairs, vertex_group
+from .network import Network, VertexId, ordered_pairs
 from .paths import is_arc_disjoint, passage_count
 from .quantities import (
     DEFAULT_NODE_BUDGET,
     enumerate_max_sequences,
     forced_throughput,
     render_group,
+    settle_pair,
 )
 
 GENERATOR_ID = "python-random-mersenne-twister"
@@ -162,22 +161,6 @@ def brute_force_flows(
     return best_value, best
 
 
-def brute_force_min_throughput(
-    network: Network,
-    source: VertexId,
-    sink: VertexId,
-    members: Iterable[VertexId],
-    *,
-    assignment_budget: int = DEFAULT_ASSIGNMENT_BUDGET,
-) -> int:
-    """Minimum group throughput over the exhaustively enumerated maximum flows."""
-    group = vertex_group(network, members)
-    _value, flows = brute_force_flows(
-        network, source, sink, assignment_budget=assignment_budget
-    )
-    return min(flow_through(f, group) for f in flows)
-
-
 @dataclass
 class CrossCheckReport:
     """Outcome of a batch run; violations are verbatim, not raised."""
@@ -220,12 +203,14 @@ def cross_check(
     """Verify the solvers against first principles on every batch instance.
 
     Per instance and ordered pair: the decomposition round-trips and its
-    paths are arc-disjoint with length equal to the flow value; the exact
-    passage (minimum over the complete enumeration) of every singleton
-    equals both the vitality drop and the forced throughput; for sampled
-    groups the chain drop <= passage <= min(throughput, max flow) holds;
-    and, when the assignment space fits the budget, the solver's value and
-    throughput minima agree with the assignment-enumeration oracle.
+    paths are arc-disjoint with length equal to the flow value; for every
+    singleton the minimum passage over the complete enumeration equals the
+    passage and the vitality drop that :func:`settle_pair` gives (without
+    ``exact``) and the forced throughput; for sampled groups that
+    enumeration minimum equals the settled passage and lies in the chain
+    drop <= passage <= min(throughput, max flow); and, when the assignment
+    space fits the budget, the solver's value and throughput minima agree
+    with the assignment-enumeration oracle.
     Instances whose enumeration or assignment space exceeds a budget are
     skipped for that part and counted, never silently dropped.
     """
@@ -250,11 +235,28 @@ def cross_check(
                 frozenset(sample_rng.sample(net.vertices, size))
             )
         singletons = [frozenset({x}) for x in net.vertices]
+        groups = singletons + sampled_groups
         space = prod(c + 1 for c in net.capacities.values())
         for y, z in ordered_pairs(net):
             where = f"{label} pair ({y},{z})"
             report.pairs_checked += 1
-            value, flow = max_flow(net, y, z)
+            try:
+                sequences = list(
+                    enumerate_max_sequences(net, y, z, node_budget=node_budget)
+                )
+            except BudgetExceededError:
+                sequences = None
+                report.enumeration_skips += 1
+            # the passage search visits a subset of the enumeration's nodes,
+            # so it runs only where the enumeration finished in budget
+            value, flow, settled = settle_pair(
+                net,
+                y,
+                z,
+                groups,
+                passage=sequences is not None,
+                node_budget=node_budget,
+            )
             dec = decompose(net, flow)
             check(
                 recompose(dec) == flow,
@@ -268,34 +270,28 @@ def cross_check(
                 is_arc_disjoint(net, dec.paths.paths),
                 f"{where}: decomposition paths not arc-disjoint",
             )
-            try:
-                sequences = list(
-                    enumerate_max_sequences(net, y, z, node_budget=node_budget)
-                )
-            except BudgetExceededError:
-                sequences = None
-                report.enumeration_skips += 1
             throughput = {
-                group: forced_throughput(net, y, z, group)
-                for group in singletons + sampled_groups
+                group: forced_throughput(net, y, z, group) for group in groups
             }
             if sequences is not None:
+                fast = dict(zip(groups, settled))
                 for group in singletons:
-                    exact = min(passage_count(s, group) for s in sequences)
-                    drop = value - max_flow_value(net, y, z, group)
+                    enum = min(passage_count(s, group) for s in sequences)
+                    drop, passage = fast[group]
                     check(
-                        exact == drop == throughput[group],
-                        f"{where} singleton {render_group(group)}: passage "
-                        f"{exact}, drop {drop}, throughput {throughput[group]}",
+                        enum == passage == drop == throughput[group],
+                        f"{where} singleton {render_group(group)}: enumeration "
+                        f"{enum}, passage {passage}, drop {drop}, throughput "
+                        f"{throughput[group]}",
                     )
                 for group in sampled_groups:
-                    exact = min(passage_count(s, group) for s in sequences)
-                    drop = value - max_flow_value(net, y, z, group)
+                    enum = min(passage_count(s, group) for s in sequences)
+                    drop, passage = fast[group]
                     check(
-                        drop <= exact <= min(throughput[group], value),
+                        drop <= enum == passage <= min(throughput[group], value),
                         f"{where} group {render_group(group)}: chain broken: "
-                        f"drop {drop}, passage {exact}, throughput "
-                        f"{throughput[group]}, max flow {value}",
+                        f"drop {drop}, enumeration {enum}, passage {passage}, "
+                        f"throughput {throughput[group]}, max flow {value}",
                     )
             if space > assignment_budget:
                 report.oracle_skips += 1
@@ -315,7 +311,7 @@ def cross_check(
                 bad is None,
                 f"{where}: oracle produced an invalid maximum flow {bad}",
             )
-            for group in singletons + sampled_groups:
+            for group in groups:
                 oracle_min = min(flow_through(f, group) for f in oracle_flows)
                 check(
                     oracle_min == throughput[group],

@@ -2,9 +2,7 @@
 
 A path is a vertex-distinct forward walk; a cycle closes back on its first
 vertex; a generalized path may traverse each step forward or backward
-(the backbone of augmenting-path search).  Each carries a signed arc
-function (:func:`chi`): +1 on forward arcs, -1 on backward arcs, 0
-elsewhere.
+(the backbone of augmenting-path search).
 
 A sequence of source-sink paths is *arc-disjoint* relative to a network
 when no arc is used by more components than its capacity allows.  Sequences
@@ -12,24 +10,17 @@ are compared modulo reordering; the canonical representative sorts its
 components lexicographically by vertex tokens.
 
 Paths and cycles are defined over the vertex tokens alone; capacities only
-come in at use sites (:func:`is_arc_disjoint`, :func:`induced_flow`).
+come in at use sites (:func:`is_arc_disjoint`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-from .errors import (
-    MixedEndpointsError,
-    NotArcDisjointError,
-    SameEndpointsError,
-)
+from .errors import MixedEndpointsError, SameEndpointsError
 from .network import Arc, Network, VertexId
-
-if TYPE_CHECKING:
-    from .flows import Flow
 
 FORWARD = 1
 BACKWARD = -1
@@ -149,18 +140,6 @@ class GeneralizedPath:
             out.append((arc, direction))
         return tuple(out)
 
-    @property
-    def arcs(self) -> tuple[Arc, ...]:
-        return tuple(arc for arc, _ in self.signed_arcs)
-
-    @property
-    def forward_arcs(self) -> tuple[Arc, ...]:
-        return tuple(a for a, d in self.signed_arcs if d == FORWARD)
-
-    @property
-    def backward_arcs(self) -> tuple[Arc, ...]:
-        return tuple(a for a, d in self.signed_arcs if d == BACKWARD)
-
     def __str__(self) -> str:
         parts = [self.vertices[0]]
         for i, direction in enumerate(self.directions):
@@ -169,33 +148,13 @@ class GeneralizedPath:
         return "".join(parts)
 
 
-Walk = Union[Path, Cycle, GeneralizedPath]
-
-
-def chi(walk: Walk) -> dict[Arc, int]:
-    """Signed arc function of a walk: +1 forward, -1 backward, 0 elsewhere.
-
-    Paths and cycles only produce +1 entries; the support is exactly the
-    walk's arc set.
-    """
-    if isinstance(walk, GeneralizedPath):
-        return {arc: direction for arc, direction in walk.signed_arcs}
-    return {arc: 1 for arc in walk.arcs}
-
-
-def passes_through(walk: Walk, members: Iterable[VertexId]) -> bool:
-    """True iff some vertex of the walk lies in the group."""
-    group = set(members)
-    return any(v in group for v in walk.vertices)
-
-
 @dataclass(frozen=True)
 class ArcDisjointSequence:
     """Ordered multiset of source->sink paths, compared modulo reordering.
 
     May be empty, in which case the endpoints still identify the pair it
     belongs to.  Capacity validation happens against a network in
-    :func:`is_arc_disjoint` / :func:`induced_flow`.
+    :func:`is_arc_disjoint`.
     """
 
     paths: tuple[Path, ...]
@@ -213,36 +172,14 @@ class ArcDisjointSequence:
                     f"path {p} does not run {self.source!r}->{self.sink!r}"
                 )
 
-    @classmethod
-    def from_paths(cls, paths: Sequence[Path]) -> "ArcDisjointSequence":
-        if not paths:
-            raise ValueError("cannot infer endpoints from an empty sequence")
-        return cls(tuple(paths), paths[0].source, paths[0].sink)
-
-    @property
-    def length(self) -> int:
-        return len(self.paths)
-
     def __len__(self) -> int:
         return len(self.paths)
 
     def __iter__(self):
         return iter(self.paths)
 
-    def canonical(self) -> "ArcDisjointSequence":
-        """Components sorted lexicographically by vertex tokens."""
-        return ArcDisjointSequence(tuple(sorted(self.paths)), self.source, self.sink)
-
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.paths) if self.paths else "()"
-
-
-def arc_multiplicities(paths: Iterable[Path]) -> Counter:
-    """How many components use each arc."""
-    counts: Counter = Counter()
-    for p in paths:
-        counts.update(p.arcs)
-    return counts
 
 
 def is_arc_disjoint(network: Network, paths: Sequence[Path]) -> bool:
@@ -258,7 +195,9 @@ def is_arc_disjoint(network: Network, paths: Sequence[Path]) -> bool:
                 raise MixedEndpointsError(
                     f"path {p} does not run {y!r}->{z!r} like the first component"
                 )
-    counts = arc_multiplicities(paths)
+    counts: Counter = Counter()
+    for p in paths:
+        counts.update(p.arcs)
     return all(count <= network.capacity(arc) for arc, count in counts.items())
 
 
@@ -268,27 +207,3 @@ def passage_count(seq: ArcDisjointSequence, members: Iterable[VertexId]) -> int:
     if not group:
         return 0
     return sum(1 for p in seq.paths if any(v in group for v in p.vertices))
-
-
-def induced_flow(network: Network, seq: ArcDisjointSequence) -> "Flow":
-    """The flow whose value on each arc is the arc's multiplicity in ``seq``.
-
-    Its value equals the sequence length, and its throughput at any single
-    vertex equals the passage count there.  Raises NotArcDisjointError if
-    some arc's multiplicity exceeds its capacity in ``network``.
-    """
-    from .flows import Flow
-
-    counts = arc_multiplicities(seq.paths)
-    for arc in sorted(counts):
-        if counts[arc] > network.capacity(arc):
-            raise NotArcDisjointError(
-                f"arc {arc!r} used {counts[arc]} times, capacity "
-                f"{network.capacity(arc)}"
-            )
-    return Flow(seq.source, seq.sink, dict(counts))
-
-
-def sequences_equivalent(s1: ArcDisjointSequence, s2: ArcDisjointSequence) -> bool:
-    """True iff the sequences have equal length and equal component multisets."""
-    return len(s1) == len(s2) and Counter(s1.paths) == Counter(s2.paths)

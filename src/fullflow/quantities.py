@@ -10,31 +10,33 @@ Three numbers, all nonnegative integers:
   flows.
 
 They always satisfy ``0 <= drop <= passage <= min(throughput, max_flow)``,
-and all three coincide whenever X is a single vertex, which justifies the
-singleton shortcut: for ``|X| <= 1`` the passage can be answered by two
-max-flow runs instead of an enumeration.  For larger groups the
-passage is computed exactly by one backtracking search over the canonical
-maximum sequences, which both the enumeration and the minimization
-consume.  It keeps an explicit stack rather than recursing, so a pair
-with a large max-flow value needs no deep Python stack.  Capacity
-bookkeeping and a feasibility cut (remaining capacity must still admit
-the missing number of paths) bound it; the minimization adds two sound
-prunings (a partial sequence already meeting X at least best-so-far times
-cannot improve; a completed sequence matching the vitality-drop lower
-bound ends the search).  The search is budgeted by node count and fails
-loudly rather than approximating.
+and all three coincide whenever X is a single vertex.  :func:`settle_pair`
+is the one place that turns this chain into rules settling drop and
+passage without a search; every caller in the package takes both from
+it.  Where no rule applies, the passage is computed exactly by one
+backtracking search over the canonical maximum sequences, which both the
+enumeration and the minimization consume.  It keeps an explicit stack
+rather than recursing, so a pair with a large max-flow value needs no deep
+Python stack.  Capacity bookkeeping and a feasibility cut (remaining
+capacity must still admit the missing number of paths) bound it; the
+minimization adds two sound prunings (a partial sequence already meeting
+X at least best-so-far times cannot improve; a completed sequence matching
+the vitality-drop lower bound ends the search).  The search is budgeted by
+node count and fails loudly rather than approximating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InvariantViolationError
 from .flows import (
+    Flow,
     _augment,
     _bfs_augmenting,
     _check_endpoints,
+    max_flow,
     max_flow_value,
     min_cost_max_flow,
 )
@@ -54,10 +56,8 @@ def vitality_drop(
     """
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
-    if not group:
-        return 0
-    total = max_flow_value(network, source, sink)
-    return total - max_flow_value(network, source, sink, group)
+    _, _, [(drop, _)] = settle_pair(network, source, sink, [group], passage=False)
+    return drop
 
 
 def _residual_max_value(
@@ -130,8 +130,11 @@ def _max_sequences(
     while True:
         nodes += 1
         if nodes > node_budget:
+            where = f" group {render_group(group)}" if group is not None else ""
             raise BudgetExceededError(
-                f"{what} budget exhausted", partial=found, nodes=nodes
+                f"{what} budget exhausted at pair ({source}, {sink}){where}",
+                partial=found,
+                nodes=nodes,
             )
         if best is not None and hits >= best:
             pass
@@ -215,6 +218,68 @@ def _min_passage(
     return best[0], ArcDisjointSequence(best[1], source, sink)
 
 
+def settle_pair(
+    network: Network,
+    source: VertexId,
+    sink: VertexId,
+    groups: Sequence[frozenset],
+    *,
+    passage: bool,
+    exact: bool = False,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> tuple[int, Flow, list[tuple[int, int | None]]]:
+    """The pair's canonical maximum flow value and flow, and one
+    ``(drop, passage)`` per group.
+
+    Every group shares the one canonical maximum flow ``f``.  The chain
+    ``0 <= drop <= passage <= min(throughput, max_flow)`` then settles a
+    group X by the first rule that applies:
+
+    1. ``max_flow == 0``: drop = passage = 0.
+    2. ``source`` or ``sink`` is in X: every path meets X, so drop =
+       passage = max_flow.
+    3. ``f`` sends nothing through X (``flow_through(f, X) == 0``): drop =
+       passage = 0, since passage <= throughput <= ``flow_through(f, X)``.
+    4. Otherwise the drop comes from one more max flow that never enters
+       X.  If it equals ``flow_through(f, X)``, the passage is squeezed to
+       the same value.
+    5. A single vertex takes passage = drop, which the paper proves for
+       singletons, unless ``exact`` turns this shortcut off.
+    6. Otherwise the passage search runs if ``passage`` asks for the
+       passage; if not, the passage is None.
+
+    Every rule is a proof; ``exact`` only turns off rule 5, so that
+    singletons run the search too.  The groups must be validated
+    (:func:`vertex_group`).
+    """
+    total, flow = max_flow(network, source, sink)
+    if total == 0:
+        return total, flow, [(0, 0)] * len(groups)
+    outflow = dict.fromkeys(network.vertices, 0)
+    for (tail, _head), val in flow.values.items():
+        outflow[tail] += val
+    settled: list[tuple[int, int | None]] = []
+    for group in groups:
+        if source in group or sink in group:
+            drop = found = total
+        else:
+            # flow_through(flow, group), as no endpoint is in the group
+            through = sum(outflow[x] for x in group)
+            if through == 0:
+                drop = found = 0
+            else:
+                drop = total - max_flow_value(network, source, sink, group)
+                found = None
+                if drop == through or (not exact and len(group) == 1):
+                    found = drop
+                elif passage:
+                    found, _ = _min_passage(
+                        network, source, sink, group, node_budget, total, drop
+                    )
+        settled.append((drop, found))
+    return total, flow, settled
+
+
 def forced_passage(
     network: Network,
     source: VertexId,
@@ -226,17 +291,20 @@ def forced_passage(
 ) -> int:
     """Minimum number of paths meeting the group in a maximum sequence.
 
-    A group of at most one vertex is answered with the vitality drop,
-    which equals the passage there, unless ``exact`` forces the search;
-    larger groups always run the search.
+    Settled by :func:`settle_pair`: ``exact`` only turns off the singleton
+    shortcut, and the search runs where no rule applies.
     """
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
-    if not exact and len(group) <= 1:
-        return vitality_drop(network, source, sink, group)
-    total = max_flow_value(network, source, sink)
-    drop = total - max_flow_value(network, source, sink, group)
-    value, _ = _min_passage(network, source, sink, group, node_budget, total, drop)
+    _, _, [(_, value)] = settle_pair(
+        network,
+        source,
+        sink,
+        [group],
+        passage=True,
+        exact=exact,
+        node_budget=node_budget,
+    )
     return value
 
 
@@ -263,8 +331,7 @@ class PairQuantities:
     """Everything this package can say about one (source, sink, group) triple.
 
     ``witness`` is a canonical sequence attaining the forced passage; it is
-    present exactly when the passage was computed by enumeration
-    (``exact`` is True) rather than by the singleton shortcut.
+    present exactly when the passage search ran (``exact`` is True).
     """
 
     source: VertexId
@@ -311,22 +378,22 @@ def pair_report(
 ) -> PairQuantities:
     """Compute all pair quantities and assert their chain before returning.
 
-    The passage of a group of at most one vertex is the vitality drop
-    unless ``exact`` forces the search; the witness is attached whenever
-    the search ran.
+    The drop comes from :func:`settle_pair`.  The passage search runs, and
+    its canonical witness is attached, whenever ``exact`` is set or the
+    group has two or more vertices; otherwise the passage is the drop.
     """
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
-    total = max_flow_value(network, source, sink)
-    restricted = max_flow_value(network, source, sink, group)
-    drop = total - restricted
+    total, _, [(drop, passage)] = settle_pair(
+        network, source, sink, [group], passage=False, exact=exact
+    )
+    restricted = total - drop
     use_exact = exact or len(group) > 1
+    witness = None
     if use_exact:
         passage, witness = _min_passage(
             network, source, sink, group, node_budget, total, drop
         )
-    else:
-        passage, witness = drop, None
     throughput = forced_throughput(network, source, sink, group)
     if not (0 <= drop <= passage <= min(throughput, total)):
         raise InvariantViolationError(

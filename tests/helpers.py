@@ -1,8 +1,110 @@
-"""Builders shared between test modules (not hypothesis strategies)."""
+"""Builders and paper definitions shared between test modules (not
+hypothesis strategies).
 
-from fullflow.flows import Flow, augment, max_flow, null_flow
-from fullflow.network import Arc, Network, VertexId
-from fullflow.paths import BACKWARD, FORWARD, GeneralizedPath
+The definitions -- restriction, boundary arcs, set capacity, the signed
+arc function and what is built from it, the oracle throughput and the
+enumerated passage -- are written as the paper states them, with no
+shortcut, so that tests can check the library against them.
+"""
+
+from collections import Counter
+
+from fullflow.flows import Flow, flow_through, max_flow
+from fullflow.network import Arc, Network, VertexId, vertex_group
+from fullflow.oracle import brute_force_flows
+from fullflow.paths import BACKWARD, FORWARD, GeneralizedPath, passage_count
+from fullflow.quantities import enumerate_max_sequences
+
+
+def restrict(network, members):
+    """Zero out every arc with an endpoint in the group; keep the rest."""
+    group = vertex_group(network, members)
+    kept = {
+        arc: cap
+        for arc, cap in network.capacities.items()
+        if arc[0] not in group and arc[1] not in group
+    }
+    return Network(network.vertices, kept)
+
+
+def boundary_arcs(network, members):
+    """``(outgoing, incoming)``: every ordered pair from the group to its
+    complement and back, whatever its capacity."""
+    group = vertex_group(network, members)
+    rest = [v for v in network.vertices if v not in group]
+    outgoing = frozenset((x, u) for x in group for u in rest)
+    incoming = frozenset((u, x) for x in group for u in rest)
+    return outgoing, incoming
+
+
+def capacity_of_set(network, members):
+    """Total capacity of the arcs leaving the group."""
+    outgoing, _ = boundary_arcs(network, members)
+    return sum(network.capacity(arc) for arc in outgoing)
+
+
+def network_to_text(network):
+    """The network in the text format ``parse_network`` reads."""
+    lines = ["vertices " + " ".join(network.vertices)]
+    for tail, head in network.positive_arcs():
+        lines.append(f"{tail} {head} {network.capacity((tail, head))}")
+    return "\n".join(lines) + "\n"
+
+
+def chi(walk):
+    """Signed arc function of a path, cycle or generalized path: +1 on
+    forward arcs, -1 on backward arcs, 0 (absent) elsewhere."""
+    if isinstance(walk, GeneralizedPath):
+        return dict(walk.signed_arcs)
+    return {arc: 1 for arc in walk.arcs}
+
+
+def augment(flow, gpath):
+    """``flow + chi(gpath)``: one more unit along an augmenting path.
+
+    ValueError when the path does not run source->sink; the Flow itself
+    rejects an arc driven negative.
+    """
+    if (gpath.source, gpath.sink) != (flow.source, flow.sink):
+        raise ValueError(
+            f"path runs {gpath.source!r}->{gpath.sink!r}, "
+            f"flow is {flow.source!r}->{flow.sink!r}"
+        )
+    values = Counter(flow.values)
+    values.update(chi(gpath))
+    return Flow(flow.source, flow.sink, dict(values))
+
+
+def induced_flow(network, seq):
+    """The sum of the components' signed arc functions; ValueError when an
+    arc is used more often than its capacity."""
+    counts = Counter()
+    for path in seq:
+        counts.update(chi(path))
+    for arc in sorted(counts):
+        if counts[arc] > network.capacity(arc):
+            raise ValueError(
+                f"arc {arc!r} used {counts[arc]} times, "
+                f"capacity {network.capacity(arc)}"
+            )
+    return Flow(seq.source, seq.sink, dict(counts))
+
+
+def brute_force_min_throughput(network, source, sink, members):
+    """Minimum group throughput over the exhaustively enumerated maximum flows."""
+    group = vertex_group(network, members)
+    _value, flows = brute_force_flows(network, source, sink)
+    return min(flow_through(f, group) for f in flows)
+
+
+def enumerated_passage(network, source, sink, members):
+    """Forced passage by its definition: the minimum passage count over
+    every maximum sequence, with no settle rule and no pruning."""
+    group = vertex_group(network, members)
+    return min(
+        passage_count(s, group)
+        for s in enumerate_max_sequences(network, source, sink)
+    )
 
 
 class ResidualView:
@@ -74,7 +176,7 @@ def random_flow(net, y, z, rng):
     """A valid flow built from a random augmentation prefix."""
     value, _ = max_flow(net, y, z)
     stop_after = rng.randint(0, value)
-    f = null_flow(y, z)
+    f = Flow(y, z, {})
     for _ in range(stop_after):
         gp = random_augmenting_path(net, f, rng)
         if gp is None:

@@ -19,7 +19,7 @@ from fullflow.flows import (
     recompose,
     validate_flow,
 )
-from fullflow.network import capacity_of_set, ordered_pairs
+from fullflow.network import ordered_pairs
 from fullflow.oracle import InstanceSpec, cross_check, generate
 from fullflow.paths import (
     ArcDisjointSequence,
@@ -34,7 +34,7 @@ from fullflow.quantities import (
     forced_throughput,
     vitality_drop,
 )
-from helpers import random_flow
+from helpers import capacity_of_set, random_flow
 
 BATCH_SIZE = 500
 ASSIGNMENT_BUDGET = 50_000
@@ -150,7 +150,7 @@ def test_criterion_07_chain_monotonicity_degree_bound(batch_specs):
         for y, z in ordered_pairs(net):
             pairs += 1
             classes = list(enumerate_max_sequences(net, y, z))
-            value = classes[0].length
+            value = len(classes[0])
             lam = {
                 g: min(passage_count(s, g) for s in classes)
                 for g in (small, large)

@@ -3,7 +3,8 @@ import pytest
 from fullflow.cli import main
 from fullflow.figures import figure_checks, figure_network
 from fullflow.flows import parse_flow
-from fullflow.network import network_to_text
+
+from helpers import network_to_text
 
 
 @pytest.fixture()
@@ -59,7 +60,22 @@ def test_pair_budget_exits_3(fig1_file, capsys):
     code = main(["pair", fig1_file, "y", "z", "--set", "x,v",
                  "--budget", "2"])
     assert code == 3
-    assert "budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "budget" in err
+    assert "pair (y, z)" in err
+    assert "group v,x" in err
+
+
+def test_pair_out_of_memory_exits_3(fig1_file, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("fullflow.cli.pair_report", exhausted)
+    assert main(["pair", fig1_file, "y", "z", "--set", "x"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out of memory in pair {fig1_file}\n"
+    assert "Traceback" not in captured.err
 
 
 def test_pair_deep_passage_search_answers(tmp_path, capsys):

@@ -10,16 +10,9 @@ from fullflow.errors import (
     UnknownVertexError,
 )
 from fullflow.flows import max_flow
-from fullflow.network import (
-    Network,
-    boundary_arcs,
-    build_network,
-    capacity_of_set,
-    network_to_text,
-    parse_network,
-    restrict,
-)
+from fullflow.network import Network, build_network, parse_network
 
+from helpers import boundary_arcs, capacity_of_set, network_to_text, restrict
 from strategies import networks
 
 

@@ -6,13 +6,9 @@ import pytest
 
 from fullflow.errors import BudgetExceededError, InvalidSpecError
 from fullflow.flows import Flow, flow_value, max_flow, validate_flow
-from fullflow.oracle import (
-    InstanceSpec,
-    brute_force_flows,
-    brute_force_min_throughput,
-    cross_check,
-    generate,
-)
+from fullflow.oracle import InstanceSpec, brute_force_flows, cross_check, generate
+
+from helpers import brute_force_min_throughput
 
 
 def test_spec_validation():

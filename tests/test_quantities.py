@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -6,18 +7,31 @@ from hypothesis import strategies as st
 import pytest
 
 from fullflow.errors import BudgetExceededError, SameEndpointsError, UnknownVertexError
-from fullflow.flows import decompose, flow_through, max_flow, min_cost_max_flow
-from fullflow.network import build_network, capacity_of_set
-from fullflow.oracle import brute_force_flows, brute_force_min_throughput
-from fullflow.paths import ArcDisjointSequence, induced_flow, passage_count
+from fullflow.flows import (
+    decompose,
+    flow_through,
+    max_flow,
+    max_flow_value,
+    min_cost_max_flow,
+)
+from fullflow.network import build_network
+from fullflow.oracle import brute_force_flows
+from fullflow.paths import ArcDisjointSequence, passage_count
 from fullflow.quantities import (
     enumerate_max_sequences,
     forced_passage,
     forced_throughput,
     pair_report,
+    settle_pair,
     vitality_drop,
 )
 
+from helpers import (
+    brute_force_min_throughput,
+    capacity_of_set,
+    enumerated_passage,
+    induced_flow,
+)
 from strategies import networks_with_endpoints, networks_with_endpoints_and_group
 
 
@@ -80,7 +94,9 @@ def test_enumerate_budget_exceeded(fig1):
     for budget, partial, nodes in [(3, 0, 4), (5, 1, 6)]:
         with pytest.raises(BudgetExceededError) as info:
             list(enumerate_max_sequences(fig1, "y", "z", node_budget=budget))
-        assert info.value.reason == "sequence enumeration budget exhausted"
+        assert info.value.reason == (
+            "sequence enumeration budget exhausted at pair (y, z)"
+        )
         assert (info.value.partial, info.value.nodes) == (partial, nodes)
 
 
@@ -97,7 +113,9 @@ def test_forced_passage_fig5_strict_gap(fig5):
     assert forced_passage(fig5, "y", "z", group, exact=True, node_budget=11) == 2
     with pytest.raises(BudgetExceededError) as info:
         forced_passage(fig5, "y", "z", group, exact=True, node_budget=10)
-    assert info.value.reason == "passage minimization budget exhausted"
+    assert info.value.reason == (
+        "passage minimization budget exhausted at pair (y, z) group x1,x2"
+    )
     assert (info.value.partial, info.value.nodes) == (1, 11)
 
 
@@ -173,10 +191,49 @@ def test_singleton_identity_all_three(net_yz):
     # for every single vertex: exact passage == vitality drop == throughput
     net, y, z = net_yz
     for x in net.vertices:
-        exact = forced_passage(net, y, z, {x}, exact=True)
+        exact = enumerated_passage(net, y, z, {x})
         drop = vitality_drop(net, y, z, {x})
         through = forced_throughput(net, y, z, {x})
         assert exact == drop == through
+
+
+def test_settle_pair_known_gaps(fig5, fig6):
+    # fig5 separates drop from passage, so only the search settles it;
+    # fig6 separates passage from throughput
+    gap = frozenset({"x1", "x2"})
+    for exact in (False, True):
+        assert settle_pair(fig5, "y", "z", [gap], passage=True, exact=exact)[2] \
+            == [(1, 2)]
+        assert settle_pair(fig6, "y", "z", [gap], passage=True, exact=exact)[2] \
+            == [(1, 1)]
+    assert settle_pair(fig5, "y", "z", [gap], passage=False)[2] == [(1, None)]
+    assert forced_throughput(fig6, "y", "z", gap) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks_with_endpoints(max_vertices=6, max_capacity=2))
+def test_settle_pair_matches_definitions(net_yz):
+    # every settle rule, with the singleton shortcut on and off, against
+    # the restricted max flow and the enumeration minimum
+    net, y, z = net_yz
+    groups = [
+        frozenset(members)
+        for size in range(4)
+        for members in itertools.combinations(net.vertices, size)
+    ]
+    total = max_flow_value(net, y, z)
+    sequences = list(enumerate_max_sequences(net, y, z))
+    expected = [
+        (
+            total - max_flow_value(net, y, z, group),
+            min(passage_count(s, group) for s in sequences),
+        )
+        for group in groups
+    ]
+    for exact in (False, True):
+        value, _, settled = settle_pair(net, y, z, groups, passage=True, exact=exact)
+        assert value == total
+        assert settled == expected
 
 
 @settings(max_examples=50)
@@ -185,7 +242,7 @@ def test_chain_inequality(net_yzg):
     net, y, z, group = net_yzg
     value, _ = max_flow(net, y, z)
     drop = vitality_drop(net, y, z, group)
-    passage = forced_passage(net, y, z, group, exact=True)
+    passage = enumerated_passage(net, y, z, group)
     through = forced_throughput(net, y, z, group)
     assert 0 <= drop <= passage <= min(through, value)
 
@@ -197,8 +254,8 @@ def test_monotonicity_under_group_growth(net_yzg, data):
     extra = data.draw(st.sets(st.sampled_from(net.vertices)), label="extra")
     larger = group | extra
     assert vitality_drop(net, y, z, group) <= vitality_drop(net, y, z, larger)
-    assert forced_passage(net, y, z, group, exact=True) <= forced_passage(
-        net, y, z, larger, exact=True
+    assert enumerated_passage(net, y, z, group) <= enumerated_passage(
+        net, y, z, larger
     )
     assert forced_throughput(net, y, z, group) <= forced_throughput(
         net, y, z, larger
@@ -213,7 +270,7 @@ def test_degree_bound(net_yz):
     for x in others:
         out_cap = capacity_of_set(net, {x})
         in_cap = capacity_of_set(net, set(net.vertices) - {x})
-        assert forced_passage(net, y, z, {x}, exact=True) <= min(out_cap, in_cap)
+        assert enumerated_passage(net, y, z, {x}) <= min(out_cap, in_cap)
 
 
 @settings(max_examples=40)
@@ -227,7 +284,7 @@ def test_flow_through_lower_bound(net_yz, data):
         costs[arc] = data.draw(st.integers(0, 2), label=f"cost {arc}")
     flows = [max_flow(net, y, z)[1], min_cost_max_flow(net, y, z, costs)[2]]
     for x in net.vertices:
-        bound = forced_passage(net, y, z, {x}, exact=True)
+        bound = enumerated_passage(net, y, z, {x})
         for f in flows:
             assert flow_through(f, {x}) >= bound
 
@@ -264,13 +321,13 @@ def test_enumeration_matches_decompositions(net_yz):
     # classes, and every enumerated class is the decomposition of its own
     # induced flow
     net, y, z = net_yz
-    classes = {s.canonical() for s in enumerate_max_sequences(net, y, z)}
+    classes = {s.paths for s in enumerate_max_sequences(net, y, z)}
     _, maximum_flows = brute_force_flows(net, y, z)
     rng = random.Random(7)
     for f in maximum_flows:
         for trial in range(21):
             dec = decompose(net, f) if trial == 0 else decompose(net, f, rng=rng)
-            assert dec.paths.canonical() in classes
-    for s in classes:
-        dec = decompose(net, induced_flow(net, s))
-        assert dec.paths.canonical() in classes
+            assert tuple(sorted(dec.paths)) in classes
+    for paths in classes:
+        dec = decompose(net, induced_flow(net, ArcDisjointSequence(paths, y, z)))
+        assert tuple(sorted(dec.paths)) in classes
