@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=int,
             default=DEFAULT_NODE_BUDGET,
-            help="node budget for sequence enumeration (default 10^6)",
+            help="passage search budget: nodes and candidate paths (default 10^6)",
         )
         p.add_argument(
             "--format",

@@ -13,8 +13,7 @@ every result here is a pure, deterministic function of its inputs:
 * ``find_augmenting_path`` returns the lexicographically least shortest
   augmenting path (breadth-first over the residual moves, sorted neighbor
   expansion, forward moves preferred on ties);
-* ``max_flow`` saturates those paths one after another, and
-  ``max_flow_value`` does the same while avoiding a banned vertex set;
+* ``max_flow`` saturates those paths one after another;
 * ``decompose`` peels the canonically least positive out-arc first,
   extracting all paths before hunting remaining cycles.
 
@@ -22,6 +21,8 @@ Max flow and min-cost max flow run on ``Network.compiled``, built once
 per network (vertices and arcs as integers, each vertex with one sorted
 list of the neighbors it shares an arc with, in either direction), through
 one augment loop (``_augment``) that takes the path finder as an argument.
+A max flow restricted to part of the network is the same loop under a
+capacity vector with the excluded arcs at zero.
 """
 
 from __future__ import annotations
@@ -174,19 +175,18 @@ def _bfs_augmenting(
     flow: Sequence[int],
     source: int,
     sink: int,
-    seen: bytearray,
 ) -> list[tuple[int, int]] | None:
     """Lexicographically least shortest augmenting path, as (arc id, dir) moves.
 
     Works on the compiled network: ``caps`` and ``flow`` are indexed by arc
     id (``caps`` may be any pointwise reduction of the network's
-    capacities).  Each vertex's neighbors are expanded in canonical order,
-    taking the forward arc when it has room and the backward arc
-    otherwise.  Vertices already marked in ``seen`` are never entered;
-    that is how callers ban a vertex set.  ``seen`` is consumed.
+    capacities, zeros included).  Each vertex's neighbors are expanded in
+    canonical order, taking the forward arc when it has room and the
+    backward arc otherwise.
     """
     neighbors = net.neighbors
     parent: dict[int, tuple[int, int, int]] = {}
+    seen = bytearray(len(neighbors))
     seen[source] = 1
     queue = [source]
     for v in queue:
@@ -217,7 +217,6 @@ def _cheapest_augmenting(
     flow: Sequence[int],
     source: int,
     sink: int,
-    seen: bytearray,
     costs: Sequence[int],
 ) -> list[tuple[int, int]] | None:
     """Minimum-cost augmenting path, as (arc id, dir) moves.
@@ -225,9 +224,9 @@ def _cheapest_augmenting(
     Bellman-Ford label correction over the same residual moves as
     :func:`_bfs_augmenting`: forward along arc ``a`` at cost ``costs[a]``
     when ``flow[a] < caps[a]``, backward at cost ``-costs[a]`` when
-    ``flow[a] > 0``.  Vertices marked in ``seen`` are never entered.
-    Sweeps run in canonical vertex order with strict improvement, so ties
-    keep the first label found and the result is deterministic.
+    ``flow[a] > 0``.  Sweeps run in canonical vertex order with strict
+    improvement, so ties keep the first label found and the result is
+    deterministic.
     """
     neighbors = net.neighbors
     n = len(neighbors)
@@ -241,8 +240,6 @@ def _cheapest_augmenting(
             if dv is None:
                 continue
             for w, out_arc, in_arc in neighbors[v]:
-                if seen[w]:
-                    continue
                 if out_arc >= 0 and flow[out_arc] < caps[out_arc]:
                     nd = dv + costs[out_arc]
                     dw = dist[w]
@@ -283,20 +280,20 @@ def _augment(
     source: int,
     sink: int,
     find: Callable[..., list[tuple[int, int]] | None],
-    banned: bytearray | None = None,
 ) -> int:
     """Saturate the augmenting paths ``find`` returns until it finds none.
 
     The one augment loop in the package.  ``find(net, caps, flow, source,
-    sink, seen)`` is :func:`_bfs_augmenting` for maximum flows and
+    sink)`` is :func:`_bfs_augmenting` for maximum flows and
     :func:`_cheapest_augmenting`, cost-bound, for min-cost maximum flows.
     ``flow`` (indexed by arc id) is updated in place; the return value is
-    the amount added.  Vertices marked in ``banned`` carry no flow.
+    the amount added.  An arc at zero in ``caps`` carries no flow, so a
+    flow from zero under ``caps`` is a flow of the network restricted to
+    the other arcs.
     """
-    blocked = banned if banned is not None else bytearray(len(net.neighbors))
     added = 0
     while True:
-        moves = find(net, caps, flow, source, sink, bytearray(blocked))
+        moves = find(net, caps, flow, source, sink)
         if moves is None:
             return added
         bottleneck = min(
@@ -340,7 +337,6 @@ def find_augmenting_path(network: Network, flow: Flow) -> GeneralizedPath | None
         values,
         net.index[flow.source],
         net.index[flow.sink],
-        bytearray(len(net.neighbors)),
     )
     return None if moves is None else _moves_to_gpath(net, moves, flow.source)
 
@@ -362,33 +358,6 @@ def max_flow(network: Network, source: VertexId, sink: VertexId) -> tuple[int, F
     )
     support = {net.arcs[arc]: val for arc, val in enumerate(flow) if val}
     return value, Flow(source, sink, support)
-
-
-def max_flow_value(
-    network: Network,
-    source: VertexId,
-    sink: VertexId,
-    banned: Iterable[VertexId] = (),
-) -> int:
-    """Maximum flow value when no flow may touch a banned vertex.
-
-    This is the max-flow value of the network with every arc touching a
-    banned vertex zeroed, found without building that network: the banned
-    vertices are simply never entered by the augmenting search.  A banned
-    endpoint gives 0.
-    """
-    _check_endpoints(network, source, sink)
-    net = network.compiled
-    blocked = bytearray(len(net.neighbors))
-    for vertex in banned:
-        if vertex not in net.index:
-            raise UnknownVertexError(f"unknown vertex {vertex!r}")
-        blocked[net.index[vertex]] = 1
-    s, t = net.index[source], net.index[sink]
-    if blocked[s] or blocked[t]:
-        return 0
-    flow = [0] * len(net.arcs)
-    return _augment(net, net.capacities, flow, s, t, _bfs_augmenting, blocked)
 
 
 def min_cost_max_flow(

@@ -129,10 +129,6 @@ class Network:
         """Capacity of ``arc``; 0 for any pair without a stored entry."""
         return self.capacities.get(arc, 0)
 
-    def positive_arcs(self) -> tuple[Arc, ...]:
-        """All arcs with positive capacity, in canonical order."""
-        return tuple(sorted(self.capacities))
-
     def has_vertex(self, token: VertexId) -> bool:
         return token in self._vertex_set
 
@@ -144,7 +140,7 @@ class Network:
     def compiled(self) -> CompiledNetwork:
         """The integer-indexed form the flow solvers run on."""
         index = {v: i for i, v in enumerate(self.vertices)}
-        arcs = self.positive_arcs()
+        arcs = tuple(sorted(self.capacities))
         arc_ids = {arc: a for a, arc in enumerate(arcs)}
         joined: list[set[int]] = [set() for _ in self.vertices]
         for tail, head in arcs:

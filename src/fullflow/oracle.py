@@ -25,6 +25,7 @@ from .flows import (
     _check_endpoints,
     decompose,
     flow_through,
+    max_flow,
     recompose,
     validate_flow,
 )
@@ -249,7 +250,7 @@ def cross_check(
                 report.enumeration_skips += 1
             # the passage search visits a subset of the enumeration's nodes,
             # so it runs only where the enumeration finished in budget
-            value, flow, settled = settle_pair(
+            value, settled = settle_pair(
                 net,
                 y,
                 z,
@@ -257,6 +258,7 @@ def cross_check(
                 passage=sequences is not None,
                 node_budget=node_budget,
             )
+            _, flow = max_flow(net, y, z)
             dec = decompose(net, flow)
             check(
                 recompose(dec) == flow,

@@ -15,14 +15,13 @@ is the one place that turns this chain into rules settling drop and
 passage without a search; every caller in the package takes both from
 it.  Where no rule applies, the passage is computed exactly by one
 backtracking search over the canonical maximum sequences, which both the
-enumeration and the minimization consume.  It keeps an explicit stack
-rather than recursing, so a pair with a large max-flow value needs no deep
-Python stack.  Capacity bookkeeping and a feasibility cut (remaining
-capacity must still admit the missing number of paths) bound it; the
-minimization adds two sound prunings (a partial sequence already meeting
-X at least best-so-far times cannot improve; a completed sequence matching
-the vitality-drop lower bound ends the search).  The search is budgeted by
-node count and fails loudly rather than approximating.
+enumeration and the minimization consume.  Capacity bookkeeping and a
+feasibility cut (remaining capacity must still admit the missing number
+of paths) bound it; the minimization adds two sound prunings (a partial
+sequence already meeting X at least best-so-far times cannot improve; a
+completed sequence matching the vitality-drop lower bound ends the
+search).  One budget caps both its candidate paths and its nodes, and the
+search fails loudly rather than approximating.
 """
 
 from __future__ import annotations
@@ -32,12 +31,10 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InvariantViolationError
 from .flows import (
-    Flow,
     _augment,
     _bfs_augmenting,
     _check_endpoints,
     max_flow,
-    max_flow_value,
     min_cost_max_flow,
 )
 from .network import CompiledNetwork, Network, VertexId, vertex_group
@@ -56,7 +53,7 @@ def vitality_drop(
     """
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
-    _, _, [(drop, _)] = settle_pair(network, source, sink, [group], passage=False)
+    _, [(drop, _)] = settle_pair(network, source, sink, [group], passage=False)
     return drop
 
 
@@ -68,30 +65,36 @@ def _residual_max_value(
 
 
 def _path_candidates(
-    network: Network, source: VertexId, sink: VertexId
-) -> list[Path]:
-    """All source->sink paths over positive-capacity arcs, in lexicographic order."""
-    adj: dict[VertexId, list[VertexId]] = {}
-    for tail, head in network.positive_arcs():
-        adj.setdefault(tail, []).append(head)
-    found: list[Path] = []
-    if source == sink:
-        return found
+    net: CompiledNetwork, source: int, sink: int, limit: int
+) -> list[tuple[int, ...]]:
+    """Source->sink paths over positive-capacity arcs, as arc-id tuples in
+    lexicographic vertex order.  Stops once ``limit + 1`` are found."""
+    neighbors = net.neighbors
+    found: list[tuple[int, ...]] = []
+    on_trail = bytearray(len(neighbors))
+    on_trail[source] = 1
     trail = [source]
-    on_trail = {source}
-    heads = [iter(adj.get(source, ()))]  # unvisited heads of each trail vertex
+    arcs: list[int] = []  # the arcs between the trail vertices
+    heads = [iter(neighbors[source])]  # unvisited neighbors of each trail vertex
     while heads:
-        for w in heads[-1]:
+        for w, arc, _ in heads[-1]:
+            if arc < 0 or on_trail[w]:
+                continue
             if w == sink:
-                found.append(Path(tuple(trail) + (sink,)))
-            elif w not in on_trail:
+                found.append((*arcs, arc))
+                if len(found) > limit:
+                    return found
+            else:
                 trail.append(w)
-                on_trail.add(w)
-                heads.append(iter(adj.get(w, ())))
+                arcs.append(arc)
+                on_trail[w] = 1
+                heads.append(iter(neighbors[w]))
                 break
         else:
             heads.pop()
-            on_trail.discard(trail.pop())
+            on_trail[trail.pop()] = 0
+            if arcs:
+                arcs.pop()
     return found
 
 
@@ -109,40 +112,49 @@ def _max_sequences(
     ``target`` is the pair's max-flow value; ``hits`` counts the paths
     meeting ``group``.  Without a group every sequence is yielded; with
     one, a node meeting it at least as often as the last yield is cut, so
-    each yield improves on the one before.  Each node is counted against
-    the budget as it is entered.  The stack holds the next candidate
-    index of each open node, so the depth is not bounded by Python's.
+    each yield improves on the one before.  More than ``node_budget``
+    candidate paths exhaust the budget before the search starts; each
+    node is counted against it as it is entered.  The stack holds the
+    next candidate index of each open node, so the depth is not bounded
+    by Python's.
     """
     if target == 0:
         yield 0, ()
         return
+    where = f" group {render_group(group)}" if group is not None else ""
+    reason = f"{what} budget exhausted at pair ({source}, {sink}){where}"
     net = network.compiled
-    cands = _path_candidates(network, source, sink)
-    cand_arcs = [tuple(net.arc_ids[a] for a in p.arcs) for p in cands]
-    meets = [group is not None and not group.isdisjoint(p.vertices) for p in cands]
-    caps = list(net.capacities)
     s, t = net.index[source], net.index[sink]
+    cand_arcs = _path_candidates(net, s, t, node_budget)
+    if len(cand_arcs) > node_budget:
+        raise BudgetExceededError(reason, partial=0, nodes=0)
+    arcs = net.arcs
+    # a path meets the group at its source or at the head of an arc
+    meets = [
+        group is not None
+        and (source in group or any(arcs[a][1] in group for a in cand))
+        for cand in cand_arcs
+    ]
+    caps = list(net.capacities)
     chosen: list[int] = []
     frames: list[int] = []
     hits = nodes = found = start = 0
     best = None
-    n = len(cands)
+    n = len(cand_arcs)
     while True:
         nodes += 1
         if nodes > node_budget:
-            where = f" group {render_group(group)}" if group is not None else ""
-            raise BudgetExceededError(
-                f"{what} budget exhausted at pair ({source}, {sink}){where}",
-                partial=found,
-                nodes=nodes,
-            )
+            raise BudgetExceededError(reason, partial=found, nodes=nodes)
         if best is not None and hits >= best:
             pass
         elif len(chosen) == target:
             found += 1
             if group is not None:
                 best = hits
-            yield hits, tuple(cands[i] for i in chosen)
+            yield hits, tuple(
+                Path((source,) + tuple(arcs[a][1] for a in cand_arcs[i]))
+                for i in chosen
+            )
         elif _residual_max_value(net, caps, s, t) >= target - len(chosen):
             frames.append(start)
         # an open node at depth d has d chosen paths, so a path beyond that
@@ -186,7 +198,7 @@ def enumerate_max_sequences(
     count) when the node budget runs out.
     """
     _check_endpoints(network, source, sink)
-    target = max_flow_value(network, source, sink)
+    target, _ = max_flow(network, source, sink)
     for _, paths in _max_sequences(
         network, source, sink, target, node_budget, "sequence enumeration"
     ):
@@ -227,9 +239,8 @@ def settle_pair(
     passage: bool,
     exact: bool = False,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> tuple[int, Flow, list[tuple[int, int | None]]]:
-    """The pair's canonical maximum flow value and flow, and one
-    ``(drop, passage)`` per group.
+) -> tuple[int, list[tuple[int, int | None]]]:
+    """The pair's maximum flow value and one ``(drop, passage)`` per group.
 
     Every group shares the one canonical maximum flow ``f``.  The chain
     ``0 <= drop <= passage <= min(throughput, max_flow)`` then settles a
@@ -240,9 +251,9 @@ def settle_pair(
        passage = max_flow.
     3. ``f`` sends nothing through X (``flow_through(f, X) == 0``): drop =
        passage = 0, since passage <= throughput <= ``flow_through(f, X)``.
-    4. Otherwise the drop comes from one more max flow that never enters
-       X.  If it equals ``flow_through(f, X)``, the passage is squeezed to
-       the same value.
+    4. Otherwise the drop comes from one more max flow, with the arcs
+       touching X at zero capacity.  If it equals ``flow_through(f, X)``,
+       the passage is squeezed to the same value.
     5. A single vertex takes passage = drop, which the paper proves for
        singletons, unless ``exact`` turns this shortcut off.
     6. Otherwise the passage search runs if ``passage`` asks for the
@@ -252,23 +263,32 @@ def settle_pair(
     singletons run the search too.  The groups must be validated
     (:func:`vertex_group`).
     """
-    total, flow = max_flow(network, source, sink)
+    net = network.compiled
+    s, t = net.index[source], net.index[sink]
+    flow = [0] * len(net.arcs)
+    total = _augment(net, net.capacities, flow, s, t, _bfs_augmenting)
     if total == 0:
-        return total, flow, [(0, 0)] * len(groups)
-    outflow = dict.fromkeys(network.vertices, 0)
-    for (tail, _head), val in flow.values.items():
-        outflow[tail] += val
+        return total, [(0, 0)] * len(groups)
     settled: list[tuple[int, int | None]] = []
     for group in groups:
         if source in group or sink in group:
             drop = found = total
         else:
-            # flow_through(flow, group), as no endpoint is in the group
-            through = sum(outflow[x] for x in group)
+            incident = [net.neighbors[net.index[x]] for x in group]
+            # flow_through(f, X), as no endpoint is in X; -1 is no arc
+            through = sum(flow[a] for moves in incident for _, a, _ in moves if a >= 0)
             if through == 0:
                 drop = found = 0
             else:
-                drop = total - max_flow_value(network, source, sink, group)
+                caps = list(net.capacities)
+                for moves in incident:
+                    for _, out_arc, in_arc in moves:
+                        if out_arc >= 0:
+                            caps[out_arc] = 0
+                        if in_arc >= 0:
+                            caps[in_arc] = 0
+                kept = _augment(net, caps, [0] * len(caps), s, t, _bfs_augmenting)
+                drop = total - kept
                 found = None
                 if drop == through or (not exact and len(group) == 1):
                     found = drop
@@ -277,7 +297,7 @@ def settle_pair(
                         network, source, sink, group, node_budget, total, drop
                     )
         settled.append((drop, found))
-    return total, flow, settled
+    return total, settled
 
 
 def forced_passage(
@@ -296,7 +316,7 @@ def forced_passage(
     """
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
-    _, _, [(_, value)] = settle_pair(
+    _, [(_, value)] = settle_pair(
         network,
         source,
         sink,
@@ -384,7 +404,7 @@ def pair_report(
     """
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
-    total, _, [(drop, passage)] = settle_pair(
+    total, [(drop, passage)] = settle_pair(
         network, source, sink, [group], passage=False, exact=exact
     )
     restricted = total - drop

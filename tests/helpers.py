@@ -12,8 +12,12 @@ from collections import Counter
 from fullflow.flows import Flow, flow_through, max_flow
 from fullflow.network import Arc, Network, VertexId, vertex_group
 from fullflow.oracle import brute_force_flows
-from fullflow.paths import BACKWARD, FORWARD, GeneralizedPath, passage_count
-from fullflow.quantities import enumerate_max_sequences
+from fullflow.paths import BACKWARD, FORWARD, GeneralizedPath, Path, passage_count
+from fullflow.quantities import (
+    DEFAULT_NODE_BUDGET,
+    _path_candidates,
+    enumerate_max_sequences,
+)
 
 
 def restrict(network, members):
@@ -46,7 +50,7 @@ def capacity_of_set(network, members):
 def network_to_text(network):
     """The network in the text format ``parse_network`` reads."""
     lines = ["vertices " + " ".join(network.vertices)]
-    for tail, head in network.positive_arcs():
+    for tail, head in sorted(network.capacities):
         lines.append(f"{tail} {head} {network.capacity((tail, head))}")
     return "\n".join(lines) + "\n"
 
@@ -97,6 +101,15 @@ def brute_force_min_throughput(network, source, sink, members):
     return min(flow_through(f, group) for f in flows)
 
 
+def candidate_paths(network, source, sink):
+    """The passage search's candidate paths, in its order, as token paths."""
+    net = network.compiled
+    found = _path_candidates(
+        net, net.index[source], net.index[sink], DEFAULT_NODE_BUDGET
+    )
+    return [Path((source,) + tuple(net.arcs[a][1] for a in arcs)) for arcs in found]
+
+
 def enumerated_passage(network, source, sink, members):
     """Forced passage by its definition: the minimum passage count over
     every maximum sequence, with no settle rule and no pruning."""
@@ -126,7 +139,7 @@ class ResidualView:
         for tails in self._into.values():
             tails.sort()
         self._out: dict[VertexId, list[VertexId]] = {}
-        for tail, head in network.positive_arcs():
+        for tail, head in sorted(network.capacities):
             self._out.setdefault(tail, []).append(head)
 
     def room(self, arc: Arc) -> int:

@@ -1,7 +1,10 @@
 """Shared hypothesis strategies: small random networks and related draws."""
 
+import random
+
 from hypothesis import strategies as st
 
+from fullflow.figures import figure_network
 from fullflow.network import Network
 
 TOKENS = ("a", "b", "c", "d", "e", "f")
@@ -48,3 +51,18 @@ def reduced_capacities(draw, net):
         if reduced:
             caps[arc] = reduced
     return Network(net.vertices, caps)
+
+
+@st.composite
+def fig5_with_extra_arcs(draw, p=0.08):
+    """fig5 plus random arcs of capacity 1..2, each absent arc added with
+    probability ``p``.  fig5's pair (y, z) has a group with drop < passage,
+    and the extra arcs keep many such gaps while moving them around."""
+    fig5 = figure_network("fig5")
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    caps = dict(fig5.capacities)
+    for tail in fig5.vertices:
+        for head in fig5.vertices:
+            if tail != head and (tail, head) not in caps and rng.random() < p:
+                caps[(tail, head)] = rng.randint(1, 2)
+    return Network(fig5.vertices, caps)

@@ -66,6 +66,23 @@ def test_pair_budget_exits_3(fig1_file, capsys):
     assert "group v,x" in err
 
 
+def test_pair_candidate_budget_exits_3(tmp_path, capsys):
+    # K11 has about a million v01->v11 paths; more than --budget
+    # candidates stop generation before the search starts
+    tokens = [f"v{i:02d}" for i in range(1, 12)]
+    lines = ["vertices " + " ".join(tokens)]
+    lines += [f"{t} {h} 1" for t in tokens for h in tokens if t != h]
+    path = tmp_path / "k11.net"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["pair", str(path), "v01", "v11", "--set", "v02,v03",
+                 "--budget", "10"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: passage minimization budget exhausted at pair (v01, v11) "
+        "group v02,v03 (partial count: 0, nodes: 0)\n"
+    )
+
+
 def test_pair_out_of_memory_exits_3(fig1_file, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError

@@ -16,7 +16,6 @@ from fullflow.flows import (
     flow_to_text,
     flow_value,
     max_flow,
-    max_flow_value,
     min_cost_max_flow,
     parse_flow,
     recompose,
@@ -31,6 +30,7 @@ from fullflow.paths import (
     GeneralizedPath,
     path_of,
 )
+from fullflow.quantities import settle_pair
 from helpers import ResidualView, augment, random_flow, restrict
 from strategies import networks_with_endpoints, reduced_capacities
 
@@ -443,7 +443,7 @@ def test_capacity_decrease_equivalence(net_yz, data):
 
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
 def test_banned_value_matches_restricted_network(n):
-    # the banned-vertex search against max flow on the restricted network
+    # settle_pair's drop against max flow on the restricted network
     rng = random.Random(f"banned:{n}")
     tokens = [f"v{i:02d}" for i in range(n)]
     for _ in range(3):
@@ -457,5 +457,7 @@ def test_banned_value_matches_restricted_network(n):
         for _ in range(20):
             y, z = rng.sample(tokens, 2)
             group = rng.sample(tokens, rng.randint(0, 4))
-            expected = max_flow(restrict(net, group), y, z)[0]
-            assert max_flow_value(net, y, z, group) == expected
+            total, [(drop, _)] = settle_pair(
+                net, y, z, [frozenset(group)], passage=False
+            )
+            assert total - drop == max_flow(restrict(net, group), y, z)[0]

@@ -100,7 +100,7 @@ def test_cross_check_reports_are_deterministic():
 
 
 def _unpruned_max_flows(net, y, z):
-    arcs = net.positive_arcs()
+    arcs = sorted(net.capacities)
     ranges = [range(net.capacities[arc] + 1) for arc in arcs]
     flows = [Flow(y, z, dict(zip(arcs, values)))
              for values in itertools.product(*ranges)]

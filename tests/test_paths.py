@@ -18,7 +18,7 @@ from fullflow.paths import (
     path_of,
 )
 
-from helpers import chi, induced_flow
+from helpers import candidate_paths, chi, induced_flow
 from strategies import networks_with_endpoints
 
 
@@ -141,11 +141,9 @@ def test_chi_path_total_is_length_minus_one(tokens):
 
 def _random_arc_disjoint_sequence(net, y, z, rng):
     # greedy sample under capacity bookkeeping; may be any length >= 0
-    from fullflow.quantities import _path_candidates
-
     caps = dict(net.capacities)
     picked = []
-    candidates = _path_candidates(net, y, z)
+    candidates = candidate_paths(net, y, z)
     rng.shuffle(candidates)
     for p in candidates:
         if all(caps[a] >= 1 for a in p.arcs) and rng.random() < 0.7:

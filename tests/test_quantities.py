@@ -11,7 +11,6 @@ from fullflow.flows import (
     decompose,
     flow_through,
     max_flow,
-    max_flow_value,
     min_cost_max_flow,
 )
 from fullflow.network import build_network
@@ -28,11 +27,17 @@ from fullflow.quantities import (
 
 from helpers import (
     brute_force_min_throughput,
+    candidate_paths,
     capacity_of_set,
     enumerated_passage,
     induced_flow,
+    restrict,
 )
-from strategies import networks_with_endpoints, networks_with_endpoints_and_group
+from strategies import (
+    fig5_with_extra_arcs,
+    networks_with_endpoints,
+    networks_with_endpoints_and_group,
+)
 
 
 def test_vitality_drop_fig3_vs_fig4(fig3, fig4):
@@ -91,7 +96,8 @@ def test_enumerate_lengths_and_disjointness(fig1):
 
 def test_enumerate_budget_exceeded(fig1):
     # the counts fix which nodes the search visits, and in what order
-    for budget, partial, nodes in [(3, 0, 4), (5, 1, 6)]:
+    # budget 3: fig1 has 5 candidate paths, so the search never starts
+    for budget, partial, nodes in [(3, 0, 0), (5, 1, 6)]:
         with pytest.raises(BudgetExceededError) as info:
             list(enumerate_max_sequences(fig1, "y", "z", node_budget=budget))
         assert info.value.reason == (
@@ -202,38 +208,51 @@ def test_settle_pair_known_gaps(fig5, fig6):
     # fig6 separates passage from throughput
     gap = frozenset({"x1", "x2"})
     for exact in (False, True):
-        assert settle_pair(fig5, "y", "z", [gap], passage=True, exact=exact)[2] \
-            == [(1, 2)]
-        assert settle_pair(fig6, "y", "z", [gap], passage=True, exact=exact)[2] \
-            == [(1, 1)]
-    assert settle_pair(fig5, "y", "z", [gap], passage=False)[2] == [(1, None)]
+        assert settle_pair(fig5, "y", "z", [gap], passage=True, exact=exact) \
+            == (3, [(1, 2)])
+        assert settle_pair(fig6, "y", "z", [gap], passage=True, exact=exact) \
+            == (1, [(1, 1)])
+    assert settle_pair(fig5, "y", "z", [gap], passage=False) == (3, [(1, None)])
     assert forced_throughput(fig6, "y", "z", gap) == 2
 
 
-@settings(max_examples=40, deadline=None)
-@given(networks_with_endpoints(max_vertices=6, max_capacity=2))
-def test_settle_pair_matches_definitions(net_yz):
+def _check_settle_pair(net, y, z, max_group):
     # every settle rule, with the singleton shortcut on and off, against
-    # the restricted max flow and the enumeration minimum
-    net, y, z = net_yz
+    # the restricted max flow and the enumeration minimum, for every group
+    # of at most max_group vertices
     groups = [
         frozenset(members)
-        for size in range(4)
+        for size in range(max_group + 1)
         for members in itertools.combinations(net.vertices, size)
     ]
-    total = max_flow_value(net, y, z)
+    total, _ = max_flow(net, y, z)
     sequences = list(enumerate_max_sequences(net, y, z))
     expected = [
         (
-            total - max_flow_value(net, y, z, group),
+            total - max_flow(restrict(net, group), y, z)[0],
             min(passage_count(s, group) for s in sequences),
         )
         for group in groups
     ]
     for exact in (False, True):
-        value, _, settled = settle_pair(net, y, z, groups, passage=True, exact=exact)
+        value, settled = settle_pair(net, y, z, groups, passage=True, exact=exact)
         assert value == total
         assert settled == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks_with_endpoints(max_vertices=6, max_capacity=2))
+def test_settle_pair_matches_definitions(net_yz):
+    net, y, z = net_yz
+    _check_settle_pair(net, y, z, 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fig5_with_extra_arcs())
+def test_settle_pair_on_gap_networks(net):
+    # about a third of these networks have a group with drop < passage at
+    # (y, z), where only the search may settle the passage
+    _check_settle_pair(net, "y", "z", 2)
 
 
 @settings(max_examples=50)
@@ -305,11 +324,9 @@ def test_boundary_cases(net_yz):
 @settings(max_examples=60)
 @given(networks_with_endpoints())
 def test_zero_max_flow_iff_no_path(net_yz):
-    from fullflow.quantities import _path_candidates
-
     net, y, z = net_yz
     value, _ = max_flow(net, y, z)
-    assert (value == 0) == (not _path_candidates(net, y, z))
+    assert (value == 0) == (not candidate_paths(net, y, z))
     classes = list(enumerate_max_sequences(net, y, z))
     assert (value == 0) == (classes == [ArcDisjointSequence((), y, z)])
 
