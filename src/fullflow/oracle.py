@@ -155,10 +155,7 @@ def brute_force_flows(
             balance[head] -= val
         assignment[idx] = 0
 
-    if arcs:
-        rec(0)
-    else:
-        best.append(Flow(source, sink, {}))
+    rec(0)
     return best_value, best
 
 
@@ -237,6 +234,7 @@ def cross_check(
             )
         singletons = [frozenset({x}) for x in net.vertices]
         groups = singletons + sampled_groups
+        distinct = list(dict.fromkeys(groups))
         space = prod(c + 1 for c in net.capacities.values())
         for y, z in ordered_pairs(net):
             where = f"{label} pair ({y},{z})"
@@ -254,7 +252,7 @@ def cross_check(
                 net,
                 y,
                 z,
-                groups,
+                distinct,
                 passage=sequences is not None,
                 node_budget=node_budget,
             )
@@ -273,10 +271,10 @@ def cross_check(
                 f"{where}: decomposition paths not arc-disjoint",
             )
             throughput = {
-                group: forced_throughput(net, y, z, group) for group in groups
+                group: forced_throughput(net, y, z, group) for group in distinct
             }
             if sequences is not None:
-                fast = dict(zip(groups, settled))
+                fast = dict(zip(distinct, settled))
                 for group in singletons:
                     enum = min(passage_count(s, group) for s in sequences)
                     drop, passage = fast[group]

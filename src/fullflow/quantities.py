@@ -15,9 +15,9 @@ is the one place that turns this chain into rules settling drop and
 passage without a search; every caller in the package takes both from
 it.  Where no rule applies, the passage is computed exactly by one
 backtracking search over the canonical maximum sequences, which both the
-enumeration and the minimization consume.  Capacity bookkeeping and a
-feasibility cut (remaining capacity must still admit the missing number
-of paths) bound it; the minimization adds two sound prunings (a partial
+enumeration and the minimization consume.  Capacity bookkeeping (a
+candidate path enters only while every arc on it has capacity left) and
+the budget bound it; the minimization adds two sound prunings (a partial
 sequence already meeting X at least best-so-far times cannot improve; a
 completed sequence matching the vitality-drop lower bound ends the
 search).  One budget caps both its candidate paths and its nodes, and the
@@ -55,13 +55,6 @@ def vitality_drop(
     group = vertex_group(network, members)
     _, [(drop, _)] = settle_pair(network, source, sink, [group], passage=False)
     return drop
-
-
-def _residual_max_value(
-    net: CompiledNetwork, caps: list[int], source: int, sink: int
-) -> int:
-    """Max-flow value under capacities ``caps`` (by arc id, zeros allowed)."""
-    return _augment(net, caps, [0] * len(caps), source, sink, _bfs_augmenting)
 
 
 def _path_candidates(
@@ -110,13 +103,14 @@ def _max_sequences(
     """Yield ``(hits, paths)`` for the maximum sequences, canonically.
 
     ``target`` is the pair's max-flow value; ``hits`` counts the paths
-    meeting ``group``.  Without a group every sequence is yielded; with
-    one, a node meeting it at least as often as the last yield is cut, so
-    each yield improves on the one before.  More than ``node_budget``
-    candidate paths exhaust the budget before the search starts; each
-    node is counted against it as it is entered.  The stack holds the
-    next candidate index of each open node, so the depth is not bounded
-    by Python's.
+    meeting ``group``.  A node holds a multiset of candidate paths that
+    fits the capacities; one with fewer than ``target`` paths is always
+    opened.  Without a group every sequence is yielded; with one, a node
+    meeting it at least as often as the last yield is cut, so each yield
+    improves on the one before.  More than ``node_budget`` candidate paths
+    exhaust the budget before the search starts; each node is counted
+    against it as it is entered.  The stack holds the next candidate
+    index of each open node, so the depth is not bounded by Python's.
     """
     if target == 0:
         yield 0, ()
@@ -155,7 +149,7 @@ def _max_sequences(
                 Path((source,) + tuple(arcs[a][1] for a in cand_arcs[i]))
                 for i in chosen
             )
-        elif _residual_max_value(net, caps, s, t) >= target - len(chosen):
+        else:
             frames.append(start)
         # an open node at depth d has d chosen paths, so a path beyond that
         # was chosen by the node just left: undo it, then enter the next
@@ -405,7 +399,7 @@ def pair_report(
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
     total, [(drop, passage)] = settle_pair(
-        network, source, sink, [group], passage=False, exact=exact
+        network, source, sink, [group], passage=False
     )
     restricted = total - drop
     use_exact = exact or len(group) > 1

@@ -8,11 +8,19 @@ shortcut, so that tests can check the library against them.
 """
 
 from collections import Counter
+from itertools import combinations_with_replacement
 
 from fullflow.flows import Flow, flow_through, max_flow
 from fullflow.network import Arc, Network, VertexId, vertex_group
 from fullflow.oracle import brute_force_flows
-from fullflow.paths import BACKWARD, FORWARD, GeneralizedPath, Path, passage_count
+from fullflow.paths import (
+    BACKWARD,
+    FORWARD,
+    GeneralizedPath,
+    Path,
+    is_arc_disjoint,
+    passage_count,
+)
 from fullflow.quantities import (
     DEFAULT_NODE_BUDGET,
     _path_candidates,
@@ -108,6 +116,20 @@ def candidate_paths(network, source, sink):
         net, net.index[source], net.index[sink], DEFAULT_NODE_BUDGET
     )
     return [Path((source,) + tuple(net.arcs[a][1] for a in arcs)) for arcs in found]
+
+
+def maximum_sequences(network, source, sink):
+    """Every maximum sequence by its definition: each multiset of
+    max-flow-many candidate paths within the capacities, in
+    ``itertools.combinations_with_replacement`` order."""
+    value, _ = max_flow(network, source, sink)
+    return [
+        paths
+        for paths in combinations_with_replacement(
+            candidate_paths(network, source, sink), value
+        )
+        if is_arc_disjoint(network, paths)
+    ]
 
 
 def enumerated_passage(network, source, sink, members):

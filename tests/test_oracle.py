@@ -4,9 +4,11 @@ from math import prod
 
 import pytest
 
+from fullflow import oracle
 from fullflow.errors import BudgetExceededError, InvalidSpecError
 from fullflow.flows import Flow, flow_value, max_flow, validate_flow
 from fullflow.oracle import InstanceSpec, brute_force_flows, cross_check, generate
+from fullflow.quantities import forced_throughput
 
 from helpers import brute_force_min_throughput
 
@@ -125,11 +127,13 @@ def test_brute_force_matches_unpruned_enumeration():
         checked += 1
 
 
+PINNED_BATCH = [InstanceSpec(2 + i % 5, 2, 0.5, 300 + i) for i in range(10)]
+
+
 def test_cross_check_render_pinned():
     # counts of a fixed batch that exercises both skip kinds; any check
     # dropped or added changes the assertion count
-    batch = [InstanceSpec(2 + i % 5, 2, 0.5, 300 + i) for i in range(10)]
-    report = cross_check(batch, assignment_budget=5000, node_budget=200)
+    report = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=200)
     assert report.render() == (
         "generator python-random-mersenne-twister\n"
         "instances 10\n"
@@ -139,3 +143,19 @@ def test_cross_check_render_pinned():
         "enumeration_skips 6\n"
         "violations 0\n"
     )
+
+
+def test_cross_check_solves_each_distinct_group_once(monkeypatch):
+    # the pinned batch checks 1,260 groups over its 140 pairs; a sampled
+    # group can repeat a singleton, the empty or the whole set, and only
+    # the 1,138 distinct groups of each pair need a throughput
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return forced_throughput(*args)
+
+    monkeypatch.setattr(oracle, "forced_throughput", counted)
+    report = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=200)
+    assert report.ok
+    assert len(calls) == 1138

@@ -31,6 +31,7 @@ from helpers import (
     capacity_of_set,
     enumerated_passage,
     induced_flow,
+    maximum_sequences,
     restrict,
 )
 from strategies import (
@@ -106,6 +107,19 @@ def test_enumerate_budget_exceeded(fig1):
         assert (info.value.partial, info.value.nodes) == (partial, nodes)
 
 
+@settings(max_examples=40, deadline=None)
+@given(networks_with_endpoints_and_group(max_vertices=4, max_capacity=2))
+def test_enumeration_order_matches_definition(net_yzg):
+    # the search yields the maximum sequences in candidate order, and the
+    # witness is the first of them that attains the passage
+    net, y, z, group = net_yzg
+    expected = maximum_sequences(net, y, z)
+    assert [s.paths for s in enumerate_max_sequences(net, y, z)] == expected
+    counts = [passage_count(ArcDisjointSequence(p, y, z), group) for p in expected]
+    first = expected[counts.index(min(counts))]
+    assert pair_report(net, y, z, group, exact=True).witness.paths == first
+
+
 def test_forced_passage_fig1(fig1):
     assert forced_passage(fig1, "y", "z", {"x"}, exact=True) == 2
     assert forced_passage(fig1, "y", "z", {"x", "v"}, exact=True) == 2
@@ -115,14 +129,14 @@ def test_forced_passage_fig5_strict_gap(fig5):
     group = {"x1", "x2"}
     assert forced_passage(fig5, "y", "z", group, exact=True) == 2
     assert vitality_drop(fig5, "y", "z", group) == 1
-    # the minimization proves 2 optimal at its eleventh node
-    assert forced_passage(fig5, "y", "z", group, exact=True, node_budget=11) == 2
+    # the minimization proves 2 optimal at its thirteenth node
+    assert forced_passage(fig5, "y", "z", group, exact=True, node_budget=13) == 2
     with pytest.raises(BudgetExceededError) as info:
-        forced_passage(fig5, "y", "z", group, exact=True, node_budget=10)
+        forced_passage(fig5, "y", "z", group, exact=True, node_budget=12)
     assert info.value.reason == (
         "passage minimization budget exhausted at pair (y, z) group x1,x2"
     )
-    assert (info.value.partial, info.value.nodes) == (1, 11)
+    assert (info.value.partial, info.value.nodes) == (1, 13)
 
 
 def test_forced_passage_fig6(fig6):
