@@ -22,6 +22,7 @@ from .centrality import centrality_report
 from .errors import (
     BudgetExceededError,
     FullFlowError,
+    InvalidInputError,
     InvalidSpecError,
     InvariantViolationError,
     NetworkParseError,
@@ -40,19 +41,21 @@ _SPEC_FLAGS = dict(
 )
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 def _load(path: str, max_capacity: int) -> Network:
     try:
         return load_network(path, max_capacity=max_capacity)
     except OSError as exc:
-        raise _CliError(f"{path}: {exc.strerror or exc}", 2) from exc
-    except NetworkParseError as exc:
-        raise _CliError(f"{path}: {exc}", 2) from exc
+        raise InvalidInputError(f"{path}: {exc.strerror or exc}") from exc
+    except (NetworkParseError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
+
+
+def _reject_negative(args, *flags: str) -> None:
+    """Exit 2 naming the first of ``flags`` whose value is negative."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < 0:
+            raise InvalidInputError(f"{flag} {value} is negative")
 
 
 def _parse_set(text: str) -> list[str]:
@@ -64,6 +67,7 @@ def _sep(fmt: str) -> str:
 
 
 def cmd_pair(args) -> int:
+    _reject_negative(args, "--budget")
     network = _load(args.file, args.max_capacity)
     group = _parse_set(args.set)
     report = pair_report(
@@ -85,6 +89,7 @@ def cmd_pair(args) -> int:
 
 
 def cmd_centrality(args) -> int:
+    _reject_negative(args, "--budget")
     network = _load(args.file, args.max_capacity)
     if args.set:
         groups = [_parse_set(text) for text in args.set]
@@ -134,9 +139,8 @@ def cmd_examples(args) -> int:
 
 def cmd_selftest(args) -> int:
     if not 2 <= args.max_vertices <= 6:
-        raise _CliError(f"--max-vertices {args.max_vertices} outside 2..6", 2)
-    if args.instances < 0:
-        raise _CliError(f"--instances {args.instances} is negative", 2)
+        raise InvalidInputError(f"--max-vertices {args.max_vertices} outside 2..6")
+    _reject_negative(args, "--instances", "--assignment-budget", "--budget")
     sizes = list(range(2, args.max_vertices + 1))
     try:
         batch = [
@@ -149,7 +153,7 @@ def cmd_selftest(args) -> int:
             for i in range(args.instances)
         ]
     except InvalidSpecError as exc:
-        raise _CliError(f"{_SPEC_FLAGS[exc.field]} {exc.detail}", 2) from exc
+        raise InvalidInputError(f"{_SPEC_FLAGS[exc.field]} {exc.detail}") from exc
     report = cross_check(
         batch,
         assignment_budget=args.assignment_budget,
@@ -267,9 +271,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,5 +1,12 @@
 """Exception types shared across the package.
 
+``FullFlowError`` is the base of every error the package raises, and
+there is one class per CLI exit code: ``InvalidInputError`` (2) for a
+malformed network, flow, vertex, group, path or specification,
+``BudgetExceededError`` (3) and ``InvariantViolationError`` (4).
+``NetworkParseError`` and ``InvalidSpecError`` are input errors that also
+carry where the input went wrong.
+
 Every error message names the offending input element (vertex token, arc,
 file line, ...) so that callers never have to dig through a traceback to
 find out what was wrong.
@@ -10,27 +17,11 @@ class FullFlowError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class TooFewVerticesError(FullFlowError):
-    """A network needs at least two vertices."""
+class InvalidInputError(FullFlowError, ValueError):
+    """An input is malformed or does not fit the network it is used with."""
 
 
-class SelfLoopError(FullFlowError):
-    """An arc may not connect a vertex to itself."""
-
-
-class DuplicateArcError(FullFlowError):
-    """The same (tail, head) pair was given more than once."""
-
-
-class UnknownVertexError(FullFlowError):
-    """A vertex token does not belong to the network."""
-
-
-class BadTokenError(FullFlowError):
-    """A vertex token contains characters outside [A-Za-z0-9_]."""
-
-
-class NetworkParseError(FullFlowError):
+class NetworkParseError(InvalidInputError):
     """A network or flow file could not be parsed; carries the line number."""
 
     def __init__(self, line_no: int, reason: str):
@@ -39,19 +30,7 @@ class NetworkParseError(FullFlowError):
         super().__init__(f"line {line_no}: {reason}")
 
 
-class MixedEndpointsError(FullFlowError):
-    """Paths in a sequence must all share the same source and sink."""
-
-
-class SameEndpointsError(FullFlowError):
-    """Source and sink must be distinct vertices."""
-
-
-class InvalidFlowError(FullFlowError):
-    """An arc assignment is not a flow (or not valid for this operation)."""
-
-
-class InvalidSpecError(FullFlowError):
+class InvalidSpecError(InvalidInputError):
     """A random-instance specification is out of bounds: ``field`` is the
     offending field, ``detail`` what is wrong with its value."""
 

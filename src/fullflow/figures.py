@@ -14,6 +14,7 @@ from importlib import resources
 from typing import Mapping
 
 from .centrality import full_flow_betweenness, full_flow_vitality
+from .errors import InvalidInputError
 from .flows import (
     Decomposition,
     Flow,
@@ -39,7 +40,9 @@ def _data_text(name: str) -> str:
 def figure_network(name: str) -> Network:
     """Load one of the embedded fixtures by name (``fig1``..``fig6``)."""
     if name not in FIGURE_NAMES:
-        raise KeyError(f"unknown figure {name!r}, expected one of {FIGURE_NAMES}")
+        raise InvalidInputError(
+            f"unknown figure {name!r}, expected one of {FIGURE_NAMES}"
+        )
     return parse_network(_data_text(f"{name}.net"))
 
 

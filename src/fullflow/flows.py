@@ -32,13 +32,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import (
-    InvalidFlowError,
-    InvariantViolationError,
-    NetworkParseError,
-    SameEndpointsError,
-    UnknownVertexError,
-)
+from .errors import InvalidInputError, InvariantViolationError, NetworkParseError
 from .network import Arc, CompiledNetwork, Network, VertexId
 from .paths import (
     BACKWARD,
@@ -66,16 +60,16 @@ class Flow:
 
     def __post_init__(self):
         if self.source == self.sink:
-            raise SameEndpointsError(
+            raise InvalidInputError(
                 f"source and sink must differ, both are {self.source!r}"
             )
         cleaned: dict[Arc, int] = {}
         for arc, val in self.values.items():
             tail, head = arc
             if tail == head:
-                raise InvalidFlowError(f"flow on self-loop arc {arc!r}")
+                raise InvalidInputError(f"flow on self-loop arc {arc!r}")
             if val < 0:
-                raise InvalidFlowError(f"negative flow {val} on arc {arc!r}")
+                raise InvalidInputError(f"negative flow {val} on arc {arc!r}")
             if val > 0:
                 cleaned[(tail, head)] = val
         object.__setattr__(self, "values", cleaned)
@@ -126,17 +120,17 @@ def validate_flow(network: Network, flow: Flow) -> FlowViolation | None:
 
     Returns None when the flow is valid, otherwise a report naming the
     first offending arc or vertex in canonical order.  Vertices outside
-    the network raise UnknownVertexError instead.
+    the network raise InvalidInputError instead.
     """
     known = set(network.vertices)
     for endpoint in (flow.source, flow.sink):
         if endpoint not in known:
-            raise UnknownVertexError(f"unknown vertex {endpoint!r}")
+            raise InvalidInputError(f"unknown vertex {endpoint!r}")
     for tail, head in sorted(flow.values):
         if tail not in known:
-            raise UnknownVertexError(f"unknown vertex {tail!r} in flow support")
+            raise InvalidInputError(f"unknown vertex {tail!r} in flow support")
         if head not in known:
-            raise UnknownVertexError(f"unknown vertex {head!r} in flow support")
+            raise InvalidInputError(f"unknown vertex {head!r} in flow support")
     for arc in sorted(flow.values):
         if flow.values[arc] > network.capacity(arc):
             return FlowViolation(
@@ -164,9 +158,9 @@ def validate_flow(network: Network, flow: Flow) -> FlowViolation | None:
 def _check_endpoints(network: Network, source: VertexId, sink: VertexId):
     for endpoint in (source, sink):
         if not network.has_vertex(endpoint):
-            raise UnknownVertexError(f"unknown vertex {endpoint!r}")
+            raise InvalidInputError(f"unknown vertex {endpoint!r}")
     if source == sink:
-        raise SameEndpointsError(f"source and sink must differ, both are {source!r}")
+        raise InvalidInputError(f"source and sink must differ, both are {source!r}")
 
 
 def _bfs_augmenting(
@@ -321,7 +315,7 @@ def find_augmenting_path(network: Network, flow: Flow) -> GeneralizedPath | None
 
     Returns None exactly when the flow is maximum.  The result is the
     unique lexicographically least shortest augmenting path under the
-    canonical vertex order.  Raises InvalidFlowError when the flow uses an
+    canonical vertex order.  Raises InvalidInputError when the flow uses an
     arc the network lacks.
     """
     _check_endpoints(network, flow.source, flow.sink)
@@ -329,7 +323,7 @@ def find_augmenting_path(network: Network, flow: Flow) -> GeneralizedPath | None
     values = [0] * len(net.arcs)
     for arc, val in flow.values.items():
         if arc not in net.arc_ids:
-            raise InvalidFlowError(f"flow {val} on arc {arc!r} without capacity")
+            raise InvalidInputError(f"flow {val} on arc {arc!r} without capacity")
         values[net.arc_ids[arc]] = val
     moves = _bfs_augmenting(
         net,
@@ -378,7 +372,7 @@ def min_cost_max_flow(
     _check_endpoints(network, source, sink)
     for arc, cost in arc_cost.items():
         if cost < 0:
-            raise ValueError(f"negative cost {cost} on arc {arc!r}")
+            raise InvalidInputError(f"negative cost {cost} on arc {arc!r}")
     net = network.compiled
     costs = [arc_cost.get(arc, 0) for arc in net.arcs]
     flow = [0] * len(net.arcs)
@@ -406,16 +400,16 @@ def decompose(network: Network, flow: Flow, *, rng=None) -> Decomposition:
     vertex repeats; leftover circulation is peeled starting from the least
     vertex still carrying flow.  Passing ``rng`` randomizes the out-arc
     tie-breaks instead (used to sample alternative decompositions).
-    Raises InvalidFlowError when the flow does not validate.
+    Raises InvalidInputError when the flow does not validate.
     """
     violation = validate_flow(network, flow)
     if violation is not None:
-        raise InvalidFlowError(str(violation))
+        raise InvalidInputError(str(violation))
     value = flow_value(flow)
     if value < 0:
         # compatibility and conservation also admit flows running net
         # backwards; those decompose into sink->source paths, not ours
-        raise InvalidFlowError(
+        raise InvalidInputError(
             f"flow has negative value {value}; cannot decompose into "
             f"{flow.source!r}->{flow.sink!r} paths"
         )

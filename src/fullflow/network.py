@@ -30,15 +30,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import (
-    BadTokenError,
-    DuplicateArcError,
-    FullFlowError,
-    NetworkParseError,
-    SelfLoopError,
-    TooFewVerticesError,
-    UnknownVertexError,
-)
+from .errors import InvalidInputError, NetworkParseError
 
 VertexId = str
 Arc = tuple[VertexId, VertexId]
@@ -49,7 +41,7 @@ _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 def check_token(token: str) -> str:
     """Return ``token`` if it is a valid vertex token, else raise."""
     if not isinstance(token, str) or not _TOKEN_RE.match(token):
-        raise BadTokenError(f"bad vertex token {token!r}: expected [A-Za-z0-9_]+")
+        raise InvalidInputError(f"bad vertex token {token!r}: expected [A-Za-z0-9_]+")
     return token
 
 
@@ -59,9 +51,9 @@ def _check_vertices(vertices: Iterable[VertexId]) -> tuple[VertexId, ...]:
     tokens = tuple(check_token(v) for v in vertices)
     if len(set(tokens)) != len(tokens):
         dupe = next(v for v in tokens if tokens.count(v) > 1)
-        raise ValueError(f"vertex {dupe!r} declared more than once")
+        raise InvalidInputError(f"vertex {dupe!r} declared more than once")
     if len(tokens) < 2:
-        raise TooFewVerticesError(
+        raise InvalidInputError(
             f"a network needs at least 2 vertices, got {len(tokens)}"
         )
     return tuple(sorted(tokens))
@@ -72,15 +64,15 @@ def _check_arc(arc: Arc, cap, known) -> None:
     ``cap`` is a nonnegative ``int`` (not a bool)."""
     tail, head = arc
     if tail not in known:
-        raise UnknownVertexError(f"unknown vertex {tail!r} in arc {arc!r}")
+        raise InvalidInputError(f"unknown vertex {tail!r} in arc {arc!r}")
     if head not in known:
-        raise UnknownVertexError(f"unknown vertex {head!r} in arc {arc!r}")
+        raise InvalidInputError(f"unknown vertex {head!r} in arc {arc!r}")
     if tail == head:
-        raise SelfLoopError(f"self-loop on vertex {tail!r}")
+        raise InvalidInputError(f"self-loop on vertex {tail!r}")
     if isinstance(cap, bool) or not isinstance(cap, int):
-        raise ValueError(f"capacity {cap!r} on arc {arc!r} is not an integer")
+        raise InvalidInputError(f"capacity {cap!r} on arc {arc!r} is not an integer")
     if cap < 0:
-        raise ValueError(f"negative capacity {cap} on arc {arc!r}")
+        raise InvalidInputError(f"negative capacity {cap} on arc {arc!r}")
 
 
 @dataclass(frozen=True)
@@ -169,14 +161,14 @@ class Network:
 def vertex_group(network: Network, members: Iterable[VertexId]) -> frozenset:
     """Validate ``members`` against ``network`` and return them as a frozenset.
 
-    Raises UnknownVertexError naming the first offending token (in sorted
+    Raises InvalidInputError naming the first offending token (in sorted
     order).  The result may be empty and may contain any network vertex.
     """
     group = frozenset(members)
     known = network._vertex_set
     for token in sorted(group):
         if token not in known:
-            raise UnknownVertexError(f"unknown vertex {token!r}")
+            raise InvalidInputError(f"unknown vertex {token!r}")
     return group
 
 
@@ -187,11 +179,11 @@ def build_network(
     """Build a network from declared vertices and (tail, head, capacity) entries.
 
     Zero-capacity entries are accepted and dropped.  Raises
-    TooFewVerticesError, UnknownVertexError, SelfLoopError or
-    DuplicateArcError, each naming the offending token or arc, and
-    ValueError for a repeated vertex or for a capacity that is negative or
-    not an ``int``.  A repeated arc is reported after the first entries of
-    all arcs have been checked.
+    InvalidInputError naming the offending token or arc for a bad or
+    repeated vertex, fewer than two vertices, an unknown vertex, a
+    self-loop, a repeated arc, or a capacity that is negative or not an
+    ``int``.  A repeated arc is reported after the first entries of all
+    arcs have been checked.
     """
     caps: dict[Arc, int] = {}
     repeat = None
@@ -203,7 +195,7 @@ def build_network(
             repeat = arc
     network = Network(tuple(vertices), caps)
     if repeat is not None:
-        raise DuplicateArcError(f"duplicate arc {repeat!r}")
+        raise InvalidInputError(f"duplicate arc {repeat!r}")
     return network
 
 
@@ -241,7 +233,7 @@ def parse_network(text: str, *, max_capacity: int | None = None) -> Network:
                 )
             if (tail, head) in caps:
                 raise ValueError(f"duplicate arc ({tail!r}, {head!r})")
-        except (FullFlowError, ValueError) as exc:
+        except ValueError as exc:
             raise NetworkParseError(line_no, str(exc)) from None
         # zero entries are kept here for duplicate detection; Network drops them
         caps[(tail, head)] = cap

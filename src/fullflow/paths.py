@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import MixedEndpointsError, SameEndpointsError
+from .errors import InvalidInputError
 from .network import Arc, Network, VertexId
 
 FORWARD = 1
@@ -34,9 +34,11 @@ class Path:
 
     def __post_init__(self):
         if len(self.vertices) < 2:
-            raise ValueError("a path needs at least 2 vertices")
+            raise InvalidInputError("a path needs at least 2 vertices")
         if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError(f"repeated vertex in path {'-'.join(self.vertices)}")
+            raise InvalidInputError(
+                f"repeated vertex in path {'-'.join(self.vertices)}"
+            )
 
     @property
     def source(self) -> VertexId:
@@ -72,12 +74,14 @@ class Cycle:
 
     def __post_init__(self):
         if len(self.vertices) < 3:
-            raise ValueError("a cycle needs at least 2 distinct vertices")
+            raise InvalidInputError("a cycle needs at least 2 distinct vertices")
         if self.vertices[0] != self.vertices[-1]:
-            raise ValueError("a cycle must end where it starts")
+            raise InvalidInputError("a cycle must end where it starts")
         body = self.vertices[:-1]
         if len(set(body)) != len(body):
-            raise ValueError(f"repeated vertex in cycle {'-'.join(self.vertices)}")
+            raise InvalidInputError(
+                f"repeated vertex in cycle {'-'.join(self.vertices)}"
+            )
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
@@ -113,15 +117,15 @@ class GeneralizedPath:
 
     def __post_init__(self):
         if len(self.vertices) < 2:
-            raise ValueError("a generalized path needs at least 2 vertices")
+            raise InvalidInputError("a generalized path needs at least 2 vertices")
         if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError(
+            raise InvalidInputError(
                 f"repeated vertex in generalized path {'-'.join(self.vertices)}"
             )
         if len(self.directions) != len(self.vertices) - 1:
-            raise ValueError("need one direction marker per consecutive pair")
+            raise InvalidInputError("need one direction marker per consecutive pair")
         if any(d not in (FORWARD, BACKWARD) for d in self.directions):
-            raise ValueError("direction markers must be FORWARD or BACKWARD")
+            raise InvalidInputError("direction markers must be FORWARD or BACKWARD")
 
     @property
     def source(self) -> VertexId:
@@ -163,12 +167,12 @@ class ArcDisjointSequence:
 
     def __post_init__(self):
         if self.source == self.sink:
-            raise SameEndpointsError(
+            raise InvalidInputError(
                 f"source and sink must differ, both are {self.source!r}"
             )
         for p in self.paths:
             if p.source != self.source or p.sink != self.sink:
-                raise MixedEndpointsError(
+                raise InvalidInputError(
                     f"path {p} does not run {self.source!r}->{self.sink!r}"
                 )
 
@@ -185,14 +189,14 @@ class ArcDisjointSequence:
 def is_arc_disjoint(network: Network, paths: Sequence[Path]) -> bool:
     """True iff every arc's multiplicity across the sequence is within capacity.
 
-    All paths must share one source and one sink (MixedEndpointsError
+    All paths must share one source and one sink (InvalidInputError
     otherwise); the empty sequence is arc-disjoint.
     """
     if paths:
         y, z = paths[0].source, paths[0].sink
         for p in paths:
             if p.source != y or p.sink != z:
-                raise MixedEndpointsError(
+                raise InvalidInputError(
                     f"path {p} does not run {y!r}->{z!r} like the first component"
                 )
     counts: Counter = Counter()

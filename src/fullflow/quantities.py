@@ -345,7 +345,7 @@ class PairQuantities:
     """Everything this package can say about one (source, sink, group) triple.
 
     ``witness`` is a canonical sequence attaining the forced passage; it is
-    present exactly when the passage search ran (``exact`` is True).
+    present exactly when the passage search ran (see :func:`pair_report`).
     """
 
     source: VertexId
@@ -357,7 +357,6 @@ class PairQuantities:
     forced_passage: int
     forced_throughput: int
     witness: ArcDisjointSequence | None
-    exact: bool
 
     def record(self, sep: str = " ") -> str:
         """Flat record: y z X phi_total phi_restricted phi_X lambda_X delta_X witness."""
@@ -402,9 +401,8 @@ def pair_report(
         network, source, sink, [group], passage=False
     )
     restricted = total - drop
-    use_exact = exact or len(group) > 1
     witness = None
-    if use_exact:
+    if exact or len(group) > 1:
         passage, witness = _min_passage(
             network, source, sink, group, node_budget, total, drop
         )
@@ -425,5 +423,4 @@ def pair_report(
         forced_passage=passage,
         forced_throughput=throughput,
         witness=witness,
-        exact=use_exact,
     )

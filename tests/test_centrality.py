@@ -11,7 +11,7 @@ from fullflow.centrality import (
     full_flow_betweenness,
     full_flow_vitality,
 )
-from fullflow.errors import UnknownVertexError
+from fullflow.errors import InvalidInputError
 from fullflow.flows import max_flow
 from fullflow.network import ordered_pairs
 from fullflow.quantities import pair_report
@@ -48,7 +48,7 @@ def test_betweenness_empty_group(fig5):
 
 
 def test_unknown_vertex(fig1):
-    with pytest.raises(UnknownVertexError):
+    with pytest.raises(InvalidInputError):
         full_flow_vitality(fig1, {"nope"})
 
 

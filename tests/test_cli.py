@@ -66,6 +66,14 @@ def test_pair_budget_exits_3(fig1_file, capsys):
     assert "group v,x" in err
 
 
+def test_negative_budget_exits_2(fig1_file, capsys):
+    for args in (["pair", fig1_file, "y", "z", "--exact"], ["centrality", fig1_file]):
+        assert main([*args, "--budget", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --budget -1 is negative\n"
+
+
 def test_pair_candidate_budget_exits_3(tmp_path, capsys):
     # K11 has about a million v01->v11 paths; more than --budget
     # candidates stop generation before the search starts
@@ -113,6 +121,18 @@ def test_parse_error_names_file_and_line(tmp_path, capsys):
     assert main(["pair", str(bad), "a", "b"]) == 2
     err = capsys.readouterr().err
     assert "bad.net" in err and "line 2" in err
+
+
+def test_non_utf8_file_names_file(tmp_path, capsys):
+    bad = tmp_path / "bad.net"
+    bad.write_bytes(b"\xffvertices a b\n")
+    assert main(["pair", str(bad), "a", "b"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
 
 
 def test_missing_file_exits_2(capsys):
@@ -271,6 +291,8 @@ def test_selftest_byte_identical(capsys):
         (["--capacity", "5"], "--capacity 5"),
         (["--arc-probability", "2"], "--arc-probability 2.0"),
         (["--seed", "-1"], "--seed -1"),
+        (["--budget", "-1"], "--budget -1"),
+        (["--assignment-budget", "-1"], "--assignment-budget -1"),
     ],
 )
 def test_selftest_rejects_bad_sizes(args, flag, capsys):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from fullflow.errors import InvalidFlowError, SameEndpointsError
+from fullflow.errors import InvalidInputError
 from fullflow.figures import fig2_stored_flow
 from fullflow.flows import (
     Decomposition,
@@ -63,7 +63,7 @@ def test_validate_reports_conservation_violation(fig1):
 
 
 def test_flow_rejects_negative_and_same_endpoints():
-    with pytest.raises(SameEndpointsError):
+    with pytest.raises(InvalidInputError):
         Flow("y", "y", {})
     with pytest.raises(Exception):
         Flow("y", "z", {("a", "b"): -1})
@@ -143,7 +143,7 @@ def test_augment_rejects_bad_paths():
     f = Flow("y", "z", {})
     with pytest.raises(ValueError, match="'y'->'a'"):
         augment(f, GeneralizedPath(("y", "a"), (FORWARD,)))  # wrong sink
-    with pytest.raises(InvalidFlowError, match="negative flow"):
+    with pytest.raises(InvalidInputError, match="negative flow"):
         augment(f, GeneralizedPath(("y", "a", "z"), (BACKWARD, FORWARD)))
 
 
@@ -154,7 +154,7 @@ def test_max_flow_values(fig1, fig5, fig6):
 
 
 def test_max_flow_same_endpoints(fig1):
-    with pytest.raises(SameEndpointsError):
+    with pytest.raises(InvalidInputError):
         max_flow(fig1, "y", "y")
 
 
@@ -235,7 +235,7 @@ def test_decompose_unit_path(fig6):
 
 
 def test_decompose_rejects_invalid_flow(fig1):
-    with pytest.raises(InvalidFlowError):
+    with pytest.raises(InvalidInputError):
         decompose(fig1, Flow("y", "z", {("y", "v"): 3}))
 
 
@@ -245,7 +245,7 @@ def test_decompose_rejects_negative_value():
     backwards = Flow("y", "z", {("z", "y"): 1})
     assert validate_flow(net, backwards) is None
     assert flow_value(backwards) == -1
-    with pytest.raises(InvalidFlowError, match="negative value"):
+    with pytest.raises(InvalidInputError, match="negative value"):
         decompose(net, backwards)
 
 

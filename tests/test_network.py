@@ -2,13 +2,7 @@ from hypothesis import given
 
 import pytest
 
-from fullflow.errors import (
-    DuplicateArcError,
-    NetworkParseError,
-    SelfLoopError,
-    TooFewVerticesError,
-    UnknownVertexError,
-)
+from fullflow.errors import InvalidInputError, NetworkParseError
 from fullflow.flows import max_flow
 from fullflow.network import Network, build_network, parse_network
 
@@ -39,13 +33,13 @@ def test_build_drops_zero_entries():
 
 
 def test_build_errors_name_the_offender():
-    with pytest.raises(SelfLoopError, match="'a'"):
+    with pytest.raises(InvalidInputError, match="'a'"):
         build_network(["a", "b"], [("a", "a", 1)])
-    with pytest.raises(UnknownVertexError, match="'q'"):
+    with pytest.raises(InvalidInputError, match="'q'"):
         build_network(["a", "b"], [("a", "q", 1)])
-    with pytest.raises(DuplicateArcError, match="'a'"):
+    with pytest.raises(InvalidInputError, match="'a'"):
         build_network(["a", "b"], [("a", "b", 1), ("a", "b", 2)])
-    with pytest.raises(TooFewVerticesError):
+    with pytest.raises(InvalidInputError):
         build_network(["a"], [])
 
 
@@ -93,7 +87,7 @@ def test_restrict_empty_group_is_identity(fig1):
 
 
 def test_restrict_unknown_vertex(fig1):
-    with pytest.raises(UnknownVertexError, match="'q'"):
+    with pytest.raises(InvalidInputError, match="'q'"):
         restrict(fig1, {"q"})
 
 

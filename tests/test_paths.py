@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from fullflow.errors import MixedEndpointsError
+from fullflow.errors import InvalidInputError
 from fullflow.flows import flow_value, validate_flow
 from fullflow.paths import (
     BACKWARD,
@@ -92,7 +92,7 @@ def test_is_arc_disjoint_fig1(fig1):
 
 
 def test_is_arc_disjoint_mixed_endpoints(fig1):
-    with pytest.raises(MixedEndpointsError):
+    with pytest.raises(InvalidInputError):
         is_arc_disjoint(fig1, [path_of("y", "u", "z"), path_of("v", "x", "z")])
 
 
