@@ -35,7 +35,7 @@ from .quantities import DEFAULT_NODE_BUDGET, pair_report
 
 DEFAULT_CAPACITY_CAP = 10**9
 
-# the selftest flag behind each InstanceSpec field cmd_selftest leaves unchecked
+# the selftest flag behind each InstanceSpec field _check_spec_flags checks
 _SPEC_FLAGS = dict(
     max_capacity="--capacity", arc_probability="--arc-probability", seed="--seed"
 )
@@ -58,6 +58,25 @@ def _reject_negative(args, *flags: str) -> None:
             raise InvalidInputError(f"{flag} {value} is negative")
 
 
+def _check_spec_flags(args) -> None:
+    """Exit 2 naming the selftest flag that makes an instance spec invalid.
+
+    Runs before the batch is built, so it also checks an empty batch.  The
+    first and the last instance differ only in their seed.
+    """
+    last_seed = args.seed + max(args.instances - 1, 0)
+    for seed in (args.seed, last_seed):
+        try:
+            InstanceSpec(2, args.capacity, args.arc_probability, seed)
+        except InvalidSpecError as exc:
+            if seed != args.seed:
+                raise InvalidInputError(
+                    f"--seed {args.seed} too large for --instances "
+                    f"{args.instances}: the last seed {exc.detail}"
+                ) from exc
+            raise InvalidInputError(f"{_SPEC_FLAGS[exc.field]} {exc.detail}") from exc
+
+
 def _parse_set(text: str) -> list[str]:
     return [token for token in text.split(",") if token]
 
@@ -67,7 +86,7 @@ def _sep(fmt: str) -> str:
 
 
 def cmd_pair(args) -> int:
-    _reject_negative(args, "--budget")
+    _reject_negative(args, "--max-capacity", "--budget")
     network = _load(args.file, args.max_capacity)
     group = _parse_set(args.set)
     report = pair_report(
@@ -89,7 +108,7 @@ def cmd_pair(args) -> int:
 
 
 def cmd_centrality(args) -> int:
-    _reject_negative(args, "--budget")
+    _reject_negative(args, "--max-capacity", "--budget")
     network = _load(args.file, args.max_capacity)
     if args.set:
         groups = [_parse_set(text) for text in args.set]
@@ -141,19 +160,17 @@ def cmd_selftest(args) -> int:
     if not 2 <= args.max_vertices <= 6:
         raise InvalidInputError(f"--max-vertices {args.max_vertices} outside 2..6")
     _reject_negative(args, "--instances", "--assignment-budget", "--budget")
+    _check_spec_flags(args)
     sizes = list(range(2, args.max_vertices + 1))
-    try:
-        batch = [
-            InstanceSpec(
-                vertex_count=sizes[i % len(sizes)],
-                max_capacity=args.capacity,
-                arc_probability=args.arc_probability,
-                seed=args.seed + i,
-            )
-            for i in range(args.instances)
-        ]
-    except InvalidSpecError as exc:
-        raise InvalidInputError(f"{_SPEC_FLAGS[exc.field]} {exc.detail}") from exc
+    batch = [
+        InstanceSpec(
+            vertex_count=sizes[i % len(sizes)],
+            max_capacity=args.capacity,
+            arc_probability=args.arc_probability,
+            seed=args.seed + i,
+        )
+        for i in range(args.instances)
+    ]
     report = cross_check(
         batch,
         assignment_budget=args.assignment_budget,

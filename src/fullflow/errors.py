@@ -22,7 +22,7 @@ class InvalidInputError(FullFlowError, ValueError):
 
 
 class NetworkParseError(InvalidInputError):
-    """A network or flow file could not be parsed; carries the line number."""
+    """A network file could not be parsed; carries the line number."""
 
     def __init__(self, line_no: int, reason: str):
         self.line_no = line_no

@@ -22,7 +22,6 @@ from .flows import (
     find_augmenting_path,
     flow_value,
     max_flow,
-    parse_flow,
     recompose,
     validate_flow,
 )
@@ -51,8 +50,11 @@ def figure_networks() -> dict[str, Network]:
 
 
 def fig2_stored_flow() -> Flow:
-    """The value-2 flow shipped alongside fig2.net."""
-    return parse_flow(_data_text("fig2.flow"))
+    """The value-2 flow that saturates every arc of fig2."""
+    return Flow("y", "z", {
+        ("u", "v"): 1, ("u", "z"): 1, ("v", "x"): 2, ("x", "u"): 1,
+        ("x", "z"): 1, ("y", "u"): 1, ("y", "v"): 1,
+    })
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import InvalidInputError, InvariantViolationError, NetworkParseError
+from .errors import InvalidInputError, InvariantViolationError
 from .network import Arc, CompiledNetwork, Network, VertexId
 from .paths import (
     BACKWARD,
@@ -102,43 +102,31 @@ def flow_through(flow: Flow, members: Iterable[VertexId]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class FlowViolation:
-    """First reason a candidate flow is not valid, in canonical scan order."""
-
-    kind: str  # "capacity" or "conservation"
-    arc: Arc | None
-    vertex: VertexId | None
-    detail: str
-
-    def __str__(self) -> str:
-        return self.detail
+def _check_endpoints(network: Network, source: VertexId, sink: VertexId):
+    for endpoint in (source, sink):
+        if not network.has_vertex(endpoint):
+            raise InvalidInputError(f"unknown vertex {endpoint!r}")
+    if source == sink:
+        raise InvalidInputError(f"source and sink must differ, both are {source!r}")
 
 
-def validate_flow(network: Network, flow: Flow) -> FlowViolation | None:
+def validate_flow(network: Network, flow: Flow) -> str | None:
     """Check compatibility on every arc and conservation at interior vertices.
 
-    Returns None when the flow is valid, otherwise a report naming the
+    Returns None when the flow is valid, otherwise a message naming the
     first offending arc or vertex in canonical order.  Vertices outside
     the network raise InvalidInputError instead.
     """
-    known = set(network.vertices)
-    for endpoint in (flow.source, flow.sink):
-        if endpoint not in known:
-            raise InvalidInputError(f"unknown vertex {endpoint!r}")
+    _check_endpoints(network, flow.source, flow.sink)
     for tail, head in sorted(flow.values):
-        if tail not in known:
-            raise InvalidInputError(f"unknown vertex {tail!r} in flow support")
-        if head not in known:
-            raise InvalidInputError(f"unknown vertex {head!r} in flow support")
+        for vertex in (tail, head):
+            if not network.has_vertex(vertex):
+                raise InvalidInputError(f"unknown vertex {vertex!r} in flow support")
     for arc in sorted(flow.values):
         if flow.values[arc] > network.capacity(arc):
-            return FlowViolation(
-                "capacity",
-                arc,
-                None,
+            return (
                 f"flow {flow.values[arc]} exceeds capacity "
-                f"{network.capacity(arc)} on arc {arc!r}",
+                f"{network.capacity(arc)} on arc {arc!r}"
             )
     for x in network.vertices:
         if x in (flow.source, flow.sink):
@@ -146,21 +134,8 @@ def validate_flow(network: Network, flow: Flow) -> FlowViolation | None:
         into = sum(v for (_t, h), v in flow.values.items() if h == x)
         outof = sum(v for (t, _h), v in flow.values.items() if t == x)
         if into != outof:
-            return FlowViolation(
-                "conservation",
-                None,
-                x,
-                f"conservation fails at vertex {x!r}: in {into}, out {outof}",
-            )
+            return f"conservation fails at vertex {x!r}: in {into}, out {outof}"
     return None
-
-
-def _check_endpoints(network: Network, source: VertexId, sink: VertexId):
-    for endpoint in (source, sink):
-        if not network.has_vertex(endpoint):
-            raise InvalidInputError(f"unknown vertex {endpoint!r}")
-    if source == sink:
-        raise InvalidInputError(f"source and sink must differ, both are {source!r}")
 
 
 def _bfs_augmenting(
@@ -315,20 +290,17 @@ def find_augmenting_path(network: Network, flow: Flow) -> GeneralizedPath | None
 
     Returns None exactly when the flow is maximum.  The result is the
     unique lexicographically least shortest augmenting path under the
-    canonical vertex order.  Raises InvalidInputError when the flow uses an
-    arc the network lacks.
+    canonical vertex order.  Raises InvalidInputError when the flow does
+    not validate.
     """
-    _check_endpoints(network, flow.source, flow.sink)
+    violation = validate_flow(network, flow)
+    if violation is not None:
+        raise InvalidInputError(violation)
     net = network.compiled
-    values = [0] * len(net.arcs)
-    for arc, val in flow.values.items():
-        if arc not in net.arc_ids:
-            raise InvalidInputError(f"flow {val} on arc {arc!r} without capacity")
-        values[net.arc_ids[arc]] = val
     moves = _bfs_augmenting(
         net,
         net.capacities,
-        values,
+        [flow.values.get(arc, 0) for arc in net.arcs],
         net.index[flow.source],
         net.index[flow.sink],
     )
@@ -404,7 +376,7 @@ def decompose(network: Network, flow: Flow, *, rng=None) -> Decomposition:
     """
     violation = validate_flow(network, flow)
     if violation is not None:
-        raise InvalidInputError(str(violation))
+        raise InvalidInputError(violation)
     value = flow_value(flow)
     if value < 0:
         # compatibility and conservation also admit flows running net
@@ -497,47 +469,3 @@ def flow_to_text(flow: Flow) -> str:
     for tail, head in sorted(flow.values):
         lines.append(f"{tail} {head} {flow.values[(tail, head)]}")
     return "\n".join(lines) + "\n"
-
-
-def parse_flow(text: str) -> Flow:
-    """Parse the serialization produced by :func:`flow_to_text`."""
-    header: tuple[int, str, str, int] | None = None
-    values: dict[Arc, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 4 or fields[0] != "flow":
-                raise NetworkParseError(line_no, "expected 'flow source sink value'")
-            try:
-                declared = int(fields[3])
-            except ValueError:
-                raise NetworkParseError(
-                    line_no, f"bad flow value {fields[3]!r}"
-                ) from None
-            header = (line_no, fields[1], fields[2], declared)
-            continue
-        if len(fields) != 3:
-            raise NetworkParseError(line_no, "expected 'tail head value'")
-        tail, head, val_text = fields
-        try:
-            val = int(val_text)
-        except ValueError:
-            raise NetworkParseError(line_no, f"bad value {val_text!r}") from None
-        if val < 0:
-            raise NetworkParseError(line_no, f"negative value {val}")
-        if (tail, head) in values:
-            raise NetworkParseError(line_no, f"duplicate arc ({tail!r}, {head!r})")
-        values[(tail, head)] = val
-    if header is None:
-        raise NetworkParseError(1, "empty input: no 'flow' header")
-    line_no, source, sink, declared = header
-    flow = Flow(source, sink, values)
-    actual = flow_value(flow)
-    if actual != declared:
-        raise NetworkParseError(
-            line_no, f"declared value {declared} but arcs sum to {actual}"
-        )
-    return flow

@@ -90,7 +90,6 @@ class CompiledNetwork:
 
     index: dict[VertexId, int]
     arcs: tuple[Arc, ...]
-    arc_ids: dict[Arc, int]
     capacities: tuple[int, ...]
     neighbors: tuple[tuple[tuple[int, int, int], ...], ...]
 
@@ -152,7 +151,6 @@ class Network:
         return CompiledNetwork(
             index=index,
             arcs=arcs,
-            arc_ids=arc_ids,
             capacities=tuple(self.capacities[arc] for arc in arcs),
             neighbors=neighbors,
         )

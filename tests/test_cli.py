@@ -1,10 +1,16 @@
+import shlex
+from pathlib import Path
+
 import pytest
 
 from fullflow.cli import main
+from fullflow.errors import InvariantViolationError
 from fullflow.figures import figure_checks, figure_network
-from fullflow.flows import parse_flow
+from fullflow.flows import flow_to_text, max_flow
 
 from helpers import network_to_text
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -54,6 +60,8 @@ def test_pair_same_endpoints_exits_2(fig1_file, capsys):
 def test_pair_unknown_vertex_exits_2(fig1_file, capsys):
     assert main(["pair", fig1_file, "y", "z", "--set", "bogus"]) == 2
     assert "bogus" in capsys.readouterr().err
+    assert main(["pair", fig1_file, "y", "q"]) == 2
+    assert capsys.readouterr().err == "error: unknown vertex 'q'\n"
 
 
 def test_pair_budget_exits_3(fig1_file, capsys):
@@ -68,10 +76,11 @@ def test_pair_budget_exits_3(fig1_file, capsys):
 
 def test_negative_budget_exits_2(fig1_file, capsys):
     for args in (["pair", fig1_file, "y", "z", "--exact"], ["centrality", fig1_file]):
-        assert main([*args, "--budget", "-1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --budget -1 is negative\n"
+        for flag in ("--budget", "--max-capacity"):
+            assert main([*args, flag, "-1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {flag} -1 is negative\n"
 
 
 def test_pair_candidate_budget_exits_3(tmp_path, capsys):
@@ -153,11 +162,9 @@ def test_dump_flow(fig1_file, tmp_path, capsys):
     assert main(["pair", fig1_file, "y", "z", "--set", "x",
                  "--dump-flow", str(out_path)]) == 0
     capsys.readouterr()
-    dumped = parse_flow(out_path.read_text(encoding="utf-8"))
-    assert dumped.source == "y" and dumped.sink == "z"
-    from fullflow.flows import flow_value
-
-    assert flow_value(dumped) == 3
+    assert out_path.read_text(encoding="utf-8") == flow_to_text(
+        max_flow(figure_network("fig1"), "y", "z")[1]
+    )
 
 
 def test_centrality_default_singletons(fig1_file, capsys):
@@ -293,6 +300,8 @@ def test_selftest_byte_identical(capsys):
         (["--seed", "-1"], "--seed -1"),
         (["--budget", "-1"], "--budget -1"),
         (["--assignment-budget", "-1"], "--assignment-budget -1"),
+        (["--instances", "0", "--capacity", "9"], "--capacity 9"),
+        (["--instances", "2", "--seed", str(2**64 - 1)], f"--seed {2**64 - 1}"),
     ],
 )
 def test_selftest_rejects_bad_sizes(args, flag, capsys):
@@ -300,3 +309,42 @@ def test_selftest_rejects_bad_sizes(args, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} ")
+
+
+def test_selftest_violation_exits_4(capsys, monkeypatch):
+    # negative control: a throughput off by one must be reported, not raised
+    from fullflow import oracle
+
+    real = oracle.forced_throughput
+    monkeypatch.setattr(
+        "fullflow.oracle.forced_throughput", lambda *a, **k: real(*a, **k) + 1
+    )
+    assert main(["selftest", "--instances", "3"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[6] == "violations 220"
+    assert len(lines) == 7 + 220
+    assert lines[7].startswith("violation: instance 0 (n=2 cap<=2 p=0.4 seed=0) ")
+    assert lines[7].endswith(" throughput 1")
+
+
+def test_invariant_violation_exits_4(fig1_file, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantViolationError("decomposition walk stuck at vertex 'v'")
+
+    monkeypatch.setattr("fullflow.cli.pair_report", broken)
+    assert main(["pair", fig1_file, "y", "z"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: decomposition walk stuck at vertex 'v'\n"
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch):
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("fullflow ")]
+    assert len(lines) == 6
+    monkeypatch.chdir(REPO)
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert main(argv) == 0, line
+        assert capsys.readouterr().err == ""

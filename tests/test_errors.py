@@ -2,7 +2,13 @@ import pytest
 
 from fullflow.errors import FullFlowError, InvalidInputError
 from fullflow.figures import FIGURE_NAMES, figure_network
-from fullflow.flows import Flow, decompose, max_flow, min_cost_max_flow
+from fullflow.flows import (
+    Flow,
+    decompose,
+    find_augmenting_path,
+    max_flow,
+    min_cost_max_flow,
+)
 from fullflow.network import Network, build_network, vertex_group
 from fullflow.paths import Path, is_arc_disjoint, path_of
 
@@ -77,6 +83,12 @@ BAD_CALLS = {
     "invalid flow": (
         lambda: decompose(AB, Flow("a", "b", {("a", "b"): 2})),
         "flow 2 exceeds capacity 1 on arc ('a', 'b')",
+    ),
+    "invalid flow, find_augmenting_path": (
+        lambda: find_augmenting_path(
+            figure_network("fig1"), Flow("y", "z", {("y", "v"): 5})
+        ),
+        "flow 5 exceeds capacity 2 on arc ('y', 'v')",
     ),
     "unknown figure": (
         lambda: figure_network("fig9"),

@@ -151,6 +151,9 @@ def test_parse_reports_line_numbers():
         parse_network("# fine\nvertices a b\na a 1\n")
     for text, message in [
         ("vertices a b\na q 1\n", "line 2: unknown vertex 'q' in arc ('a', 'q')"),
+        ("vertices a b\nq b 1\n", "line 2: unknown vertex 'q' in arc ('q', 'b')"),
+        ("vertices a b\na b\n", "line 2: expected 'tail head capacity'"),
+        ("# only a comment\n", "line 1: empty input: no 'vertices' line"),
         ("vertices a b\n\na b -1\n", "line 3: negative capacity -1 on arc ('a', 'b')"),
         ("vertices a b-c\n", "line 1: bad vertex token 'b-c'"),
         ("vertices a b a\n", "line 1: vertex 'a' declared more than once"),
