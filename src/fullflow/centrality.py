@@ -84,7 +84,7 @@ def _group_terms(
     if not groups:
         return terms
     for y, z in ordered_pairs(network):
-        total, settled = settle_pair(
+        total, _, settled = settle_pair(
             network, y, z, groups, passage=passage, exact=exact, node_budget=node_budget
         )
         if total == 0:

@@ -25,10 +25,9 @@ from .errors import (
     InvalidInputError,
     InvalidSpecError,
     InvariantViolationError,
-    NetworkParseError,
 )
 from .figures import figure_checks
-from .flows import flow_to_text, max_flow
+from .flows import flow_to_text
 from .network import Network, load_network
 from .oracle import InstanceSpec, cross_check
 from .quantities import DEFAULT_NODE_BUDGET, pair_report
@@ -46,7 +45,7 @@ def _load(path: str, max_capacity: int) -> Network:
         return load_network(path, max_capacity=max_capacity)
     except OSError as exc:
         raise InvalidInputError(f"{path}: {exc.strerror or exc}") from exc
-    except (NetworkParseError, UnicodeDecodeError) as exc:
+    except (InvalidInputError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
 
 
@@ -101,9 +100,8 @@ def cmd_pair(args) -> int:
     if args.witness:
         print(f"witness{_sep(args.format)}{report.witness}")
     if args.dump_flow:
-        _, flow = max_flow(network, args.source, args.sink)
         with open(args.dump_flow, "w", encoding="utf-8") as handle:
-            handle.write(flow_to_text(flow))
+            handle.write(flow_to_text(report.flow))
     return 0
 
 

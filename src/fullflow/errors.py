@@ -4,8 +4,8 @@
 there is one class per CLI exit code: ``InvalidInputError`` (2) for a
 malformed network, flow, vertex, group, path or specification,
 ``BudgetExceededError`` (3) and ``InvariantViolationError`` (4).
-``NetworkParseError`` and ``InvalidSpecError`` are input errors that also
-carry where the input went wrong.
+``InvalidSpecError`` is an input error that also carries the field of
+the specification that went wrong.
 
 Every error message names the offending input element (vertex token, arc,
 file line, ...) so that callers never have to dig through a traceback to
@@ -19,15 +19,6 @@ class FullFlowError(Exception):
 
 class InvalidInputError(FullFlowError, ValueError):
     """An input is malformed or does not fit the network it is used with."""
-
-
-class NetworkParseError(InvalidInputError):
-    """A network file could not be parsed; carries the line number."""
-
-    def __init__(self, line_no: int, reason: str):
-        self.line_no = line_no
-        self.reason = reason
-        super().__init__(f"line {line_no}: {reason}")
 
 
 class InvalidSpecError(InvalidInputError):

@@ -3,17 +3,16 @@
 A flow assigns a nonnegative integer to every arc, within capacity, with
 conservation at every vertex other than the designated source and sink.
 This module validates flows, measures their value and their throughput at
-vertex groups, finds augmenting generalized paths, computes maximum flows
-and minimum-cost maximum flows, and decomposes a flow into source-sink
-paths plus cycles (and recomposes it exactly).
+vertex groups, computes maximum flows and minimum-cost maximum flows, and
+decomposes a flow into source-sink paths plus cycles (and recomposes it
+exactly).
 
 All search orders follow the canonical lexicographic vertex order, so
 every result here is a pure, deterministic function of its inputs:
 
-* ``find_augmenting_path`` returns the lexicographically least shortest
-  augmenting path (breadth-first over the residual moves, sorted neighbor
-  expansion, forward moves preferred on ties);
-* ``max_flow`` saturates those paths one after another;
+* ``max_flow`` saturates, one after another, the lexicographically least
+  shortest augmenting paths (breadth-first over the residual moves,
+  sorted neighbor expansion, forward moves preferred on ties);
 * ``decompose`` peels the canonically least positive out-arc first,
   extracting all paths before hunting remaining cycles.
 
@@ -34,14 +33,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError, InvariantViolationError
 from .network import Arc, CompiledNetwork, Network, VertexId
-from .paths import (
-    BACKWARD,
-    FORWARD,
-    ArcDisjointSequence,
-    Cycle,
-    GeneralizedPath,
-    Path,
-)
+from .paths import BACKWARD, FORWARD, ArcDisjointSequence, Cycle, Path
 
 
 @dataclass(frozen=True)
@@ -273,38 +265,12 @@ def _augment(
         added += bottleneck
 
 
-def _moves_to_gpath(
-    net: CompiledNetwork, moves: list[tuple[int, int]], source: VertexId
-) -> GeneralizedPath:
-    vertices = [source]
-    directions = []
-    for arc, direction in moves:
-        tail, head = net.arcs[arc]
-        vertices.append(head if direction == FORWARD else tail)
-        directions.append(direction)
-    return GeneralizedPath(tuple(vertices), tuple(directions))
-
-
-def find_augmenting_path(network: Network, flow: Flow) -> GeneralizedPath | None:
-    """Breadth-first residual search for an augmenting generalized path.
-
-    Returns None exactly when the flow is maximum.  The result is the
-    unique lexicographically least shortest augmenting path under the
-    canonical vertex order.  Raises InvalidInputError when the flow does
-    not validate.
-    """
-    violation = validate_flow(network, flow)
-    if violation is not None:
-        raise InvalidInputError(violation)
-    net = network.compiled
-    moves = _bfs_augmenting(
-        net,
-        net.capacities,
-        [flow.values.get(arc, 0) for arc in net.arcs],
-        net.index[flow.source],
-        net.index[flow.sink],
-    )
-    return None if moves is None else _moves_to_gpath(net, moves, flow.source)
+def _as_flow(
+    net: CompiledNetwork, source: VertexId, sink: VertexId, arc_flow: Sequence[int]
+) -> Flow:
+    """The :class:`Flow` of a flow indexed by arc id of ``net``."""
+    support = {net.arcs[a]: val for a, val in enumerate(arc_flow) if val}
+    return Flow(source, sink, support)
 
 
 def max_flow(network: Network, source: VertexId, sink: VertexId) -> tuple[int, Flow]:
@@ -322,8 +288,7 @@ def max_flow(network: Network, source: VertexId, sink: VertexId) -> tuple[int, F
     value = _augment(
         net, net.capacities, flow, net.index[source], net.index[sink], _bfs_augmenting
     )
-    support = {net.arcs[arc]: val for arc, val in enumerate(flow) if val}
-    return value, Flow(source, sink, support)
+    return value, _as_flow(net, source, sink, flow)
 
 
 def min_cost_max_flow(
@@ -352,8 +317,7 @@ def min_cost_max_flow(
     s, t = net.index[source], net.index[sink]
     value = _augment(net, net.capacities, flow, s, t, find)
     cost = sum(c * f for c, f in zip(costs, flow))
-    support = {net.arcs[arc]: val for arc, val in enumerate(flow) if val}
-    return value, cost, Flow(source, sink, support)
+    return value, cost, _as_flow(net, source, sink, flow)
 
 
 @dataclass(frozen=True)
@@ -364,15 +328,13 @@ class Decomposition:
     cycles: tuple[Cycle, ...]
 
 
-def decompose(network: Network, flow: Flow, *, rng=None) -> Decomposition:
+def decompose(network: Network, flow: Flow) -> Decomposition:
     """Split a valid flow into exactly value-many paths plus cycles.
 
-    Deterministic by default: walks repeatedly follow the canonically
-    least positive out-arc from the source, peeling a cycle whenever a
-    vertex repeats; leftover circulation is peeled starting from the least
-    vertex still carrying flow.  Passing ``rng`` randomizes the out-arc
-    tie-breaks instead (used to sample alternative decompositions).
-    Raises InvalidInputError when the flow does not validate.
+    Walks repeatedly follow the canonically least positive out-arc from
+    the source, peeling a cycle whenever a vertex repeats; leftover
+    circulation is peeled starting from the least vertex still carrying
+    flow.  Raises InvalidInputError when the flow does not validate.
     """
     violation = validate_flow(network, flow)
     if violation is not None:
@@ -390,14 +352,11 @@ def decompose(network: Network, flow: Flow, *, rng=None) -> Decomposition:
         out.setdefault(tail, {})[head] = val
 
     def pick(v: VertexId) -> VertexId:
-        heads = sorted(out.get(v, ()))
-        if not heads:
+        if v not in out:
             raise InvariantViolationError(
                 f"decomposition walk stuck at vertex {v!r}"
             )
-        if rng is None:
-            return heads[0]
-        return heads[rng.randrange(len(heads))]
+        return min(out[v])
 
     def subtract(tail: VertexId, head: VertexId):
         inner = out[tail]

@@ -30,12 +30,14 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import InvalidInputError, NetworkParseError
+from .errors import InvalidInputError
 
 VertexId = str
 Arc = tuple[VertexId, VertexId]
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+# int() also reads '+3', '1_0' and non-ASCII digits; the format does not
+_CAPACITY_RE = re.compile(r"-?[0-9]+\Z")
 
 
 def check_token(token: str) -> str:
@@ -202,7 +204,7 @@ def parse_network(text: str, *, max_capacity: int | None = None) -> Network:
 
     ``max_capacity``, when given, rejects any larger capacity (used by the
     CLI to keep downstream arithmetic comfortably in machine range).
-    All failures raise NetworkParseError carrying the 1-based line number.
+    All failures raise InvalidInputError naming the 1-based line number.
     """
     vertices: tuple[VertexId, ...] | None = None
     caps: dict[Arc, int] = {}
@@ -221,6 +223,8 @@ def parse_network(text: str, *, max_capacity: int | None = None) -> Network:
                 raise ValueError("expected 'tail head capacity'")
             tail, head, cap_text = fields
             try:
+                if not _CAPACITY_RE.match(cap_text):
+                    raise ValueError
                 cap = int(cap_text)
             except ValueError:
                 raise ValueError(f"bad capacity {cap_text!r}") from None
@@ -232,11 +236,11 @@ def parse_network(text: str, *, max_capacity: int | None = None) -> Network:
             if (tail, head) in caps:
                 raise ValueError(f"duplicate arc ({tail!r}, {head!r})")
         except ValueError as exc:
-            raise NetworkParseError(line_no, str(exc)) from None
+            raise InvalidInputError(f"line {line_no}: {exc}") from None
         # zero entries are kept here for duplicate detection; Network drops them
         caps[(tail, head)] = cap
     if vertices is None:
-        raise NetworkParseError(1, "empty input: no 'vertices' line")
+        raise InvalidInputError("line 1: empty input: no 'vertices' line")
     return Network(vertices, caps)
 
 

@@ -22,18 +22,18 @@ from typing import Sequence
 from .errors import BudgetExceededError, InvalidSpecError
 from .flows import (
     Flow,
+    _as_flow,
     _check_endpoints,
     decompose,
     flow_through,
-    max_flow,
     recompose,
     validate_flow,
 )
 from .network import Network, VertexId, ordered_pairs
-from .paths import is_arc_disjoint, passage_count
+from .paths import ArcDisjointSequence, is_arc_disjoint, passage_count
 from .quantities import (
     DEFAULT_NODE_BUDGET,
-    enumerate_max_sequences,
+    _max_sequences,
     forced_throughput,
     render_group,
     settle_pair,
@@ -238,24 +238,25 @@ def cross_check(
         for y, z in ordered_pairs(net):
             where = f"{label} pair ({y},{z})"
             report.pairs_checked += 1
+            # the passage search visits a subset of the enumeration's nodes,
+            # so a search out of budget means an enumeration out of budget
             try:
-                sequences = list(
-                    enumerate_max_sequences(net, y, z, node_budget=node_budget)
+                value, arc_flow, settled = settle_pair(
+                    net, y, z, distinct, passage=True, node_budget=node_budget
                 )
+                sequences = [
+                    ArcDisjointSequence(paths, y, z)
+                    for _, paths in _max_sequences(
+                        net, y, z, value, node_budget, "sequence enumeration"
+                    )
+                ]
             except BudgetExceededError:
                 sequences = None
                 report.enumeration_skips += 1
-            # the passage search visits a subset of the enumeration's nodes,
-            # so it runs only where the enumeration finished in budget
-            value, settled = settle_pair(
-                net,
-                y,
-                z,
-                distinct,
-                passage=sequences is not None,
-                node_budget=node_budget,
-            )
-            _, flow = max_flow(net, y, z)
+                value, arc_flow, settled = settle_pair(
+                    net, y, z, distinct, passage=False, node_budget=node_budget
+                )
+            flow = _as_flow(net.compiled, y, z, arc_flow)
             dec = decompose(net, flow)
             check(
                 recompose(dec) == flow,

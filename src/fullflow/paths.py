@@ -1,8 +1,8 @@
-"""Paths, cycles, generalized paths and arc-disjoint path sequences.
+"""Paths, cycles and arc-disjoint path sequences.
 
 A path is a vertex-distinct forward walk; a cycle closes back on its first
-vertex; a generalized path may traverse each step forward or backward
-(the backbone of augmenting-path search).
+vertex.  ``FORWARD`` and ``BACKWARD`` mark the direction of a residual
+move along an arc.
 
 A sequence of source-sink paths is *arc-disjoint* relative to a network
 when no arc is used by more components than its capacity allows.  Sequences
@@ -101,55 +101,6 @@ class Cycle:
 
 def cycle_of(*tokens: VertexId) -> Cycle:
     return Cycle(tuple(tokens))
-
-
-@dataclass(frozen=True)
-class GeneralizedPath:
-    """Vertex-distinct walk whose steps may run with or against the arcs.
-
-    ``directions[i]`` is FORWARD when step i uses arc
-    ``(vertices[i], vertices[i+1])`` and BACKWARD when it uses
-    ``(vertices[i+1], vertices[i])``.
-    """
-
-    vertices: tuple[VertexId, ...]
-    directions: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.vertices) < 2:
-            raise InvalidInputError("a generalized path needs at least 2 vertices")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise InvalidInputError(
-                f"repeated vertex in generalized path {'-'.join(self.vertices)}"
-            )
-        if len(self.directions) != len(self.vertices) - 1:
-            raise InvalidInputError("need one direction marker per consecutive pair")
-        if any(d not in (FORWARD, BACKWARD) for d in self.directions):
-            raise InvalidInputError("direction markers must be FORWARD or BACKWARD")
-
-    @property
-    def source(self) -> VertexId:
-        return self.vertices[0]
-
-    @property
-    def sink(self) -> VertexId:
-        return self.vertices[-1]
-
-    @property
-    def signed_arcs(self) -> tuple[tuple[Arc, int], ...]:
-        out = []
-        v = self.vertices
-        for i, direction in enumerate(self.directions):
-            arc = (v[i], v[i + 1]) if direction == FORWARD else (v[i + 1], v[i])
-            out.append((arc, direction))
-        return tuple(out)
-
-    def __str__(self) -> str:
-        parts = [self.vertices[0]]
-        for i, direction in enumerate(self.directions):
-            parts.append(">" if direction == FORWARD else "<")
-            parts.append(self.vertices[i + 1])
-        return "".join(parts)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InvariantViolationError
 from .flows import (
+    Flow,
+    _as_flow,
     _augment,
     _bfs_augmenting,
     _check_endpoints,
@@ -53,7 +55,7 @@ def vitality_drop(
     """
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
-    _, [(drop, _)] = settle_pair(network, source, sink, [group], passage=False)
+    _, _, [(drop, _)] = settle_pair(network, source, sink, [group], passage=False)
     return drop
 
 
@@ -233,10 +235,12 @@ def settle_pair(
     passage: bool,
     exact: bool = False,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> tuple[int, list[tuple[int, int | None]]]:
-    """The pair's maximum flow value and one ``(drop, passage)`` per group.
+) -> tuple[int, list[int], list[tuple[int, int | None]]]:
+    """The pair's maximum flow value, its canonical maximum flow ``f`` and
+    one ``(drop, passage)`` per group.
 
-    Every group shares the one canonical maximum flow ``f``.  The chain
+    ``f`` is the flow :func:`max_flow` returns, indexed by arc id of
+    ``Network.compiled``.  Every group shares it.  The chain
     ``0 <= drop <= passage <= min(throughput, max_flow)`` then settles a
     group X by the first rule that applies:
 
@@ -262,7 +266,7 @@ def settle_pair(
     flow = [0] * len(net.arcs)
     total = _augment(net, net.capacities, flow, s, t, _bfs_augmenting)
     if total == 0:
-        return total, [(0, 0)] * len(groups)
+        return total, flow, [(0, 0)] * len(groups)
     settled: list[tuple[int, int | None]] = []
     for group in groups:
         if source in group or sink in group:
@@ -291,7 +295,7 @@ def settle_pair(
                         network, source, sink, group, node_budget, total, drop
                     )
         settled.append((drop, found))
-    return total, settled
+    return total, flow, settled
 
 
 def forced_passage(
@@ -310,7 +314,7 @@ def forced_passage(
     """
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
-    _, [(_, value)] = settle_pair(
+    _, _, [(_, value)] = settle_pair(
         network,
         source,
         sink,
@@ -346,6 +350,8 @@ class PairQuantities:
 
     ``witness`` is a canonical sequence attaining the forced passage; it is
     present exactly when the passage search ran (see :func:`pair_report`).
+    ``flow`` is the pair's canonical maximum flow, the one :func:`max_flow`
+    returns.
     """
 
     source: VertexId
@@ -357,6 +363,7 @@ class PairQuantities:
     forced_passage: int
     forced_throughput: int
     witness: ArcDisjointSequence | None
+    flow: Flow
 
     def record(self, sep: str = " ") -> str:
         """Flat record: y z X phi_total phi_restricted phi_X lambda_X delta_X witness."""
@@ -391,13 +398,14 @@ def pair_report(
 ) -> PairQuantities:
     """Compute all pair quantities and assert their chain before returning.
 
-    The drop comes from :func:`settle_pair`.  The passage search runs, and
-    its canonical witness is attached, whenever ``exact`` is set or the
-    group has two or more vertices; otherwise the passage is the drop.
+    The drop and the flow come from :func:`settle_pair`.  The passage
+    search runs, and its canonical witness is attached, whenever ``exact``
+    is set or the group has two or more vertices; otherwise the passage is
+    the drop.
     """
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
-    total, [(drop, passage)] = settle_pair(
+    total, flow, [(drop, passage)] = settle_pair(
         network, source, sink, [group], passage=False
     )
     restricted = total - drop
@@ -423,4 +431,5 @@ def pair_report(
         forced_passage=passage,
         forced_throughput=throughput,
         witness=witness,
+        flow=_as_flow(network.compiled, source, sink, flow),
     )

@@ -1,22 +1,32 @@
 """Builders and paper definitions shared between test modules (not
 hypothesis strategies).
 
-The definitions -- restriction, boundary arcs, set capacity, the signed
-arc function and what is built from it, the oracle throughput and the
-enumerated passage -- are written as the paper states them, with no
-shortcut, so that tests can check the library against them.
+The definitions -- restriction, boundary arcs, set capacity, generalized
+paths and the augmenting path, the signed arc function and what is built
+from it, the oracle throughput and the enumerated passage -- are written
+as the paper states them, with no shortcut, so that tests can check the
+library against them.
 """
 
 from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from fullflow.flows import Flow, flow_through, max_flow
+from fullflow import flows, quantities
+from fullflow.errors import InvalidInputError
+from fullflow.flows import (
+    Flow,
+    _augment,
+    _bfs_augmenting,
+    flow_through,
+    max_flow,
+    validate_flow,
+)
 from fullflow.network import Arc, Network, VertexId, vertex_group
 from fullflow.oracle import brute_force_flows
 from fullflow.paths import (
     BACKWARD,
     FORWARD,
-    GeneralizedPath,
     Path,
     is_arc_disjoint,
     passage_count,
@@ -61,6 +71,103 @@ def network_to_text(network):
     for tail, head in sorted(network.capacities):
         lines.append(f"{tail} {head} {network.capacity((tail, head))}")
     return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class GeneralizedPath:
+    """Vertex-distinct walk whose steps may run with or against the arcs.
+
+    ``directions[i]`` is FORWARD when step i uses arc
+    ``(vertices[i], vertices[i+1])`` and BACKWARD when it uses
+    ``(vertices[i+1], vertices[i])``.
+    """
+
+    vertices: tuple[VertexId, ...]
+    directions: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.vertices) < 2:
+            raise InvalidInputError("a generalized path needs at least 2 vertices")
+        if len(set(self.vertices)) != len(self.vertices):
+            raise InvalidInputError(
+                f"repeated vertex in generalized path {'-'.join(self.vertices)}"
+            )
+        if len(self.directions) != len(self.vertices) - 1:
+            raise InvalidInputError("need one direction marker per consecutive pair")
+        if any(d not in (FORWARD, BACKWARD) for d in self.directions):
+            raise InvalidInputError("direction markers must be FORWARD or BACKWARD")
+
+    @property
+    def source(self) -> VertexId:
+        return self.vertices[0]
+
+    @property
+    def sink(self) -> VertexId:
+        return self.vertices[-1]
+
+    @property
+    def signed_arcs(self) -> tuple[tuple[Arc, int], ...]:
+        out = []
+        v = self.vertices
+        for i, direction in enumerate(self.directions):
+            arc = (v[i], v[i + 1]) if direction == FORWARD else (v[i + 1], v[i])
+            out.append((arc, direction))
+        return tuple(out)
+
+    def __str__(self) -> str:
+        parts = [self.vertices[0]]
+        for i, direction in enumerate(self.directions):
+            parts.append(">" if direction == FORWARD else "<")
+            parts.append(self.vertices[i + 1])
+        return "".join(parts)
+
+
+def _moves_to_gpath(net, moves, source):
+    vertices = [source]
+    directions = []
+    for arc, direction in moves:
+        tail, head = net.arcs[arc]
+        vertices.append(head if direction == FORWARD else tail)
+        directions.append(direction)
+    return GeneralizedPath(tuple(vertices), tuple(directions))
+
+
+def find_augmenting_path(network, flow):
+    """Breadth-first residual search for an augmenting generalized path.
+
+    Returns None exactly when the flow is maximum.  The result is the
+    unique lexicographically least shortest augmenting path under the
+    canonical vertex order: the path ``max_flow`` saturates next.  Raises
+    InvalidInputError when the flow does not validate.
+    """
+    violation = validate_flow(network, flow)
+    if violation is not None:
+        raise InvalidInputError(violation)
+    net = network.compiled
+    moves = _bfs_augmenting(
+        net,
+        net.capacities,
+        [flow.values.get(arc, 0) for arc in net.arcs],
+        net.index[flow.source],
+        net.index[flow.sink],
+    )
+    return None if moves is None else _moves_to_gpath(net, moves, flow.source)
+
+
+def record_augment_calls(monkeypatch):
+    """Wrap the augment loop where the package calls it; the returned list
+    gets one entry per call: True for a canonical max flow (the BFS finder
+    from zero flow under the network's own capacities), False for a
+    restricted or a min-cost one."""
+    calls = []
+
+    def recorded(net, caps, flow, source, sink, find):
+        calls.append(find is _bfs_augmenting and caps is net.capacities)
+        return _augment(net, caps, flow, source, sink, find)
+
+    monkeypatch.setattr(flows, "_augment", recorded)
+    monkeypatch.setattr(quantities, "_augment", recorded)
+    return calls
 
 
 def chi(walk):

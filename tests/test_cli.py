@@ -8,7 +8,7 @@ from fullflow.errors import InvariantViolationError
 from fullflow.figures import figure_checks, figure_network
 from fullflow.flows import flow_to_text, max_flow
 
-from helpers import network_to_text
+from helpers import network_to_text, record_augment_calls
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -165,6 +165,19 @@ def test_dump_flow(fig1_file, tmp_path, capsys):
     assert out_path.read_text(encoding="utf-8") == flow_to_text(
         max_flow(figure_network("fig1"), "y", "z")[1]
     )
+
+
+def test_dump_flow_runs_no_extra_flow(fig1_file, tmp_path, capsys, monkeypatch):
+    # the dumped flow is the one pair_report already settled the pair with
+    args = ["pair", fig1_file, "y", "z", "--set", "x"]
+    calls = record_augment_calls(monkeypatch)
+    assert main(args) == 0
+    plain = list(calls)
+    calls.clear()
+    assert main(args + ["--dump-flow", str(tmp_path / "flow.txt")]) == 0
+    capsys.readouterr()
+    assert calls == plain
+    assert len(calls) == 3 and sum(calls) == 1
 
 
 def test_centrality_default_singletons(fig1_file, capsys):

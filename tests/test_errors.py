@@ -5,7 +5,6 @@ from fullflow.figures import FIGURE_NAMES, figure_network
 from fullflow.flows import (
     Flow,
     decompose,
-    find_augmenting_path,
     max_flow,
     min_cost_max_flow,
 )
@@ -83,12 +82,6 @@ BAD_CALLS = {
     "invalid flow": (
         lambda: decompose(AB, Flow("a", "b", {("a", "b"): 2})),
         "flow 2 exceeds capacity 1 on arc ('a', 'b')",
-    ),
-    "invalid flow, find_augmenting_path": (
-        lambda: find_augmenting_path(
-            figure_network("fig1"), Flow("y", "z", {("y", "v"): 5})
-        ),
-        "flow 5 exceeds capacity 2 on arc ('y', 'v')",
     ),
     "unknown figure": (
         lambda: figure_network("fig9"),

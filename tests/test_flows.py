@@ -11,7 +11,6 @@ from fullflow.flows import (
     Decomposition,
     Flow,
     decompose,
-    find_augmenting_path,
     flow_through,
     flow_to_text,
     flow_value,
@@ -22,15 +21,16 @@ from fullflow.flows import (
 )
 from fullflow.network import build_network
 from fullflow.oracle import brute_force_flows
-from fullflow.paths import (
-    BACKWARD,
-    FORWARD,
-    ArcDisjointSequence,
-    GeneralizedPath,
-    path_of,
-)
+from fullflow.paths import BACKWARD, FORWARD, ArcDisjointSequence, path_of
 from fullflow.quantities import settle_pair
-from helpers import ResidualView, augment, random_flow, restrict
+from helpers import (
+    GeneralizedPath,
+    ResidualView,
+    augment,
+    find_augmenting_path,
+    random_flow,
+    restrict,
+)
 from strategies import networks_with_endpoints, reduced_capacities
 
 
@@ -443,7 +443,7 @@ def test_banned_value_matches_restricted_network(n):
         for _ in range(20):
             y, z = rng.sample(tokens, 2)
             group = rng.sample(tokens, rng.randint(0, 4))
-            total, [(drop, _)] = settle_pair(
+            total, _, [(drop, _)] = settle_pair(
                 net, y, z, [frozenset(group)], passage=False
             )
             assert total - drop == max_flow(restrict(net, group), y, z)[0]

@@ -2,7 +2,7 @@ from hypothesis import given
 
 import pytest
 
-from fullflow.errors import InvalidInputError, NetworkParseError
+from fullflow.errors import InvalidInputError
 from fullflow.flows import max_flow
 from fullflow.network import Network, build_network, parse_network
 
@@ -143,11 +143,11 @@ def test_serialize_parse_round_trip(net):
 
 def test_parse_reports_line_numbers():
     text = "vertices a b\na b one\n"
-    with pytest.raises(NetworkParseError, match="line 2"):
+    with pytest.raises(InvalidInputError, match="line 2"):
         parse_network(text)
-    with pytest.raises(NetworkParseError, match="line 1"):
+    with pytest.raises(InvalidInputError, match="line 1"):
         parse_network("a b 1\n")
-    with pytest.raises(NetworkParseError, match="line 3"):
+    with pytest.raises(InvalidInputError, match="line 3"):
         parse_network("# fine\nvertices a b\na a 1\n")
     for text, message in [
         ("vertices a b\na q 1\n", "line 2: unknown vertex 'q' in arc ('a', 'q')"),
@@ -158,8 +158,12 @@ def test_parse_reports_line_numbers():
         ("vertices a b-c\n", "line 1: bad vertex token 'b-c'"),
         ("vertices a b a\n", "line 1: vertex 'a' declared more than once"),
         ("# one\nvertices a\n", "line 2: a network needs at least 2 vertices, got 1"),
+        ("vertices a b\na b 1_0\n", "line 2: bad capacity '1_0'"),
+        ("vertices a b\na b +3\n", "line 2: bad capacity '+3'"),
+        ("vertices a b\na b \uff13\n", "line 2: bad capacity '\uff13'"),
+        ("vertices a b\na b \u0663\n", "line 2: bad capacity '\u0663'"),
     ]:
-        with pytest.raises(NetworkParseError) as info:
+        with pytest.raises(InvalidInputError) as info:
             parse_network(text)
         assert str(info.value).startswith(message)
 
@@ -171,12 +175,12 @@ def test_parse_comments_and_blanks():
 
 
 def test_parse_duplicate_arc_even_with_zero():
-    with pytest.raises(NetworkParseError, match="duplicate arc"):
+    with pytest.raises(InvalidInputError, match="duplicate arc"):
         parse_network("vertices a b\na b 0\na b 2\n")
 
 
 def test_parse_capacity_cap():
     text = "vertices a b\na b 100\n"
     assert parse_network(text, max_capacity=100).capacity(("a", "b")) == 100
-    with pytest.raises(NetworkParseError, match="exceeds"):
+    with pytest.raises(InvalidInputError, match="exceeds"):
         parse_network(text, max_capacity=99)

@@ -10,7 +10,7 @@ from fullflow.flows import Flow, flow_value, max_flow, validate_flow
 from fullflow.oracle import InstanceSpec, brute_force_flows, cross_check, generate
 from fullflow.quantities import forced_throughput
 
-from helpers import brute_force_min_throughput
+from helpers import brute_force_min_throughput, record_augment_calls
 
 
 def test_spec_validation():
@@ -159,3 +159,13 @@ def test_cross_check_solves_each_distinct_group_once(monkeypatch):
     report = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=200)
     assert report.ok
     assert len(calls) == 1138
+
+
+def test_cross_check_runs_one_canonical_flow_per_pair(monkeypatch):
+    # settle_pair's flow serves the enumeration and the decomposition; a
+    # pair whose enumeration runs out of budget settles once more without
+    # the passage search
+    calls = record_augment_calls(monkeypatch)
+    report = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=200)
+    assert report.ok
+    assert sum(calls) == report.pairs_checked + report.enumeration_skips == 146

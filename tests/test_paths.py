@@ -11,14 +11,13 @@ from fullflow.paths import (
     BACKWARD,
     FORWARD,
     ArcDisjointSequence,
-    GeneralizedPath,
     cycle_of,
     is_arc_disjoint,
     passage_count,
     path_of,
 )
 
-from helpers import candidate_paths, chi, induced_flow
+from helpers import GeneralizedPath, candidate_paths, chi, induced_flow
 from strategies import networks_with_endpoints
 
 
