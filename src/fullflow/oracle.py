@@ -238,24 +238,29 @@ def cross_check(
         for y, z in ordered_pairs(net):
             where = f"{label} pair ({y},{z})"
             report.pairs_checked += 1
-            # the passage search visits a subset of the enumeration's nodes,
-            # so a search out of budget means an enumeration out of budget
+            sequences = None
             try:
                 value, arc_flow, settled = settle_pair(
                     net, y, z, distinct, passage=True, node_budget=node_budget
                 )
-                sequences = [
-                    ArcDisjointSequence(paths, y, z)
-                    for _, paths in _max_sequences(
-                        net, y, z, value, node_budget, "sequence enumeration"
-                    )
-                ]
             except BudgetExceededError:
-                sequences = None
-                report.enumeration_skips += 1
+                # the passage search visits a subset of the enumeration's
+                # nodes, so the enumeration would run out of budget too
                 value, arc_flow, settled = settle_pair(
                     net, y, z, distinct, passage=False, node_budget=node_budget
                 )
+            else:
+                try:
+                    sequences = [
+                        ArcDisjointSequence(paths, y, z)
+                        for _, paths in _max_sequences(
+                            net, y, z, value, node_budget, "sequence enumeration"
+                        )
+                    ]
+                except BudgetExceededError:
+                    pass
+            if sequences is None:
+                report.enumeration_skips += 1
             flow = _as_flow(net.compiled, y, z, arc_flow)
             dec = decompose(net, flow)
             check(

@@ -13,7 +13,11 @@ They always satisfy ``0 <= drop <= passage <= min(throughput, max_flow)``,
 and all three coincide whenever X is a single vertex.  :func:`settle_pair`
 is the one place that turns this chain into rules settling drop and
 passage without a search; every caller in the package takes both from
-it.  Where no rule applies, the passage is computed exactly by one
+it.  Two of those rules are max-flow bounds: for any maximum flow F, the
+passage is at most the max-flow value minus the largest flow of G - X
+that fits under F, and a bound that meets the drop settles the passage,
+which leaves the search only the groups whose passage may exceed their
+drop.  Where no rule applies, the passage is computed exactly by one
 backtracking search over the canonical maximum sequences, which both the
 enumeration and the minimization consume.  Capacity bookkeeping (a
 candidate path enters only while every arc on it has capacity left) and
@@ -27,6 +31,7 @@ search fails loudly rather than approximating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InvariantViolationError
@@ -35,6 +40,7 @@ from .flows import (
     _as_flow,
     _augment,
     _bfs_augmenting,
+    _cheapest_augmenting,
     _check_endpoints,
     max_flow,
     min_cost_max_flow,
@@ -249,16 +255,30 @@ def settle_pair(
        passage = max_flow.
     3. ``f`` sends nothing through X (``flow_through(f, X) == 0``): drop =
        passage = 0, since passage <= throughput <= ``flow_through(f, X)``.
-    4. Otherwise the drop comes from one more max flow, with the arcs
-       touching X at zero capacity.  If it equals ``flow_through(f, X)``,
-       the passage is squeezed to the same value.
+    4. Otherwise the drop comes from one more max flow ``g``, with the
+       arcs touching X at zero capacity.  If it equals
+       ``flow_through(f, X)``, the passage is squeezed to the same value.
     5. A single vertex takes passage = drop, which the paper proves for
        singletons, unless ``exact`` turns this shortcut off.
-    6. Otherwise the passage search runs if ``passage`` asks for the
+
+    Rules 6 and 7 run only when ``passage`` asks for the passage.  Both
+    rest on one bound: for any maximum flow F, ``passage <= UB(F) =
+    max_flow - (max flow of G - X under capacities min(F, c))``, because F
+    minus that flow of G - X is itself a flow; the paths of the two form a
+    maximum sequence in which only the paths of the difference can meet
+    X.  Each rule settles passage = drop when its UB(F) equals the drop.
+
+    6. The extension rule: h is a max flow under ``c - g``.  If ``|h|``
+       reaches the drop, F = g + h is a maximum flow and g a flow of
+       G - X under it, so UB(F) = drop.
+    7. The throughput bound: F is a maximum flow sending the least out of
+       X's vertices, the min-cost flow of :func:`forced_throughput`, and
+       UB(F) comes from one more restricted max flow.
+    8. Otherwise the passage search runs if ``passage`` asks for the
        passage; if not, the passage is None.
 
     Every rule is a proof; ``exact`` only turns off rule 5, so that
-    singletons run the search too.  The groups must be validated
+    singletons reach rules 6 to 8 too.  The groups must be validated
     (:func:`vertex_group`).
     """
     net = network.compiled
@@ -285,17 +305,51 @@ def settle_pair(
                             caps[out_arc] = 0
                         if in_arc >= 0:
                             caps[in_arc] = 0
-                kept = _augment(net, caps, [0] * len(caps), s, t, _bfs_augmenting)
+                kept_flow = [0] * len(caps)
+                kept = _augment(net, caps, kept_flow, s, t, _bfs_augmenting)
                 drop = total - kept
-                found = None
                 if drop == through or (not exact and len(group) == 1):
                     found = drop
-                elif passage:
+                elif not passage:
+                    found = None
+                elif _passage_at_drop(net, s, t, group, caps, kept_flow, kept, drop):
+                    found = drop
+                else:
                     found, _ = _min_passage(
                         network, source, sink, group, node_budget, total, drop
                     )
         settled.append((drop, found))
     return total, flow, settled
+
+
+def _passage_at_drop(
+    net: CompiledNetwork,
+    s: int,
+    t: int,
+    group: frozenset,
+    caps: list[int],
+    kept_flow: list[int],
+    kept: int,
+    drop: int,
+) -> bool:
+    """Rules 6 and 7 of :func:`settle_pair`: whether they find a maximum
+    flow F with ``UB(F) == drop`` for the group X.
+
+    ``caps`` are the capacities with the arcs touching X at zero, and
+    ``kept_flow`` is a maximum flow under them, of value ``kept``.
+    """
+    # rule 6: kept_flow plus a flow under the capacity it leaves
+    spare = [c - g for c, g in zip(net.capacities, kept_flow)]
+    if _augment(net, spare, [0] * len(spare), s, t, _bfs_augmenting) == drop:
+        return True
+    # rule 7: a maximum flow sending the least through X, by the min-cost
+    # flow of forced_throughput
+    costs = [int(tail in group) for tail, _ in net.arcs]
+    cheapest = [0] * len(caps)
+    find = partial(_cheapest_augmenting, costs=costs)
+    _augment(net, net.capacities, cheapest, s, t, find)
+    bound = [min(f, c) for f, c in zip(cheapest, caps)]
+    return _augment(net, bound, [0] * len(caps), s, t, _bfs_augmenting) == kept
 
 
 def forced_passage(

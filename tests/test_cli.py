@@ -1,4 +1,8 @@
+import os
+import random
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,6 +128,30 @@ def test_pair_deep_passage_search_answers(tmp_path, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("n, arcs", [(14, 57), (16, 74), (20, 115)])
+def test_centrality_set_answers_within_small_budget(n, arcs, tmp_path, capsys):
+    # every ordered pair gets an arc with probability 0.3; the passage
+    # search would need far more than 1000 nodes or candidates on some
+    # pairs, and the flow bounds of settle_pair leave it nothing to do
+    rng = random.Random(n)
+    names = [f"v{i:02d}" for i in range(n)]
+    lines = [
+        f"{t} {h} {rng.randint(1, 3)}"
+        for t in names
+        for h in names
+        if t != h and rng.random() < 0.3
+    ]
+    assert len(lines) == arcs
+    path = tmp_path / f"n{n}.net"
+    path.write_text("\n".join(["vertices " + " ".join(names), *lines]) + "\n",
+                    encoding="utf-8")
+    assert main(["centrality", str(path), "--set", "v02,v03",
+                 "--budget", "1000"]) == 0
+    fields = capsys.readouterr().out.split(" ")
+    assert fields[0] == "v02,v03"
+    assert fields[1:3] == fields[3:5]  # vitality == betweenness
+
+
 def test_parse_error_names_file_and_line(tmp_path, capsys):
     bad = tmp_path / "bad.net"
     bad.write_text("vertices a b\na b nope\n", encoding="utf-8")
@@ -235,6 +263,21 @@ def test_examples_byte_identical(capsys):
     first = capsys.readouterr().out
     assert main(["examples"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_python_m_fullflow(capsys):
+    assert main(["examples"]) == 0
+    expected = capsys.readouterr().out
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "fullflow", "examples"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0
+    assert done.stdout == expected
 
 
 def test_tampered_fixture_fails_named_check(fig5):

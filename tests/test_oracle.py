@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from fullflow import oracle
+from fullflow import oracle, quantities
 from fullflow.errors import BudgetExceededError, InvalidSpecError
 from fullflow.flows import Flow, flow_value, max_flow, validate_flow
 from fullflow.oracle import InstanceSpec, brute_force_flows, cross_check, generate
@@ -162,10 +162,22 @@ def test_cross_check_solves_each_distinct_group_once(monkeypatch):
 
 
 def test_cross_check_runs_one_canonical_flow_per_pair(monkeypatch):
-    # settle_pair's flow serves the enumeration and the decomposition; a
-    # pair whose enumeration runs out of budget settles once more without
-    # the passage search
+    # settle_pair's flow serves the enumeration and the decomposition, also
+    # on the 6 pairs whose enumeration runs out of budget
     calls = record_augment_calls(monkeypatch)
     report = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=200)
     assert report.ok
-    assert sum(calls) == report.pairs_checked + report.enumeration_skips == 146
+    assert report.enumeration_skips == 6
+    assert sum(calls) == report.pairs_checked == 140
+
+
+def test_cross_check_settles_again_when_the_search_runs_out(monkeypatch):
+    # with the flow bounds of settle_pair off, the passage searches of two
+    # pairs run out of budget; only those pairs settle once more, without
+    # the search, and the report is the one the bounds give
+    report = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=5)
+    calls = record_augment_calls(monkeypatch)
+    monkeypatch.setattr(quantities, "_passage_at_drop", lambda *args: False)
+    again = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=5)
+    assert again.render() == report.render()
+    assert sum(calls) == again.pairs_checked + 2 == 142

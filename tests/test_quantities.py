@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 import pytest
 
+from fullflow import quantities
 from fullflow.errors import BudgetExceededError, InvalidInputError
 from fullflow.figures import FIGURE_NAMES, figure_network
 from fullflow.flows import (
     _as_flow,
+    _augment,
+    _bfs_augmenting,
     decompose,
     flow_through,
     max_flow,
@@ -246,6 +249,36 @@ def test_settle_pair_known_gaps(fig5, fig6):
     assert forced_throughput(fig6, "y", "z", gap) == 2
 
 
+def _forbid(monkeypatch, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(quantities, name, forbidden)
+
+
+def test_settle_pair_flow_bounds(monkeypatch, fig1, fig5):
+    # each term below has drop < flow_through(f, X), so no rule before the
+    # flow bounds settles it
+    _forbid(monkeypatch, "_min_passage")
+    with monkeypatch.context() as bounds:
+        _forbid(bounds, "_cheapest_augmenting")
+        # the extension rule settles fig1 (y, x, {u, v}), through 4
+        uv = frozenset({"u", "v"})
+        _, _, settled = settle_pair(fig1, "y", "x", [uv], passage=True)
+        assert settled == [(3, 3)]
+        # and misses fig5 (y, z, {u2, x2}), through 2
+        with pytest.raises(AssertionError, match="_cheapest_augmenting ran"):
+            settle_pair(fig5, "y", "z", [frozenset({"u2", "x2"})], passage=True)
+    # which the throughput bound settles
+    _, _, settled = settle_pair(
+        fig5, "y", "z", [frozenset({"u2", "x2"})], passage=True
+    )
+    assert settled == [(1, 1)]
+    # fig5's gap term passes both bounds on to the search
+    with pytest.raises(AssertionError, match="_min_passage ran"):
+        settle_pair(fig5, "y", "z", [frozenset({"x1", "x2"})], passage=True)
+
+
 def _check_settle_pair(net, y, z, max_group):
     # every settle rule, with the singleton shortcut on and off, against
     # the restricted max flow and the enumeration minimum, for every group
@@ -286,6 +319,21 @@ def test_settle_pair_on_gap_networks(net):
     # about a third of these networks have a group with drop < passage at
     # (y, z), where only the search may settle the passage
     _check_settle_pair(net, "y", "z", 2)
+
+
+def test_loosened_extension_rule_is_caught(monkeypatch, fig5):
+    # negative control: an extension rule that accepts one unit short of
+    # the drop settles fig5's gap term {x1, x2} at 1, where its passage is 2
+    def loosened(net, s, t, group, caps, kept_flow, kept, drop):
+        spare = [c - g for c, g in zip(net.capacities, kept_flow)]
+        added = _augment(net, spare, [0] * len(spare), s, t, _bfs_augmenting)
+        return added >= drop - 1
+
+    monkeypatch.setattr(quantities, "_passage_at_drop", loosened)
+    gap = frozenset({"x1", "x2"})
+    assert settle_pair(fig5, "y", "z", [gap], passage=True)[2] == [(1, 1)]
+    with pytest.raises(AssertionError):
+        _check_settle_pair(fig5, "y", "z", 2)
 
 
 @settings(max_examples=50)
