@@ -10,13 +10,16 @@ whose maximum flow value is zero contribute nothing rather than 0/0.
 Each pair ``(y, z)`` is settled once, for every group of the call, by
 :func:`fullflow.quantities.settle_pair`, whose docstring states the rules
 that settle a term without the passage search.  ``exact`` only turns off
-the singleton shortcut.
+the singleton shortcut.  The pair loop adds each term's integer drop and
+passage into per-group sums keyed by the max-flow value, the term's
+denominator; a :class:`PairTerm` is built only for ``explain``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolationError
@@ -67,40 +70,49 @@ def decimal_text(value: Fraction, places: int = 6) -> str:
     return f"{digits[:-places]}.{digits[-places:]}"
 
 
-def _group_terms(
+def _group_sums(
     network: Network,
     groups: Sequence[frozenset],
     *,
     passage: bool,
     exact: bool,
     node_budget: int,
-) -> list[list[PairTerm]]:
-    """Each group's flow-positive pair terms, in canonical pair order.
+    explain: bool = False,
+) -> tuple[list[dict[int, int]], list[dict[int, int]], list[list[PairTerm]]]:
+    """Each group's drops and passages over the flow-positive pairs, summed
+    per max-flow value, and with ``explain`` its pair terms in canonical
+    pair order (otherwise no terms are kept).
 
     ``passage``, ``exact`` and ``node_budget`` are passed to
-    :func:`settle_pair`, once per pair.
+    :func:`settle_pair`, once per pair; without ``passage`` the passage
+    sums stay empty.
     """
+    drops: list[dict[int, int]] = [{} for _ in groups]
+    passages: list[dict[int, int]] = [{} for _ in groups]
     terms: list[list[PairTerm]] = [[] for _ in groups]
     if not groups:
-        return terms
+        return drops, passages, terms
     for y, z in ordered_pairs(network):
         total, _, settled = settle_pair(
             network, y, z, groups, passage=passage, exact=exact, node_budget=node_budget
         )
         if total == 0:
             continue
-        for (drop, found), kept in zip(settled, terms):
-            kept.append(PairTerm(y, z, total, drop, found))
-    return terms
+        for (drop, found), by_drop, by_passage in zip(settled, drops, passages):
+            by_drop[total] = by_drop.get(total, 0) + drop
+            if passage:
+                by_passage[total] = by_passage.get(total, 0) + found
+        if explain:
+            for (drop, found), kept in zip(settled, terms):
+                kept.append(PairTerm(y, z, total, drop, found))
+    return drops, passages, terms
 
 
-def _ratio_sum(ratios: Iterable[tuple[int, int]]) -> Fraction:
-    """Exact sum of ``num / den``: integer numerators are added per
-    denominator first, then one Fraction is built per distinct denominator."""
-    by_den: dict[int, int] = {}
-    for num, den in ratios:
-        by_den[den] = by_den.get(den, 0) + num
-    return sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
+def _ratio_sum(by_den: dict[int, int]) -> Fraction:
+    """Exact sum of ``num / den`` over ``by_den``, as one Fraction over
+    the least common denominator."""
+    common = lcm(*by_den)
+    return Fraction(sum(num * (common // den) for den, num in by_den.items()), common)
 
 
 def full_flow_vitality(
@@ -108,10 +120,10 @@ def full_flow_vitality(
 ) -> Fraction:
     """Sum over flow-positive pairs of (vitality drop) / (max flow value)."""
     group = vertex_group(network, members)
-    (terms,) = _group_terms(
+    (drops,), _, _ = _group_sums(
         network, [group], passage=False, exact=False, node_budget=0
     )
-    return _ratio_sum((t.vitality_drop, t.max_flow_total) for t in terms)
+    return _ratio_sum(drops)
 
 
 def full_flow_betweenness(
@@ -126,10 +138,10 @@ def full_flow_betweenness(
     ``exact`` as in :func:`centrality_report`.
     """
     group = vertex_group(network, members)
-    (terms,) = _group_terms(
+    _, (passages,), _ = _group_sums(
         network, [group], passage=True, exact=exact, node_budget=node_budget
     )
-    return _ratio_sum((t.forced_passage, t.max_flow_total) for t in terms)
+    return _ratio_sum(passages)
 
 
 def centrality_report(
@@ -146,14 +158,18 @@ def centrality_report(
     that no rule settles runs the passage search.
     """
     validated = [vertex_group(network, g) for g in groups]
-    all_terms = _group_terms(
-        network, validated, passage=True, exact=exact, node_budget=node_budget
+    drops, passages, terms = _group_sums(
+        network,
+        validated,
+        passage=True,
+        exact=exact,
+        node_budget=node_budget,
+        explain=explain,
     )
     reports = []
-    for group, terms in zip(validated, all_terms):
-        kept = tuple(terms)
-        vitality = _ratio_sum((t.vitality_drop, t.max_flow_total) for t in kept)
-        betweenness = _ratio_sum((t.forced_passage, t.max_flow_total) for t in kept)
+    for group, by_drop, by_passage, kept in zip(validated, drops, passages, terms):
+        vitality = _ratio_sum(by_drop)
+        betweenness = _ratio_sum(by_passage)
         if vitality > betweenness:
             raise InvariantViolationError(
                 f"vitality {vitality} exceeds betweenness {betweenness} "
@@ -164,7 +180,7 @@ def centrality_report(
                 group=group,
                 vitality=vitality,
                 betweenness=betweenness,
-                pair_terms=kept if explain else None,
+                pair_terms=tuple(kept) if explain else None,
             )
         )
     return reports

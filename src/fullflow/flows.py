@@ -14,7 +14,10 @@ every result here is a pure, deterministic function of its inputs:
   shortest augmenting paths (breadth-first over the residual moves,
   sorted neighbor expansion, forward moves preferred on ties);
 * ``decompose`` peels the canonically least positive out-arc first,
-  extracting all paths before hunting remaining cycles.
+  extracting all paths before hunting remaining cycles.  The walk itself
+  runs once, on arc ids (``_decompose_ids``); ``decompose`` maps its
+  result to :class:`Path` and :class:`Cycle`, and ``settle_pair`` takes
+  the paths as they are to warm-start its restricted max flows.
 
 Max flow and min-cost max flow run on ``Network.compiled``, built once
 per network (vertices and arcs as integers, each vertex with one sorted
@@ -328,13 +331,70 @@ class Decomposition:
     cycles: tuple[Cycle, ...]
 
 
+def _decompose_ids(
+    net: CompiledNetwork, flow: Sequence[int], source: int, sink: int, value: int
+) -> tuple[list[tuple[list[int], int]], list[list[int]]]:
+    """Split a flow indexed by arc id into ``value`` unit source->sink paths
+    plus cycles, each as the list of its arc ids in walk order.
+
+    The one decomposition walk in the package.  Each walk follows the
+    least positive out-arc (the least head, in canonical order), peeling a
+    cycle whenever a vertex repeats; after the paths, leftover circulation
+    is peeled starting from the least vertex still sending flow.  A path
+    comes as ``(arcs, count)``, ``count`` unit paths in a row: the walks
+    after the one that found it repeat it, with no cycle, until one of its
+    arcs runs out, so they are taken at once.
+    """
+    neighbors = net.neighbors
+    left = list(flow)
+    paths: list[tuple[list[int], int]] = []
+    cycles: list[list[int]] = []
+
+    def step(walk: list[int], arcs: list[int]) -> bool:
+        # extend the walk by the least positive out-arc of its last vertex;
+        # True when that closes a cycle, which is peeled off the walk
+        for w, a, _ in neighbors[walk[-1]]:
+            if a >= 0 and left[a]:
+                break
+        else:
+            token = next(x for x, i in net.index.items() if i == walk[-1])
+            raise InvariantViolationError(f"decomposition walk stuck at vertex {token!r}")
+        if w in walk:
+            i = walk.index(w)
+            cycle = arcs[i:] + [a]
+            for b in cycle:
+                left[b] -= 1
+            del walk[i + 1 :], arcs[i:]
+            cycles.append(cycle)
+            return True
+        walk.append(w)
+        arcs.append(a)
+        return False
+
+    while value:
+        walk, arcs = [source], []
+        while walk[-1] != sink:
+            step(walk, arcs)
+        count = min(value, *[left[a] for a in arcs])
+        for a in arcs:
+            left[a] -= count
+        paths.append((arcs, count))
+        value -= count
+    if any(left):
+        for start, moves in enumerate(neighbors):
+            while any(a >= 0 and left[a] for _, a, _ in moves):
+                walk, arcs = [start], []
+                while not step(walk, arcs):
+                    pass
+    return paths, cycles
+
+
 def decompose(network: Network, flow: Flow) -> Decomposition:
     """Split a valid flow into exactly value-many paths plus cycles.
 
-    Walks repeatedly follow the canonically least positive out-arc from
-    the source, peeling a cycle whenever a vertex repeats; leftover
-    circulation is peeled starting from the least vertex still carrying
-    flow.  Raises InvalidInputError when the flow does not validate.
+    The walk of :func:`_decompose_ids`, with arc ids mapped back to
+    :class:`Path` and :class:`Cycle` (rotated to its least vertex).
+    Raises InvalidInputError when the flow does not validate.
     """
     violation = validate_flow(network, flow)
     if violation is not None:
@@ -347,66 +407,25 @@ def decompose(network: Network, flow: Flow) -> Decomposition:
             f"flow has negative value {value}; cannot decompose into "
             f"{flow.source!r}->{flow.sink!r} paths"
         )
-    out: dict[VertexId, dict[VertexId, int]] = {}
-    for (tail, head), val in flow.values.items():
-        out.setdefault(tail, {})[head] = val
-
-    def pick(v: VertexId) -> VertexId:
-        if v not in out:
-            raise InvariantViolationError(
-                f"decomposition walk stuck at vertex {v!r}"
-            )
-        return min(out[v])
-
-    def subtract(tail: VertexId, head: VertexId):
-        inner = out[tail]
-        inner[head] -= 1
-        if inner[head] == 0:
-            del inner[head]
-            if not inner:
-                del out[tail]
-
-    def peel_walk_cycle(walk: list, pos: dict, repeat: VertexId) -> Cycle:
-        i = pos[repeat]
-        body = walk[i:]
-        for j in range(i, len(walk) - 1):
-            subtract(walk[j], walk[j + 1])
-        subtract(walk[-1], repeat)
-        del walk[i + 1 :]
-        for v in list(pos):
-            if pos[v] > i:
-                del pos[v]
-        return Cycle(tuple(body) + (repeat,)).rotated_to_least()
-
-    paths: list[Path] = []
-    cycles: list[Cycle] = []
-    for _ in range(value):
-        walk = [flow.source]
-        pos = {flow.source: 0}
-        while walk[-1] != flow.sink:
-            w = pick(walk[-1])
-            if w in pos:
-                cycles.append(peel_walk_cycle(walk, pos, w))
-            else:
-                pos[w] = len(walk)
-                walk.append(w)
-        for j in range(len(walk) - 1):
-            subtract(walk[j], walk[j + 1])
-        paths.append(Path(tuple(walk)))
-    while out:
-        start = min(out)
-        walk = [start]
-        pos = {start: 0}
-        while True:
-            w = pick(walk[-1])
-            if w in pos:
-                cycles.append(peel_walk_cycle(walk, pos, w))
-                break
-            pos[w] = len(walk)
-            walk.append(w)
+    net = network.compiled
+    arcs = net.arcs
+    get = flow.values.get
+    paths, cycles = _decompose_ids(
+        net,
+        [get(arc, 0) for arc in arcs],
+        net.index[flow.source],
+        net.index[flow.sink],
+        value,
+    )
+    unit_paths: list[Path] = []
+    for path, count in paths:
+        unit_paths += [Path((flow.source, *[arcs[a][1] for a in path]))] * count
     return Decomposition(
-        ArcDisjointSequence(tuple(paths), flow.source, flow.sink),
-        tuple(cycles),
+        ArcDisjointSequence(tuple(unit_paths), flow.source, flow.sink),
+        tuple(
+            Cycle(tuple(arcs[a][0] for a in c) + (arcs[c[0]][0],)).rotated_to_least()
+            for c in cycles
+        ),
     )
 
 

@@ -42,6 +42,7 @@ from .flows import (
     _bfs_augmenting,
     _cheapest_augmenting,
     _check_endpoints,
+    _decompose_ids,
     max_flow,
     min_cost_max_flow,
 )
@@ -256,8 +257,17 @@ def settle_pair(
     3. ``f`` sends nothing through X (``flow_through(f, X) == 0``): drop =
        passage = 0, since passage <= throughput <= ``flow_through(f, X)``.
     4. Otherwise the drop comes from one more max flow ``g``, with the
-       arcs touching X at zero capacity.  If it equals
-       ``flow_through(f, X)``, the passage is squeezed to the same value.
+       arcs touching X at zero capacity.  When several groups share the
+       pair, ``g`` is warm-started from the unit paths of ``f`` that
+       avoid X, which carry at least ``max_flow - flow_through(f, X)``,
+       so at most ``through - drop`` augmentations remain.  ``f`` is
+       decomposed, its cycles dropped, at most once per pair: for the
+       first group whose bound is positive (``through < max_flow``); a
+       group before that, or a lone group, starts from zero: a
+       decomposition costs about three augmenting BFS, more than one
+       group's warm start saves on average, so only a shared pair pays
+       for one.  If the drop equals ``flow_through(f, X)``, the passage
+       is squeezed to the same value.
     5. A single vertex takes passage = drop, which the paper proves for
        singletons, unless ``exact`` turns this shortcut off.
 
@@ -270,7 +280,8 @@ def settle_pair(
 
     6. The extension rule: h is a max flow under ``c - g``.  If ``|h|``
        reaches the drop, F = g + h is a maximum flow and g a flow of
-       G - X under it, so UB(F) = drop.
+       G - X under it, so UB(F) = drop.  Any maximum flow ``g`` of G - X
+       makes this a proof, the warm-started one included.
     7. The throughput bound: F is a maximum flow sending the least out of
        X's vertices, the min-cost flow of :func:`forced_throughput`, and
        UB(F) comes from one more restricted max flow.
@@ -288,6 +299,8 @@ def settle_pair(
     if total == 0:
         return total, flow, [(0, 0)] * len(groups)
     settled: list[tuple[int, int | None]] = []
+    units = None  # f's unit paths, once a group's warm start has flow
+    shared = len(groups) > 1  # one decomposition serves several groups
     for group in groups:
         if source in group or sink in group:
             drop = found = total
@@ -305,8 +318,18 @@ def settle_pair(
                             caps[out_arc] = 0
                         if in_arc >= 0:
                             caps[in_arc] = 0
+                if units is None and shared and through < total:
+                    units, _ = _decompose_ids(net, flow, s, t, total)
+                # warm start: the unit paths of f with no arc at zero in
+                # caps avoid X, so together they are a flow under caps
                 kept_flow = [0] * len(caps)
-                kept = _augment(net, caps, kept_flow, s, t, _bfs_augmenting)
+                kept = 0
+                for path, count in units or ():
+                    if all(map(caps.__getitem__, path)):
+                        for a in path:
+                            kept_flow[a] += count
+                        kept += count
+                kept += _augment(net, caps, kept_flow, s, t, _bfs_augmenting)
                 drop = total - kept
                 if drop == through or (not exact and len(group) == 1):
                     found = drop

@@ -5,20 +5,25 @@ The definitions -- restriction, boundary arcs, set capacity, generalized
 paths and the augmenting path, the signed arc function and what is built
 from it, the oracle throughput and the enumerated passage -- are written
 as the paper states them, with no shortcut, so that tests can check the
-library against them.
+library against them.  ``reference_decompose`` is the canonical
+decomposition walk on vertex tokens, the reference for the library's walk
+on arc ids.
 """
 
+import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 from fullflow import flows, quantities
-from fullflow.errors import InvalidInputError
+from fullflow.errors import InvalidInputError, InvariantViolationError
 from fullflow.flows import (
+    Decomposition,
     Flow,
     _augment,
     _bfs_augmenting,
     flow_through,
+    flow_value,
     max_flow,
     validate_flow,
 )
@@ -27,6 +32,8 @@ from fullflow.oracle import brute_force_flows
 from fullflow.paths import (
     BACKWARD,
     FORWARD,
+    ArcDisjointSequence,
+    Cycle,
     Path,
     is_arc_disjoint,
     passage_count,
@@ -63,6 +70,21 @@ def capacity_of_set(network, members):
     """Total capacity of the arcs leaving the group."""
     outgoing, _ = boundary_arcs(network, members)
     return sum(network.capacity(arc) for arc in outgoing)
+
+
+def seeded_network(n, p=0.3):
+    """The n-vertex network ``v00``.. in which each ordered pair gets an
+    arc with probability ``p`` and a capacity in 1..3, from
+    ``random.Random(n)``."""
+    rng = random.Random(n)
+    names = [f"v{i:02d}" for i in range(n)]
+    caps = {
+        (t, h): rng.randint(1, 3)
+        for t in names
+        for h in names
+        if t != h and rng.random() < p
+    }
+    return Network(tuple(names), caps)
 
 
 def network_to_text(network):
@@ -325,3 +347,93 @@ def random_flow(net, y, z, rng):
             break
         f = augment(f, gp)
     return f
+
+
+def reference_decompose(network, flow):
+    """``decompose`` walked on vertex tokens: repeatedly follow the
+    canonically least positive out-arc from the source, peeling a cycle
+    whenever a vertex repeats, then peel leftover circulation starting
+    from the least vertex still carrying flow.  The flow must be valid
+    with a nonnegative value."""
+    out = {}
+    for (tail, head), val in flow.values.items():
+        out.setdefault(tail, {})[head] = val
+
+    def pick(v):
+        if v not in out:
+            raise InvariantViolationError(f"decomposition walk stuck at vertex {v!r}")
+        return min(out[v])
+
+    def subtract(tail, head):
+        inner = out[tail]
+        inner[head] -= 1
+        if inner[head] == 0:
+            del inner[head]
+            if not inner:
+                del out[tail]
+
+    def peel_walk_cycle(walk, pos, repeat):
+        i = pos[repeat]
+        body = walk[i:]
+        for j in range(i, len(walk) - 1):
+            subtract(walk[j], walk[j + 1])
+        subtract(walk[-1], repeat)
+        del walk[i + 1 :]
+        for v in list(pos):
+            if pos[v] > i:
+                del pos[v]
+        return Cycle(tuple(body) + (repeat,)).rotated_to_least()
+
+    paths = []
+    cycles = []
+    for _ in range(flow_value(flow)):
+        walk = [flow.source]
+        pos = {flow.source: 0}
+        while walk[-1] != flow.sink:
+            w = pick(walk[-1])
+            if w in pos:
+                cycles.append(peel_walk_cycle(walk, pos, w))
+            else:
+                pos[w] = len(walk)
+                walk.append(w)
+        for j in range(len(walk) - 1):
+            subtract(walk[j], walk[j + 1])
+        paths.append(Path(tuple(walk)))
+    while out:
+        start = min(out)
+        walk = [start]
+        pos = {start: 0}
+        while True:
+            w = pick(walk[-1])
+            if w in pos:
+                cycles.append(peel_walk_cycle(walk, pos, w))
+                break
+            pos[w] = len(walk)
+            walk.append(w)
+    return Decomposition(
+        ArcDisjointSequence(tuple(paths), flow.source, flow.sink),
+        tuple(cycles),
+    )
+
+
+def add_random_cycles(network, flow, rng, count):
+    """``flow`` plus one unit around each of up to ``count`` simple cycles
+    drawn at random from those with room left on every arc."""
+    values = Counter(flow.values)
+    vertices = network.vertices
+    for _ in range(count):
+        open_cycles = [
+            cycle
+            for k in range(2, min(len(vertices), 4) + 1)
+            for cycle in permutations(vertices, k)
+            if cycle[0] == min(cycle)
+            and all(
+                values[arc] < network.capacity(arc)
+                for arc in zip(cycle, cycle[1:] + cycle[:1])
+            )
+        ]
+        if not open_cycles:
+            break
+        cycle = rng.choice(open_cycles)
+        values.update(zip(cycle, cycle[1:] + cycle[:1]))
+    return Flow(flow.source, flow.sink, dict(values))

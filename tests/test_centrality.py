@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from fullflow.flows import max_flow
 from fullflow.network import ordered_pairs
 from fullflow.quantities import pair_report
 
-from strategies import networks
+from strategies import fig5_with_extra_arcs, networks
 
 
 def test_vitality_empty_group(fig1):
@@ -168,3 +169,42 @@ def test_report_terms_match_pair_report_on_figures(fig1, fig5, fig6):
             frozenset({a, b}) for i, a in enumerate(vertices) for b in vertices[i:]
         )
         _assert_terms_match_pair_report(net, groups)
+
+
+def _check_sums_match_terms(net, groups):
+    # the report's sums, kept without terms, against the sums over the
+    # terms of --explain and against the one-group measures
+    plain = centrality_report(net, groups)
+    explained = centrality_report(net, groups, explain=True)
+    for report, terms in zip(plain, explained):
+        assert report.pair_terms is None
+        assert report.vitality == sum(
+            (Fraction(t.vitality_drop, t.max_flow_total) for t in terms.pair_terms),
+            Fraction(0),
+        )
+        assert report.betweenness == sum(
+            (Fraction(t.forced_passage, t.max_flow_total) for t in terms.pair_terms),
+            Fraction(0),
+        )
+        assert (terms.vitality, terms.betweenness) == (
+            report.vitality,
+            report.betweenness,
+        )
+        assert full_flow_vitality(net, report.group) == report.vitality
+        assert full_flow_betweenness(net, report.group) == report.betweenness
+
+
+@settings(max_examples=15, deadline=None)
+@given(fig5_with_extra_arcs(), st.data())
+def test_sums_match_explained_terms_on_gap_networks(net, data):
+    # fig5's gap groups, where passage > drop on (y, z), and two drawn ones
+    pairs = list(itertools.combinations(net.vertices, 2))
+    drawn = [data.draw(st.sampled_from(pairs), label=f"group {i}") for i in range(2)]
+    groups = [{"x1", "x2"}, {"u2", "x1"}, *map(set, drawn)]
+    _check_sums_match_terms(net, groups)
+
+
+@settings(max_examples=30, deadline=None)
+@given(networks(max_vertices=6))
+def test_sums_match_explained_terms_on_singletons(net):
+    _check_sums_match_terms(net, [[v] for v in net.vertices])

@@ -1,5 +1,4 @@
 import os
-import random
 import shlex
 import subprocess
 import sys
@@ -12,7 +11,7 @@ from fullflow.errors import InvariantViolationError
 from fullflow.figures import figure_checks, figure_network
 from fullflow.flows import flow_to_text, max_flow
 
-from helpers import network_to_text, record_augment_calls
+from helpers import network_to_text, record_augment_calls, seeded_network
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -133,18 +132,10 @@ def test_centrality_set_answers_within_small_budget(n, arcs, tmp_path, capsys):
     # every ordered pair gets an arc with probability 0.3; the passage
     # search would need far more than 1000 nodes or candidates on some
     # pairs, and the flow bounds of settle_pair leave it nothing to do
-    rng = random.Random(n)
-    names = [f"v{i:02d}" for i in range(n)]
-    lines = [
-        f"{t} {h} {rng.randint(1, 3)}"
-        for t in names
-        for h in names
-        if t != h and rng.random() < 0.3
-    ]
-    assert len(lines) == arcs
+    net = seeded_network(n)
+    assert len(net.capacities) == arcs
     path = tmp_path / f"n{n}.net"
-    path.write_text("\n".join(["vertices " + " ".join(names), *lines]) + "\n",
-                    encoding="utf-8")
+    path.write_text(network_to_text(net), encoding="utf-8")
     assert main(["centrality", str(path), "--set", "v02,v03",
                  "--budget", "1000"]) == 0
     fields = capsys.readouterr().out.split(" ")

@@ -19,17 +19,20 @@ from fullflow.flows import (
     recompose,
     validate_flow,
 )
-from fullflow.network import build_network
+from fullflow.network import build_network, ordered_pairs
 from fullflow.oracle import brute_force_flows
 from fullflow.paths import BACKWARD, FORWARD, ArcDisjointSequence, path_of
 from fullflow.quantities import settle_pair
 from helpers import (
     GeneralizedPath,
     ResidualView,
+    add_random_cycles,
     augment,
     find_augmenting_path,
     random_flow,
+    reference_decompose,
     restrict,
+    seeded_network,
 )
 from strategies import networks_with_endpoints, reduced_capacities
 
@@ -327,14 +330,44 @@ def test_augmenting_path_is_lex_least_shortest(net_yz, seed):
 @given(networks_with_endpoints(), st.integers(0, 2**32 - 1))
 def test_decompose_recompose_round_trip(net_yz, seed):
     net, y, z = net_yz
-    f = random_flow(net, y, z, random.Random(seed))
+    rng = random.Random(seed)
+    f = add_random_cycles(net, random_flow(net, y, z, rng), rng, rng.randint(0, 3))
     assert validate_flow(net, f) is None
     dec = decompose(net, f)
+    # the walk on arc ids is the token-level walk, paths and cycles in order
+    assert dec == reference_decompose(net, f)
     assert recompose(dec) == f
     assert len(dec.paths) == flow_value(f)
     from fullflow.paths import is_arc_disjoint
 
     assert is_arc_disjoint(net, dec.paths.paths)
+
+
+def test_decompose_matches_token_walk():
+    # decompose walks on arc ids; the token-level walk must give the same
+    # paths and cycles, in the same order, on seeded flows, most of them
+    # with cycles, and on the canonical max flows of a 12-vertex network
+    rng = random.Random("decompose")
+    with_cycles = 0
+    for _ in range(60):
+        tokens = [f"v{i}" for i in range(rng.randint(3, 7))]
+        entries = [
+            (t, h, rng.randint(1, 3))
+            for t in tokens
+            for h in tokens
+            if t != h and rng.random() < 0.5
+        ]
+        net = build_network(tokens, entries)
+        y, z = rng.sample(tokens, 2)
+        f = add_random_cycles(net, random_flow(net, y, z, rng), rng, rng.randint(1, 3))
+        dec = decompose(net, f)
+        assert dec == reference_decompose(net, f)
+        with_cycles += bool(dec.cycles)
+    assert with_cycles >= 30
+    net = seeded_network(12)
+    for y, z in ordered_pairs(net):
+        _, f = max_flow(net, y, z)
+        assert decompose(net, f) == reference_decompose(net, f)
 
 
 @settings(max_examples=40)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +15,10 @@ from fullflow.flows import (
     _bfs_augmenting,
     decompose,
     flow_through,
+    flow_value,
     max_flow,
     min_cost_max_flow,
+    validate_flow,
 )
 from fullflow.network import build_network
 from fullflow.oracle import brute_force_flows
@@ -37,6 +40,7 @@ from helpers import (
     induced_flow,
     maximum_sequences,
     restrict,
+    seeded_network,
 )
 from strategies import (
     fig5_with_extra_arcs,
@@ -260,23 +264,131 @@ def test_settle_pair_flow_bounds(monkeypatch, fig1, fig5):
     # each term below has drop < flow_through(f, X), so no rule before the
     # flow bounds settles it
     _forbid(monkeypatch, "_min_passage")
+    u2_x2 = frozenset({"u2", "x2"})
+    n14 = seeded_network(14)
+    v02_v03 = frozenset({"v02", "v03"})
     with monkeypatch.context() as bounds:
         _forbid(bounds, "_cheapest_augmenting")
         # the extension rule settles fig1 (y, x, {u, v}), through 4
         uv = frozenset({"u", "v"})
         _, _, settled = settle_pair(fig1, "y", "x", [uv], passage=True)
         assert settled == [(3, 3)]
-        # and misses fig5 (y, z, {u2, x2}), through 2
+        # and fig5 (y, z, {u2, x2}), through 2, from the restricted flow
+        # warm-started when a second group shares the pair
+        _, _, settled = settle_pair(
+            fig5, "y", "z", [u2_x2, frozenset({"y"})], passage=True
+        )
+        assert settled == [(1, 1), (3, 3)]
+        # but not from the cold one of a lone group
         with pytest.raises(AssertionError, match="_cheapest_augmenting ran"):
-            settle_pair(fig5, "y", "z", [frozenset({"u2", "x2"})], passage=True)
+            settle_pair(fig5, "y", "z", [u2_x2], passage=True)
+        # nor (v05, v08, {v02, v03}), through 3, on the seeded n = 14
+        # network, even warm-started
+        with pytest.raises(AssertionError, match="_cheapest_augmenting ran"):
+            settle_pair(n14, "v05", "v08", [v02_v03, frozenset({"v01"})], passage=True)
     # which the throughput bound settles
-    _, _, settled = settle_pair(
-        fig5, "y", "z", [frozenset({"u2", "x2"})], passage=True
-    )
+    _, _, settled = settle_pair(fig5, "y", "z", [u2_x2], passage=True)
     assert settled == [(1, 1)]
+    _, _, settled = settle_pair(
+        n14, "v05", "v08", [v02_v03, frozenset({"v01"})], passage=True
+    )
+    assert settled == [(1, 1), (3, 3)]
     # fig5's gap term passes both bounds on to the search
     with pytest.raises(AssertionError, match="_min_passage ran"):
         settle_pair(fig5, "y", "z", [frozenset({"x1", "x2"})], passage=True)
+
+
+def _record_restricted_flows(monkeypatch):
+    # wrap the augment loop as settle_pair calls it; with passage=False
+    # every call not under the network's own capacities is a restricted
+    # max flow, recorded as (flow at entry, flow at exit, BFS calls)
+    records = []
+
+    def recorded(net, caps, flow, s, t, find):
+        warm = list(flow)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return find(*args)
+
+        added = _augment(net, caps, flow, s, t, counted)
+        if caps is not net.capacities:
+            records.append((warm, flow, len(calls)))
+        return added
+
+    monkeypatch.setattr(quantities, "_augment", recorded)
+    return records
+
+
+@pytest.mark.parametrize("n", [9, 16, 24, 40])
+def test_warm_restricted_flow_matches_cold(n, monkeypatch):
+    # settle_pair's restricted max flows, for several groups of one pair,
+    # against cold max flows on the restricted networks: the same values
+    # and valid flows of those networks.  From the first group with
+    # through < max_flow on, each starts from the unit paths of the pair's
+    # flow that avoid its group; before it, from zero.  Either way at most
+    # through - drop augmentations follow
+    records = _record_restricted_flows(monkeypatch)
+    net = seeded_network(n)
+    compiled = net.compiled
+    rng = random.Random(f"warm:{n}")
+    warm_starts = 0
+    for _ in range(8):
+        y, z = rng.sample(net.vertices, 2)
+        total, f = max_flow(net, y, z)
+        inner = [v for v in net.vertices if v not in (y, z)]
+        groups = [frozenset(rng.sample(inner, size)) for size in (1, 1, 2, 3)]
+        records.clear()
+        _, _, settled = settle_pair(net, y, z, groups, passage=False)
+        reached = [
+            (group, drop)
+            for group, (drop, _) in zip(groups, settled)
+            if total and flow_through(f, group)
+        ]
+        assert len(records) == len(reached)
+        decomposed = False
+        for (group, drop), (warm, kept_flow, bfs_calls) in zip(reached, records):
+            through = flow_through(f, group)
+            restricted = restrict(net, group)
+            assert total - drop == max_flow(restricted, y, z)[0]
+            kept = _as_flow(compiled, y, z, kept_flow)
+            assert validate_flow(restricted, kept) is None
+            assert flow_value(kept) == total - drop
+            assert bfs_calls <= through - drop + 1
+            start = flow_value(_as_flow(compiled, y, z, warm))
+            decomposed = decomposed or through < total
+            if decomposed:
+                assert start >= total - through
+                warm_starts += start > 0
+            else:
+                assert start == 0
+    assert warm_starts >= 8
+
+
+def test_lone_group_starts_cold(monkeypatch, fig1):
+    # one group has no other group to share the decomposition with
+    records = _record_restricted_flows(monkeypatch)
+    _, _, [(drop, _)] = settle_pair(fig1, "y", "z", [frozenset({"x"})], passage=False)
+    [(warm, kept_flow, _)] = records
+    assert not any(warm) and sum(kept_flow) > 0
+
+
+def test_warm_restricted_flow_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    net = seeded_network(24)
+    rng = random.Random("warm:networkx")
+    for _ in range(6):
+        y, z = rng.sample(net.vertices, 2)
+        inner = [v for v in net.vertices if v not in (y, z)]
+        for size in (1, 2, 3):
+            group = frozenset(rng.sample(inner, size))
+            graph = nx.DiGraph()
+            graph.add_nodes_from(net.vertices)
+            for (tail, head), cap in restrict(net, group).capacities.items():
+                graph.add_edge(tail, head, capacity=cap)
+            total, _, [(drop, _)] = settle_pair(net, y, z, [group], passage=False)
+            assert total - drop == nx.maximum_flow_value(graph, y, z)
 
 
 def _check_settle_pair(net, y, z, max_group):
