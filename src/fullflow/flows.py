@@ -333,21 +333,18 @@ class Decomposition:
 
 def _decompose_ids(
     net: CompiledNetwork, flow: Sequence[int], source: int, sink: int, value: int
-) -> tuple[list[tuple[list[int], int]], list[list[int]]]:
+) -> tuple[list[list[int]], list[list[int]]]:
     """Split a flow indexed by arc id into ``value`` unit source->sink paths
     plus cycles, each as the list of its arc ids in walk order.
 
     The one decomposition walk in the package.  Each walk follows the
     least positive out-arc (the least head, in canonical order), peeling a
     cycle whenever a vertex repeats; after the paths, leftover circulation
-    is peeled starting from the least vertex still sending flow.  A path
-    comes as ``(arcs, count)``, ``count`` unit paths in a row: the walks
-    after the one that found it repeat it, with no cycle, until one of its
-    arcs runs out, so they are taken at once.
+    is peeled starting from the least vertex still sending flow.
     """
     neighbors = net.neighbors
     left = list(flow)
-    paths: list[tuple[list[int], int]] = []
+    paths: list[list[int]] = []
     cycles: list[list[int]] = []
 
     def step(walk: list[int], arcs: list[int]) -> bool:
@@ -371,15 +368,13 @@ def _decompose_ids(
         arcs.append(a)
         return False
 
-    while value:
+    for _ in range(value):
         walk, arcs = [source], []
         while walk[-1] != sink:
             step(walk, arcs)
-        count = min(value, *[left[a] for a in arcs])
         for a in arcs:
-            left[a] -= count
-        paths.append((arcs, count))
-        value -= count
+            left[a] -= 1
+        paths.append(arcs)
     if any(left):
         for start, moves in enumerate(neighbors):
             while any(a >= 0 and left[a] for _, a, _ in moves):
@@ -417,11 +412,12 @@ def decompose(network: Network, flow: Flow) -> Decomposition:
         net.index[flow.sink],
         value,
     )
-    unit_paths: list[Path] = []
-    for path, count in paths:
-        unit_paths += [Path((flow.source, *[arcs[a][1] for a in path]))] * count
     return Decomposition(
-        ArcDisjointSequence(tuple(unit_paths), flow.source, flow.sink),
+        ArcDisjointSequence(
+            tuple(Path((flow.source, *[arcs[a][1] for a in p])) for p in paths),
+            flow.source,
+            flow.sink,
+        ),
         tuple(
             Cycle(tuple(arcs[a][0] for a in c) + (arcs[c[0]][0],)).rotated_to_least()
             for c in cycles

@@ -263,11 +263,11 @@ def settle_pair(
        so at most ``through - drop`` augmentations remain.  ``f`` is
        decomposed, its cycles dropped, at most once per pair: for the
        first group whose bound is positive (``through < max_flow``); a
-       group before that, or a lone group, starts from zero: a
-       decomposition costs about three augmenting BFS, more than one
-       group's warm start saves on average, so only a shared pair pays
-       for one.  If the drop equals ``flow_through(f, X)``, the passage
-       is squeezed to the same value.
+       group before that, or a lone group, starts from zero.  A lone
+       group's warm start saves about one augmenting BFS, less than the
+       decomposition costs, so only a shared pair pays for one.  If the
+       drop equals ``flow_through(f, X)``, the passage is squeezed to the
+       same value.
     5. A single vertex takes passage = drop, which the paper proves for
        singletons, unless ``exact`` turns this shortcut off.
 
@@ -324,11 +324,11 @@ def settle_pair(
                 # caps avoid X, so together they are a flow under caps
                 kept_flow = [0] * len(caps)
                 kept = 0
-                for path, count in units or ():
+                for path in units or ():
                     if all(map(caps.__getitem__, path)):
                         for a in path:
-                            kept_flow[a] += count
-                        kept += count
+                            kept_flow[a] += 1
+                        kept += 1
                 kept += _augment(net, caps, kept_flow, s, t, _bfs_augmenting)
                 drop = total - kept
                 if drop == through or (not exact and len(group) == 1):

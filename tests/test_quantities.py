@@ -374,21 +374,26 @@ def test_lone_group_starts_cold(monkeypatch, fig1):
     assert not any(warm) and sum(kept_flow) > 0
 
 
-def test_warm_restricted_flow_matches_networkx():
+def test_warm_restricted_flow_matches_networkx(monkeypatch):
+    # networkx as a third reference for the drops, on groups of 1, 2 and
+    # 3 vertices that share one pair, so that their restricted flows may
+    # start warm
     nx = pytest.importorskip("networkx")
+    records = _record_restricted_flows(monkeypatch)
     net = seeded_network(24)
     rng = random.Random("warm:networkx")
     for _ in range(6):
         y, z = rng.sample(net.vertices, 2)
         inner = [v for v in net.vertices if v not in (y, z)]
-        for size in (1, 2, 3):
-            group = frozenset(rng.sample(inner, size))
+        groups = [frozenset(rng.sample(inner, size)) for size in (1, 2, 3)]
+        total, _, settled = settle_pair(net, y, z, groups, passage=False)
+        for group, (drop, _) in zip(groups, settled):
             graph = nx.DiGraph()
             graph.add_nodes_from(net.vertices)
             for (tail, head), cap in restrict(net, group).capacities.items():
                 graph.add_edge(tail, head, capacity=cap)
-            total, _, [(drop, _)] = settle_pair(net, y, z, [group], passage=False)
             assert total - drop == nx.maximum_flow_value(graph, y, z)
+    assert sum(any(warm) for warm, _, _ in records) >= 8
 
 
 def _check_settle_pair(net, y, z, max_group):
