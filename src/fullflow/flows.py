@@ -22,17 +22,17 @@ every result here is a pure, deterministic function of its inputs:
 Max flow and min-cost max flow run on ``Network.compiled``, built once
 per network (vertices and arcs as integers, each vertex with one sorted
 list of the neighbors it shares an arc with, in either direction), through
-one augment loop (``_augment``) that takes the path finder as an argument.
-A max flow restricted to part of the network is the same loop under a
-capacity vector with the excluded arcs at zero.
+one augment loop (``_augment``) over the breadth-first path finder.  A max
+flow restricted to part of the network is the same loop under a capacity
+vector with the excluded arcs at zero.  A min-cost max flow cancels the
+negative cycles of a max flow (``_cancel_negative_cycles``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError, InvariantViolationError
 from .network import Arc, CompiledNetwork, Network, VertexId
@@ -175,66 +175,14 @@ def _bfs_augmenting(
     return None
 
 
-def _cheapest_augmenting(
-    net: CompiledNetwork,
-    caps: Sequence[int],
-    flow: Sequence[int],
-    source: int,
-    sink: int,
-    costs: Sequence[int],
-) -> list[tuple[int, int]] | None:
-    """Minimum-cost augmenting path, as (arc id, dir) moves.
-
-    Bellman-Ford label correction over the same residual moves as
-    :func:`_bfs_augmenting`: forward along arc ``a`` at cost ``costs[a]``
-    when ``flow[a] < caps[a]``, backward at cost ``-costs[a]`` when
-    ``flow[a] > 0``.  Sweeps run in canonical vertex order with strict
-    improvement, so ties keep the first label found and the result is
-    deterministic.
-    """
-    neighbors = net.neighbors
-    n = len(neighbors)
-    dist: list[int | None] = [None] * n
-    parent: list[tuple[int, int, int] | None] = [None] * n
-    dist[source] = 0
-    for sweep in range(n + 1):
-        changed = False
-        for v in range(n):
-            dv = dist[v]
-            if dv is None:
-                continue
-            for w, out_arc, in_arc in neighbors[v]:
-                if out_arc >= 0 and flow[out_arc] < caps[out_arc]:
-                    nd = dv + costs[out_arc]
-                    dw = dist[w]
-                    if dw is None or nd < dw:
-                        dist[w] = nd
-                        parent[w] = (v, out_arc, FORWARD)
-                        changed = True
-                if in_arc >= 0 and flow[in_arc]:
-                    nd = dv - costs[in_arc]
-                    dw = dist[w]
-                    if dw is None or nd < dw:
-                        dist[w] = nd
-                        parent[w] = (v, in_arc, BACKWARD)
-                        changed = True
-        if not changed:
-            break
-        if sweep == n:
-            raise InvariantViolationError(
-                "negative-cost residual cycle: min-cost search did not converge"
-            )
-    if dist[sink] is None:
-        return None
-    moves: list[tuple[int, int]] = []
-    w = sink
-    while w != source:
-        w, arc, direction = parent[w]
-        moves.append((arc, direction))
-        if len(moves) > n:
-            raise InvariantViolationError("parent chain cycle in min-cost search")
-    moves.reverse()
-    return moves
+def _push(caps: Sequence[int], flow: list[int], moves: list[tuple[int, int]]) -> int:
+    """Send the bottleneck of ``moves`` along them, in place; return it."""
+    bottleneck = min(
+        [caps[arc] - flow[arc] if d == FORWARD else flow[arc] for arc, d in moves]
+    )
+    for arc, d in moves:
+        flow[arc] += d * bottleneck
+    return bottleneck
 
 
 def _augment(
@@ -243,29 +191,86 @@ def _augment(
     flow: list[int],
     source: int,
     sink: int,
-    find: Callable[..., list[tuple[int, int]] | None],
 ) -> int:
-    """Saturate the augmenting paths ``find`` returns until it finds none.
+    """Saturate the augmenting paths :func:`_bfs_augmenting` returns until
+    it finds none.
 
-    The one augment loop in the package.  ``find(net, caps, flow, source,
-    sink)`` is :func:`_bfs_augmenting` for maximum flows and
-    :func:`_cheapest_augmenting`, cost-bound, for min-cost maximum flows.
-    ``flow`` (indexed by arc id) is updated in place; the return value is
-    the amount added.  An arc at zero in ``caps`` carries no flow, so a
-    flow from zero under ``caps`` is a flow of the network restricted to
-    the other arcs.
+    The one augment loop in the package.  ``flow`` (indexed by arc id) is
+    updated in place; the return value is the amount added.  An arc at
+    zero in ``caps`` carries no flow, so a flow from zero under ``caps`` is
+    a flow of the network restricted to the other arcs.
     """
     added = 0
     while True:
-        moves = find(net, caps, flow, source, sink)
+        moves = _bfs_augmenting(net, caps, flow, source, sink)
         if moves is None:
             return added
-        bottleneck = min(
-            [caps[arc] - flow[arc] if d == FORWARD else flow[arc] for arc, d in moves]
-        )
-        for arc, d in moves:
-            flow[arc] += d * bottleneck
-        added += bottleneck
+        added += _push(caps, flow, moves)
+
+
+def _negative_cycle(
+    net: CompiledNetwork,
+    caps: Sequence[int],
+    flow: Sequence[int],
+    costs: Sequence[int],
+) -> list[tuple[int, int]] | None:
+    """A negative-cost residual cycle of ``flow``, as (arc id, dir) moves,
+    or None when there is none.
+
+    Bellman-Ford from a virtual source at cost 0 to every vertex, over the
+    residual moves of :func:`_bfs_augmenting` at cost ``costs[a]`` forward
+    and ``-costs[a]`` backward, in canonical sweeps with strict
+    improvement.  A cycle of parent links costs less than 0; while there
+    is none, each label is at least the cost of a simple path, so the
+    sweeps either settle or close one.
+    """
+    neighbors = net.neighbors
+    n = len(neighbors)
+    dist = [0] * n
+    pred = [-1] * n  # the parent link into each vertex: its tail and move
+    move: list[tuple[int, int]] = [(-1, 0)] * n
+    while True:
+        changed = False
+        for v in range(n):
+            dv = dist[v]
+            for w, out_arc, in_arc in neighbors[v]:
+                if out_arc >= 0 and flow[out_arc] < caps[out_arc]:
+                    nd = dv + costs[out_arc]
+                    if nd < dist[w]:
+                        dist[w], pred[w], move[w] = nd, v, (out_arc, FORWARD)
+                        changed = True
+                if in_arc >= 0 and flow[in_arc]:
+                    nd = dv - costs[in_arc]
+                    if nd < dist[w]:
+                        dist[w], pred[w], move[w] = nd, v, (in_arc, BACKWARD)
+                        changed = True
+        if not changed:
+            return None
+        walked = [-1] * n  # the first walk along parent links to reach each vertex
+        for start in range(n):
+            v = start
+            while v >= 0 and walked[v] < 0:
+                walked[v] = start
+                v = pred[v]
+            if v >= 0 and walked[v] == start:
+                moves, w = [move[v]], pred[v]
+                while w != v:
+                    moves.append(move[w])
+                    w = pred[w]
+                return moves
+
+
+def _cancel_negative_cycles(
+    net: CompiledNetwork,
+    caps: Sequence[int],
+    flow: list[int],
+    costs: Sequence[int],
+) -> None:
+    """Cancel each negative-cost residual cycle of the maximum flow ``flow``
+    by its bottleneck, in place, until none is left: then it is a min-cost
+    maximum flow (Klein, 1967), still integral."""
+    while (moves := _negative_cycle(net, caps, flow, costs)) is not None:
+        _push(caps, flow, moves)
 
 
 def _as_flow(
@@ -288,9 +293,7 @@ def max_flow(network: Network, source: VertexId, sink: VertexId) -> tuple[int, F
     _check_endpoints(network, source, sink)
     net = network.compiled
     flow = [0] * len(net.arcs)
-    value = _augment(
-        net, net.capacities, flow, net.index[source], net.index[sink], _bfs_augmenting
-    )
+    value = _augment(net, net.capacities, flow, net.index[source], net.index[sink])
     return value, _as_flow(net, source, sink, flow)
 
 
@@ -302,12 +305,10 @@ def min_cost_max_flow(
 ) -> tuple[int, int, Flow]:
     """Cheapest maximum flow for nonnegative integer arc costs.
 
-    Successive shortest paths on ``Network.compiled``: starting from the
-    null flow, the one augment loop saturates a minimum-cost residual path
-    (:func:`_cheapest_augmenting`, label correction tolerant of the
-    negative costs cancellation introduces) until no augmenting path
-    remains.  Integral capacities and costs make the optimum integral.
-    Returns (value, total cost, flow).
+    The canonical maximum flow of :func:`max_flow`, with its negative-cost
+    residual cycles cancelled (:func:`_cancel_negative_cycles`).
+    Integral capacities and costs make the optimum integral.  Returns
+    (value, total cost, flow).
     """
     _check_endpoints(network, source, sink)
     for arc, cost in arc_cost.items():
@@ -316,9 +317,8 @@ def min_cost_max_flow(
     net = network.compiled
     costs = [arc_cost.get(arc, 0) for arc in net.arcs]
     flow = [0] * len(net.arcs)
-    find = partial(_cheapest_augmenting, costs=costs)
-    s, t = net.index[source], net.index[sink]
-    value = _augment(net, net.capacities, flow, s, t, find)
+    value = _augment(net, net.capacities, flow, net.index[source], net.index[sink])
+    _cancel_negative_cycles(net, net.capacities, flow, costs)
     cost = sum(c * f for c, f in zip(costs, flow))
     return value, cost, _as_flow(net, source, sink, flow)
 

@@ -33,8 +33,8 @@ from .network import Network, VertexId, ordered_pairs
 from .paths import ArcDisjointSequence, is_arc_disjoint, passage_count
 from .quantities import (
     DEFAULT_NODE_BUDGET,
+    _least_throughput,
     _max_sequences,
-    forced_throughput,
     render_group,
     settle_pair,
 )
@@ -275,8 +275,10 @@ def cross_check(
                 is_arc_disjoint(net, dec.paths.paths),
                 f"{where}: decomposition paths not arc-disjoint",
             )
+            ends = net.compiled.index[y], net.compiled.index[z]
             throughput = {
-                group: forced_throughput(net, y, z, group) for group in distinct
+                group: _least_throughput(net.compiled, arc_flow, *ends, group)
+                for group in distinct
             }
             if sequences is not None:
                 fast = dict(zip(distinct, settled))

@@ -31,7 +31,7 @@ search fails loudly rather than approximating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InvariantViolationError
@@ -39,12 +39,10 @@ from .flows import (
     Flow,
     _as_flow,
     _augment,
-    _bfs_augmenting,
-    _cheapest_augmenting,
+    _cancel_negative_cycles,
     _check_endpoints,
     _decompose_ids,
     max_flow,
-    min_cost_max_flow,
 )
 from .network import CompiledNetwork, Network, VertexId, vertex_group
 from .paths import ArcDisjointSequence, Path
@@ -282,9 +280,11 @@ def settle_pair(
        reaches the drop, F = g + h is a maximum flow and g a flow of
        G - X under it, so UB(F) = drop.  Any maximum flow ``g`` of G - X
        makes this a proof, the warm-started one included.
-    7. The throughput bound: F is a maximum flow sending the least out of
-       X's vertices, the min-cost flow of :func:`forced_throughput`, and
-       UB(F) comes from one more restricted max flow.
+    7. The entry bound: F is ``f`` with its negative cycles cancelled
+       under unit cost on the arcs entering X, a maximum flow entering X
+       least; UB(F) comes from one more restricted max flow.  Each path
+       of F meeting X enters it, so UB(F) <= entries <= throughput.  (The
+       throughput's costs leave ``f`` as it is if it is least through X.)
     8. Otherwise the passage search runs if ``passage`` asks for the
        passage; if not, the passage is None.
 
@@ -295,7 +295,7 @@ def settle_pair(
     net = network.compiled
     s, t = net.index[source], net.index[sink]
     flow = [0] * len(net.arcs)
-    total = _augment(net, net.capacities, flow, s, t, _bfs_augmenting)
+    total = _augment(net, net.capacities, flow, s, t)
     if total == 0:
         return total, flow, [(0, 0)] * len(groups)
     settled: list[tuple[int, int | None]] = []
@@ -329,13 +329,15 @@ def settle_pair(
                         for a in path:
                             kept_flow[a] += 1
                         kept += 1
-                kept += _augment(net, caps, kept_flow, s, t, _bfs_augmenting)
+                kept += _augment(net, caps, kept_flow, s, t)
                 drop = total - kept
                 if drop == through or (not exact and len(group) == 1):
                     found = drop
                 elif not passage:
                     found = None
-                elif _passage_at_drop(net, s, t, group, caps, kept_flow, kept, drop):
+                elif _passage_at_drop(
+                    net, s, t, group, flow, caps, kept_flow, kept, drop
+                ):
                     found = drop
                 else:
                     found, _ = _min_passage(
@@ -350,6 +352,7 @@ def _passage_at_drop(
     s: int,
     t: int,
     group: frozenset,
+    flow: list[int],
     caps: list[int],
     kept_flow: list[int],
     kept: int,
@@ -358,21 +361,19 @@ def _passage_at_drop(
     """Rules 6 and 7 of :func:`settle_pair`: whether they find a maximum
     flow F with ``UB(F) == drop`` for the group X.
 
-    ``caps`` are the capacities with the arcs touching X at zero, and
-    ``kept_flow`` is a maximum flow under them, of value ``kept``.
+    ``flow`` is the pair's maximum flow, ``caps`` the capacities with the
+    arcs touching X at zero, and ``kept_flow`` a maximum flow under them.
     """
     # rule 6: kept_flow plus a flow under the capacity it leaves
     spare = [c - g for c, g in zip(net.capacities, kept_flow)]
-    if _augment(net, spare, [0] * len(spare), s, t, _bfs_augmenting) == drop:
+    if _augment(net, spare, [0] * len(spare), s, t) == drop:
         return True
-    # rule 7: a maximum flow sending the least through X, by the min-cost
-    # flow of forced_throughput
-    costs = [int(tail in group) for tail, _ in net.arcs]
-    cheapest = [0] * len(caps)
-    find = partial(_cheapest_augmenting, costs=costs)
-    _augment(net, net.capacities, cheapest, s, t, find)
+    # rule 7: a maximum flow entering X least
+    costs = [int(head in group and tail not in group) for tail, head in net.arcs]
+    cheapest = list(flow)
+    _cancel_negative_cycles(net, net.capacities, cheapest, costs)
     bound = [min(f, c) for f, c in zip(cheapest, caps)]
-    return _augment(net, bound, [0] * len(caps), s, t, _bfs_augmenting) == kept
+    return _augment(net, bound, [0] * len(caps), s, t) == kept
 
 
 def forced_passage(
@@ -406,19 +407,37 @@ def forced_passage(
 def forced_throughput(
     network: Network, source: VertexId, sink: VertexId, members: Iterable[VertexId]
 ) -> int:
-    """Minimum total flow through the group over all maximum flows.
-
-    The throughput of a flow is linear: a constant (flow value, once per
-    endpoint inside the group) plus the flow on every arc leaving an
-    interior group member.  Minimizing it over maximum flows is therefore
-    a min-cost max-flow with unit cost on exactly those arcs.
-    """
+    """Minimum total flow through the group over all maximum flows."""
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
-    interior = group - {source, sink}
-    costs = {arc: 1 for arc in network.capacities if arc[0] in interior}
-    value, cost, _ = min_cost_max_flow(network, source, sink, costs)
-    return len(group & {source, sink}) * value + cost
+    _, flow, _ = settle_pair(network, source, sink, [], passage=False)
+    net = network.compiled
+    return _least_throughput(net, flow, net.index[source], net.index[sink], group)
+
+
+def _least_throughput(
+    net: CompiledNetwork, flow: Sequence[int], s: int, t: int, group: frozenset
+) -> int:
+    """Forced throughput of the group at the pair (s, t), from a maximum
+    flow ``flow`` of the pair, by arc id and left as it is.
+
+    A flow's throughput is its value once per endpoint in the group plus
+    its flow out of the other members: a cost, unit on their out-arcs,
+    least once the negative cycles of ``flow`` are cancelled.  A flow of
+    cost 0 is least already, as no cost is negative.
+    """
+    interior = {x for x in group if net.index[x] not in (s, t)}
+    costs = [int(tail in interior) for tail, _ in net.arcs]
+    if any(map(mul, costs, flow)):
+        flow = list(flow)
+        _cancel_negative_cycles(net, net.capacities, flow, costs)
+    through = sum(map(mul, costs, flow))
+    ends = len(group) - len(interior)
+    if ends:  # add the flow value, once per endpoint in the group
+        moves = net.neighbors[s]
+        through += ends * sum(flow[a] for _, a, _ in moves if a >= 0)
+        through -= ends * sum(flow[a] for _, _, a in moves if a >= 0)
+    return through
 
 
 @dataclass(frozen=True)
@@ -475,7 +494,8 @@ def pair_report(
 ) -> PairQuantities:
     """Compute all pair quantities and assert their chain before returning.
 
-    The drop and the flow come from :func:`settle_pair`.  The passage
+    The drop and the flow come from :func:`settle_pair`, and the
+    throughput from that flow (:func:`_least_throughput`).  The passage
     search runs, and its canonical witness is attached, whenever ``exact``
     is set or the group has two or more vertices; otherwise the passage is
     the drop.
@@ -491,7 +511,9 @@ def pair_report(
         passage, witness = _min_passage(
             network, source, sink, group, node_budget, total, drop
         )
-    throughput = forced_throughput(network, source, sink, group)
+    net = network.compiled
+    ends = net.index[source], net.index[sink]
+    throughput = _least_throughput(net, flow, *ends, group)
     if not (0 <= drop <= passage <= min(throughput, total)):
         raise InvariantViolationError(
             f"pair quantity chain violated for ({source!r}, {sink!r}, "
@@ -508,5 +530,5 @@ def pair_report(
         forced_passage=passage,
         forced_throughput=throughput,
         witness=witness,
-        flow=_as_flow(network.compiled, source, sink, flow),
+        flow=_as_flow(net, source, sink, flow),
     )

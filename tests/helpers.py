@@ -7,7 +7,8 @@ from it, the oracle throughput and the enumerated passage -- are written
 as the paper states them, with no shortcut, so that tests can check the
 library against them.  ``reference_decompose`` is the canonical
 decomposition walk on vertex tokens, the reference for the library's walk
-on arc ids.
+on arc ids.  ``reference_min_cost_max_flow`` is the successive shortest
+path solver, the reference for the library's negative-cycle canceller.
 """
 
 import random
@@ -178,18 +179,25 @@ def find_augmenting_path(network, flow):
 
 def record_augment_calls(monkeypatch):
     """Wrap the augment loop where the package calls it; the returned list
-    gets one entry per call: True for a canonical max flow (the BFS finder
-    from zero flow under the network's own capacities), False for a
-    restricted or a min-cost one."""
+    gets one entry per call: True for a canonical max flow (from zero flow
+    under the network's own capacities), False for a restricted one."""
     calls = []
 
-    def recorded(net, caps, flow, source, sink, find):
-        calls.append(find is _bfs_augmenting and caps is net.capacities)
-        return _augment(net, caps, flow, source, sink, find)
+    def recorded(net, caps, flow, source, sink):
+        calls.append(caps is net.capacities and not any(flow))
+        return _augment(net, caps, flow, source, sink)
 
     monkeypatch.setattr(flows, "_augment", recorded)
     monkeypatch.setattr(quantities, "_augment", recorded)
     return calls
+
+
+def cancel_one_cycle(net, caps, flow, costs):
+    """A canceller broken for negative controls: it cancels the first
+    negative-cost cycle it finds, if any, and stops there."""
+    moves = flows._negative_cycle(net, caps, flow, costs)
+    if moves is not None:
+        flows._push(caps, flow, moves)
 
 
 def chi(walk):
@@ -236,6 +244,54 @@ def brute_force_min_throughput(network, source, sink, members):
     group = vertex_group(network, members)
     _value, flows = brute_force_flows(network, source, sink)
     return min(flow_through(f, group) for f in flows)
+
+
+def reference_min_cost_max_flow(network, source, sink, arc_cost):
+    """(value, cost, flow) of a cheapest maximum flow by successive shortest
+    paths: from the null flow, saturate a cheapest residual source->sink
+    path, found by Bellman-Ford over the residual moves (forward at the
+    arc's cost, backward at minus it), until none is left."""
+    net = network.compiled
+    costs = [arc_cost.get(arc, 0) for arc in net.arcs]
+    caps = net.capacities
+    flow = [0] * len(net.arcs)
+    s, t = net.index[source], net.index[sink]
+    n = len(net.neighbors)
+    value = 0
+    while True:
+        dist = [None] * n
+        parent = [None] * n
+        dist[s] = 0
+        for _ in range(n):
+            for v in range(n):
+                if dist[v] is None:
+                    continue
+                for w, out_arc, in_arc in net.neighbors[v]:
+                    moves = []
+                    if out_arc >= 0 and flow[out_arc] < caps[out_arc]:
+                        moves.append((out_arc, FORWARD, costs[out_arc]))
+                    if in_arc >= 0 and flow[in_arc]:
+                        moves.append((in_arc, BACKWARD, -costs[in_arc]))
+                    for arc, direction, cost in moves:
+                        if dist[w] is None or dist[v] + cost < dist[w]:
+                            dist[w] = dist[v] + cost
+                            parent[w] = (v, arc, direction)
+        if dist[t] is None:
+            break
+        path = []
+        w = t
+        while w != s:
+            w, arc, direction = parent[w]
+            path.append((arc, direction))
+        bottleneck = min(
+            caps[arc] - flow[arc] if d == FORWARD else flow[arc] for arc, d in path
+        )
+        for arc, d in path:
+            flow[arc] += d * bottleneck
+        value += bottleneck
+    cost = sum(c * f for c, f in zip(costs, flow))
+    support = {net.arcs[a]: f for a, f in enumerate(flow) if f}
+    return value, cost, Flow(source, sink, support)
 
 
 def candidate_paths(network, source, sink):

@@ -196,7 +196,7 @@ def test_dump_flow_runs_no_extra_flow(fig1_file, tmp_path, capsys, monkeypatch):
     assert main(args + ["--dump-flow", str(tmp_path / "flow.txt")]) == 0
     capsys.readouterr()
     assert calls == plain
-    assert len(calls) == 3 and sum(calls) == 1
+    assert calls == [True, False]  # the canonical and the restricted flow
 
 
 def test_centrality_default_singletons(fig1_file, capsys):
@@ -362,9 +362,9 @@ def test_selftest_violation_exits_4(capsys, monkeypatch):
     # negative control: a throughput off by one must be reported, not raised
     from fullflow import oracle
 
-    real = oracle.forced_throughput
+    real = oracle._least_throughput
     monkeypatch.setattr(
-        "fullflow.oracle.forced_throughput", lambda *a, **k: real(*a, **k) + 1
+        "fullflow.oracle._least_throughput", lambda *a, **k: real(*a, **k) + 1
     )
     assert main(["selftest", "--instances", "3"]) == 4
     lines = capsys.readouterr().out.splitlines()

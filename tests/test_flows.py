@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import pytest
 
+from fullflow import flows, quantities
 from fullflow.errors import InvalidInputError
 from fullflow.figures import fig2_stored_flow
 from fullflow.flows import (
@@ -22,15 +23,17 @@ from fullflow.flows import (
 from fullflow.network import build_network, ordered_pairs
 from fullflow.oracle import brute_force_flows
 from fullflow.paths import BACKWARD, FORWARD, ArcDisjointSequence, path_of
-from fullflow.quantities import settle_pair
+from fullflow.quantities import _least_throughput, settle_pair
 from helpers import (
     GeneralizedPath,
     ResidualView,
     add_random_cycles,
     augment,
+    cancel_one_cycle,
     find_augmenting_path,
     random_flow,
     reference_decompose,
+    reference_min_cost_max_flow,
     restrict,
     seeded_network,
 )
@@ -441,6 +444,83 @@ def test_min_cost_takes_cancellation_over_forward_move():
     value, cost, f = min_cost_max_flow(net, "d", "b", costs)
     assert (value, cost) == (5, 7)
     assert validate_flow(net, f) is None
+
+
+def _min_cost_cases(n):
+    # seeded pairs of the n-vertex network, each with costs 0..3 on every
+    # arc, a group of 1 to 4 vertices that may hold an endpoint, and that
+    # group's throughput costs: 1 on the arcs leaving its other members
+    net = seeded_network(n)
+    rng = random.Random(f"min-cost:{n}")
+    for _ in range(12):
+        y, z = rng.sample(net.vertices, 2)
+        costs = {arc: rng.randint(0, 3) for arc in sorted(net.capacities)}
+        group = frozenset(rng.sample(net.vertices, rng.randint(1, 4)))
+        through = {arc: 1 for arc in net.capacities if arc[0] in group - {y, z}}
+        yield net, y, z, costs, group, through
+
+
+def _check_min_cost_max_flow(n):
+    # against the successive shortest path reference, under both costs:
+    # equal value and cost, and a valid flow of that cost
+    for net, y, z, costs, _, through in _min_cost_cases(n):
+        for arc_cost in (costs, through):
+            value, cost, f = min_cost_max_flow(net, y, z, arc_cost)
+            assert (value, cost) == reference_min_cost_max_flow(
+                net, y, z, arc_cost
+            )[:2]
+            assert validate_flow(net, f) is None
+            assert flow_value(f) == value
+            assert cost == sum(arc_cost.get(a, 0) * v for a, v in f.values.items())
+
+
+def _check_least_throughput(n):
+    # from the canonical max flow, which it leaves as it is, against the
+    # reference's cheapest flow under the group's throughput costs
+    for net, y, z, _, group, through in _min_cost_cases(n):
+        value, cost, _ = reference_min_cost_max_flow(net, y, z, through)
+        compiled = net.compiled
+        _, canonical = max_flow(net, y, z)
+        arc_flow = [canonical.values.get(arc, 0) for arc in compiled.arcs]
+        least = _least_throughput(
+            compiled, arc_flow, compiled.index[y], compiled.index[z], group
+        )
+        assert least == len(group & {y, z}) * value + cost
+        assert arc_flow == [canonical.values.get(arc, 0) for arc in compiled.arcs]
+
+
+@pytest.mark.parametrize("n", [9, 16, 24])
+def test_min_cost_matches_reference(n):
+    _check_min_cost_max_flow(n)
+    _check_least_throughput(n)
+
+
+def test_min_cost_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for n in (9, 16, 24):
+        for net, y, z, costs, _, through in _min_cost_cases(n):
+            for arc_cost in (costs, through):
+                graph = nx.DiGraph()
+                graph.add_nodes_from(net.vertices)
+                for arc, cap in net.capacities.items():
+                    graph.add_edge(*arc, capacity=cap, weight=arc_cost.get(arc, 0))
+                expected = nx.max_flow_min_cost(graph, y, z)
+                value, cost, _ = min_cost_max_flow(net, y, z, arc_cost)
+                assert value == sum(expected[y].values()) - sum(
+                    expected[v].get(y, 0) for v in net.vertices
+                )
+                assert cost == nx.cost_of_flow(graph, expected)
+
+
+def test_cancelling_one_cycle_is_caught(monkeypatch):
+    # negative control: a canceller that stops after its first
+    # cancellation leaves flows that cost more than the reference's
+    monkeypatch.setattr(flows, "_cancel_negative_cycles", cancel_one_cycle)
+    monkeypatch.setattr(quantities, "_cancel_negative_cycles", cancel_one_cycle)
+    for check in (_check_min_cost_max_flow, _check_least_throughput):
+        with pytest.raises(AssertionError):
+            for n in (9, 16, 24):
+                check(n)
 
 
 @settings(max_examples=30)

@@ -8,7 +8,7 @@ from fullflow import oracle, quantities
 from fullflow.errors import BudgetExceededError, InvalidSpecError
 from fullflow.flows import Flow, flow_value, max_flow, validate_flow
 from fullflow.oracle import InstanceSpec, brute_force_flows, cross_check, generate
-from fullflow.quantities import forced_throughput
+from fullflow.quantities import _least_throughput
 
 from helpers import brute_force_min_throughput, record_augment_calls
 
@@ -153,12 +153,24 @@ def test_cross_check_solves_each_distinct_group_once(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return forced_throughput(*args)
+        return _least_throughput(*args)
 
-    monkeypatch.setattr(oracle, "forced_throughput", counted)
+    monkeypatch.setattr(oracle, "_least_throughput", counted)
     report = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=200)
     assert report.ok
     assert len(calls) == 1138
+
+
+def test_skipped_cancelling_breaks_cross_check(monkeypatch):
+    # negative control: throughputs read off the canonical flow, with no
+    # cycle cancelled, disagree with the enumeration and the oracle.  On
+    # this batch no throughput needs a second cancellation, so a canceller
+    # that stops after one passes here; the min-cost differentials of
+    # test_flows catch that one
+    monkeypatch.setattr(quantities, "_cancel_negative_cycles", lambda *args: None)
+    report = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=200)
+    assert len(report.violations) == 9
+    assert all("throughput" in violation for violation in report.violations)
 
 
 def test_cross_check_runs_one_canonical_flow_per_pair(monkeypatch):

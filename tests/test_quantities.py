@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from fullflow import quantities
+from fullflow import flows, quantities
 from fullflow.errors import BudgetExceededError, InvalidInputError
 from fullflow.figures import FIGURE_NAMES, figure_network
 from fullflow.flows import (
@@ -39,6 +39,7 @@ from helpers import (
     enumerated_passage,
     induced_flow,
     maximum_sequences,
+    record_augment_calls,
     restrict,
     seeded_network,
 )
@@ -223,6 +224,17 @@ def test_pair_report_flow_is_the_max_flow(name):
             assert pair_report(net, y, z, members).flow == flow
 
 
+def test_pair_report_runs_one_canonical_flow(monkeypatch, fig1, fig6):
+    # the throughput comes from the flow settle_pair returns: a pair call
+    # runs the canonical max flow and the drop's restricted one, no more
+    calls = record_augment_calls(monkeypatch)
+    assert pair_report(fig1, "y", "z", {"x"}).forced_throughput == 2
+    assert calls == [True, False]
+    calls.clear()
+    assert pair_report(fig6, "y", "z", {"x1", "x2"}).forced_throughput == 2
+    assert calls == [True, False]
+
+
 @settings(max_examples=60)
 @given(networks_with_endpoints())
 def test_singleton_identity_all_three(net_yz):
@@ -268,7 +280,7 @@ def test_settle_pair_flow_bounds(monkeypatch, fig1, fig5):
     n14 = seeded_network(14)
     v02_v03 = frozenset({"v02", "v03"})
     with monkeypatch.context() as bounds:
-        _forbid(bounds, "_cheapest_augmenting")
+        _forbid(bounds, "_cancel_negative_cycles")
         # the extension rule settles fig1 (y, x, {u, v}), through 4
         uv = frozenset({"u", "v"})
         _, _, settled = settle_pair(fig1, "y", "x", [uv], passage=True)
@@ -280,13 +292,13 @@ def test_settle_pair_flow_bounds(monkeypatch, fig1, fig5):
         )
         assert settled == [(1, 1), (3, 3)]
         # but not from the cold one of a lone group
-        with pytest.raises(AssertionError, match="_cheapest_augmenting ran"):
+        with pytest.raises(AssertionError, match="_cancel_negative_cycles ran"):
             settle_pair(fig5, "y", "z", [u2_x2], passage=True)
         # nor (v05, v08, {v02, v03}), through 3, on the seeded n = 14
         # network, even warm-started
-        with pytest.raises(AssertionError, match="_cheapest_augmenting ran"):
+        with pytest.raises(AssertionError, match="_cancel_negative_cycles ran"):
             settle_pair(n14, "v05", "v08", [v02_v03, frozenset({"v01"})], passage=True)
-    # which the throughput bound settles
+    # which the entry bound settles
     _, _, settled = settle_pair(fig5, "y", "z", [u2_x2], passage=True)
     assert settled == [(1, 1)]
     _, _, settled = settle_pair(
@@ -303,20 +315,21 @@ def _record_restricted_flows(monkeypatch):
     # every call not under the network's own capacities is a restricted
     # max flow, recorded as (flow at entry, flow at exit, BFS calls)
     records = []
+    bfs_calls = []
 
-    def recorded(net, caps, flow, s, t, find):
+    def counted(*args):
+        bfs_calls.append(1)
+        return _bfs_augmenting(*args)
+
+    def recorded(net, caps, flow, s, t):
         warm = list(flow)
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return find(*args)
-
-        added = _augment(net, caps, flow, s, t, counted)
+        bfs_calls.clear()
+        added = _augment(net, caps, flow, s, t)
         if caps is not net.capacities:
-            records.append((warm, flow, len(calls)))
+            records.append((warm, flow, len(bfs_calls)))
         return added
 
+    monkeypatch.setattr(flows, "_bfs_augmenting", counted)
     monkeypatch.setattr(quantities, "_augment", recorded)
     return records
 
@@ -441,9 +454,9 @@ def test_settle_pair_on_gap_networks(net):
 def test_loosened_extension_rule_is_caught(monkeypatch, fig5):
     # negative control: an extension rule that accepts one unit short of
     # the drop settles fig5's gap term {x1, x2} at 1, where its passage is 2
-    def loosened(net, s, t, group, caps, kept_flow, kept, drop):
+    def loosened(net, s, t, group, flow, caps, kept_flow, kept, drop):
         spare = [c - g for c, g in zip(net.capacities, kept_flow)]
-        added = _augment(net, spare, [0] * len(spare), s, t, _bfs_augmenting)
+        added = _augment(net, spare, [0] * len(spare), s, t)
         return added >= drop - 1
 
     monkeypatch.setattr(quantities, "_passage_at_drop", loosened)
