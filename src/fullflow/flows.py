@@ -175,16 +175,6 @@ def _bfs_augmenting(
     return None
 
 
-def _push(caps: Sequence[int], flow: list[int], moves: list[tuple[int, int]]) -> int:
-    """Send the bottleneck of ``moves`` along them, in place; return it."""
-    bottleneck = min(
-        [caps[arc] - flow[arc] if d == FORWARD else flow[arc] for arc, d in moves]
-    )
-    for arc, d in moves:
-        flow[arc] += d * bottleneck
-    return bottleneck
-
-
 def _augment(
     net: CompiledNetwork,
     caps: Sequence[int],
@@ -205,7 +195,12 @@ def _augment(
         moves = _bfs_augmenting(net, caps, flow, source, sink)
         if moves is None:
             return added
-        added += _push(caps, flow, moves)
+        bottleneck = min(
+            [caps[arc] - flow[arc] if d == FORWARD else flow[arc] for arc, d in moves]
+        )
+        for arc, d in moves:
+            flow[arc] += d * bottleneck
+        added += bottleneck
 
 
 def _negative_cycle(
@@ -270,7 +265,11 @@ def _cancel_negative_cycles(
     by its bottleneck, in place, until none is left: then it is a min-cost
     maximum flow (Klein, 1967), still integral."""
     while (moves := _negative_cycle(net, caps, flow, costs)) is not None:
-        _push(caps, flow, moves)
+        bottleneck = min(
+            [caps[arc] - flow[arc] if d == FORWARD else flow[arc] for arc, d in moves]
+        )
+        for arc, d in moves:
+            flow[arc] += d * bottleneck
 
 
 def _as_flow(

@@ -195,9 +195,13 @@ def record_augment_calls(monkeypatch):
 def cancel_one_cycle(net, caps, flow, costs):
     """A canceller broken for negative controls: it cancels the first
     negative-cost cycle it finds, if any, and stops there."""
-    moves = flows._negative_cycle(net, caps, flow, costs)
-    if moves is not None:
-        flows._push(caps, flow, moves)
+    moves = flows._negative_cycle(net, caps, flow, costs) or []
+    bottleneck = min(
+        [caps[arc] - flow[arc] if d == FORWARD else flow[arc] for arc, d in moves],
+        default=0,
+    )
+    for arc, d in moves:
+        flow[arc] += d * bottleneck
 
 
 def chi(walk):
