@@ -26,6 +26,8 @@ from .errors import InvariantViolationError
 from .network import Network, VertexId, ordered_pairs, vertex_group
 from .quantities import DEFAULT_NODE_BUDGET, render_group, settle_pair
 
+_DECIMAL_PLACES = 6  # the decimal columns of a CLI record
+
 
 @dataclass(frozen=True)
 class PairTerm:
@@ -60,14 +62,15 @@ class CentralityReport:
         return sep.join(fields)
 
 
-def decimal_text(value: Fraction, places: int = 6) -> str:
-    """Exact fixed-point rendering, round-half-up, for nonnegative values."""
-    scaled = value * 10**places
+def decimal_text(value: Fraction) -> str:
+    """Exact fixed-point rendering to ``_DECIMAL_PLACES`` places,
+    round-half-up, for nonnegative values."""
+    scaled = value * 10**_DECIMAL_PLACES
     whole, rem = divmod(scaled.numerator, scaled.denominator)
     if 2 * rem >= scaled.denominator:
         whole += 1
-    digits = f"{whole:0{places + 1}d}"
-    return f"{digits[:-places]}.{digits[-places:]}"
+    digits = f"{whole:0{_DECIMAL_PLACES + 1}d}"
+    return f"{digits[:-_DECIMAL_PLACES]}.{digits[-_DECIMAL_PLACES:]}"
 
 
 def _group_sums(

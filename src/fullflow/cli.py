@@ -96,12 +96,15 @@ def cmd_pair(args) -> int:
         exact=args.exact or args.witness,
         node_budget=args.budget,
     )
+    if args.dump_flow:  # first, so that a failed dump prints no record
+        try:
+            with open(args.dump_flow, "w", encoding="utf-8") as handle:
+                handle.write(flow_to_text(report.flow))
+        except OSError as exc:
+            raise InvalidInputError(f"{args.dump_flow}: {exc.strerror or exc}") from exc
     print(report.record(sep=_sep(args.format)))
     if args.witness:
         print(f"witness{_sep(args.format)}{report.witness}")
-    if args.dump_flow:
-        with open(args.dump_flow, "w", encoding="utf-8") as handle:
-            handle.write(flow_to_text(report.flow))
     return 0
 
 

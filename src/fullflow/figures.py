@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from typing import Mapping
 
 from .centrality import full_flow_betweenness, full_flow_vitality
 from .errors import InvalidInputError
@@ -70,15 +69,9 @@ def _expect(checks: list, figure: str, name: str, got, want):
     )
 
 
-def figure_checks(networks: Mapping[str, Network] | None = None) -> list[FigureCheck]:
-    """Run every documented fixture assertion; never raises on mismatch.
-
-    ``networks`` substitutes fixture networks by name (the default is the
-    embedded set); useful for negative controls.
-    """
-    nets = dict(figure_networks())
-    if networks:
-        nets.update(networks)
+def figure_checks() -> list[FigureCheck]:
+    """Run every documented fixture assertion; never raises on mismatch."""
+    nets = figure_networks()
     checks: list[FigureCheck] = []
 
     fig1 = nets["fig1"]

@@ -3,9 +3,9 @@
 A flow assigns a nonnegative integer to every arc, within capacity, with
 conservation at every vertex other than the designated source and sink.
 This module validates flows, measures their value and their throughput at
-vertex groups, computes maximum flows and minimum-cost maximum flows, and
-decomposes a flow into source-sink paths plus cycles (and recomposes it
-exactly).
+vertex groups, computes maximum flows, cancels the negative-cost residual
+cycles of a maximum flow, and decomposes a flow into source-sink paths
+plus cycles (and recomposes it exactly).
 
 All search orders follow the canonical lexicographic vertex order, so
 every result here is a pure, deterministic function of its inputs:
@@ -19,20 +19,21 @@ every result here is a pure, deterministic function of its inputs:
   result to :class:`Path` and :class:`Cycle`, and ``settle_pair`` takes
   the paths as they are to warm-start its restricted max flows.
 
-Max flow and min-cost max flow run on ``Network.compiled``, built once
-per network (vertices and arcs as integers, each vertex with one sorted
-list of the neighbors it shares an arc with, in either direction), through
-one augment loop (``_augment``) over the breadth-first path finder.  A max
-flow restricted to part of the network is the same loop under a capacity
-vector with the excluded arcs at zero.  A min-cost max flow cancels the
-negative cycles of a max flow (``_cancel_negative_cycles``).
+Max flows run on ``Network.compiled``, built once per network (vertices
+and arcs as integers, each vertex with one sorted list of the neighbors
+it shares an arc with, in either direction), through one augment loop
+(``_augment``) over the breadth-first path finder.  A max flow restricted
+to part of the network is the same loop under a capacity vector with the
+excluded arcs at zero.  The forced throughput (in ``quantities``) is a
+cost of the pair's own max flow, least once its negative-cost residual
+cycles are cancelled (``_cancel_negative_cycles``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, InvariantViolationError
 from .network import Arc, CompiledNetwork, Network, VertexId
@@ -294,32 +295,6 @@ def max_flow(network: Network, source: VertexId, sink: VertexId) -> tuple[int, F
     flow = [0] * len(net.arcs)
     value = _augment(net, net.capacities, flow, net.index[source], net.index[sink])
     return value, _as_flow(net, source, sink, flow)
-
-
-def min_cost_max_flow(
-    network: Network,
-    source: VertexId,
-    sink: VertexId,
-    arc_cost: Mapping[Arc, int],
-) -> tuple[int, int, Flow]:
-    """Cheapest maximum flow for nonnegative integer arc costs.
-
-    The canonical maximum flow of :func:`max_flow`, with its negative-cost
-    residual cycles cancelled (:func:`_cancel_negative_cycles`).
-    Integral capacities and costs make the optimum integral.  Returns
-    (value, total cost, flow).
-    """
-    _check_endpoints(network, source, sink)
-    for arc, cost in arc_cost.items():
-        if cost < 0:
-            raise InvalidInputError(f"negative cost {cost} on arc {arc!r}")
-    net = network.compiled
-    costs = [arc_cost.get(arc, 0) for arc in net.arcs]
-    flow = [0] * len(net.arcs)
-    value = _augment(net, net.capacities, flow, net.index[source], net.index[sink])
-    _cancel_negative_cycles(net, net.capacities, flow, costs)
-    cost = sum(c * f for c, f in zip(costs, flow))
-    return value, cost, _as_flow(net, source, sink, flow)
 
 
 @dataclass(frozen=True)

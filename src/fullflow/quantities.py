@@ -42,7 +42,6 @@ from .flows import (
     _cancel_negative_cycles,
     _check_endpoints,
     _decompose_ids,
-    max_flow,
 )
 from .network import CompiledNetwork, Network, VertexId, vertex_group
 from .paths import ArcDisjointSequence, Path
@@ -199,7 +198,7 @@ def enumerate_max_sequences(
     count) when the node budget runs out.
     """
     _check_endpoints(network, source, sink)
-    target, _ = max_flow(network, source, sink)
+    target = settle_pair(network, source, sink, [], passage=False)[0]
     for _, paths in _max_sequences(
         network, source, sink, target, node_budget, "sequence enumeration"
     ):

@@ -8,7 +8,8 @@ as the paper states them, with no shortcut, so that tests can check the
 library against them.  ``reference_decompose`` is the canonical
 decomposition walk on vertex tokens, the reference for the library's walk
 on arc ids.  ``reference_min_cost_max_flow`` is the successive shortest
-path solver, the reference for the library's negative-cycle canceller.
+path solver, the reference for the library's negative-cycle canceller,
+which ``cheapest_max_flow`` runs on the canonical max flow.
 """
 
 import random
@@ -190,6 +191,21 @@ def record_augment_calls(monkeypatch):
     monkeypatch.setattr(flows, "_augment", recorded)
     monkeypatch.setattr(quantities, "_augment", recorded)
     return calls
+
+
+def cheapest_max_flow(network, source, sink, arc_cost):
+    """(value, cost, flow) of the canonical max flow with its negative-cost
+    cycles cancelled: the package's canceller under general costs, both
+    steps looked up on ``flows`` when called, so that a patch of either
+    takes effect."""
+    net = network.compiled
+    costs = [arc_cost.get(arc, 0) for arc in net.arcs]
+    flow = [0] * len(net.arcs)
+    s, t = net.index[source], net.index[sink]
+    value = flows._augment(net, net.capacities, flow, s, t)
+    flows._cancel_negative_cycles(net, net.capacities, flow, costs)
+    cost = sum(c * f for c, f in zip(costs, flow))
+    return value, cost, flows._as_flow(net, source, sink, flow)
 
 
 def cancel_one_cycle(net, caps, flow, costs):

@@ -97,7 +97,6 @@ def test_decimal_text():
     assert decimal_text(Fraction(1, 3)) == "0.333333"
     assert decimal_text(Fraction(2, 3)) == "0.666667"
     assert decimal_text(Fraction(10)) == "10.000000"
-    assert decimal_text(Fraction(1, 2), places=1) == "0.5"
 
 
 @settings(max_examples=20, deadline=None)

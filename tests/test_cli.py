@@ -8,7 +8,7 @@ import pytest
 
 from fullflow.cli import main
 from fullflow.errors import InvariantViolationError
-from fullflow.figures import figure_checks, figure_network
+from fullflow.figures import figure_checks, figure_network, figure_networks
 from fullflow.flows import flow_to_text, max_flow
 
 from helpers import network_to_text, record_augment_calls, seeded_network
@@ -186,6 +186,15 @@ def test_dump_flow(fig1_file, tmp_path, capsys):
     )
 
 
+def test_failed_dump_prints_nothing(fig1_file, tmp_path, capsys):
+    # the dump is written before the record, so a failed one prints none
+    target = str(tmp_path / "no-such-dir" / "flow.txt")
+    assert main(["pair", fig1_file, "y", "z", "--dump-flow", target]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{target}: " in err
+
+
 def test_dump_flow_runs_no_extra_flow(fig1_file, tmp_path, capsys, monkeypatch):
     # the dumped flow is the one pair_report already settled the pair with
     args = ["pair", fig1_file, "y", "z", "--set", "x"]
@@ -271,14 +280,16 @@ def test_python_m_fullflow(capsys):
     assert done.stdout == expected
 
 
-def test_tampered_fixture_fails_named_check(fig5):
+def test_tampered_fixture_fails_named_check(fig5, monkeypatch):
     # negative control: deleting an arc of fig5 must trip its assertions
     capacities = dict(fig5.capacities)
     del capacities[("v2", "z")]
     from fullflow.network import Network
 
-    broken = Network(fig5.vertices, capacities)
-    checks = figure_checks(networks={"fig5": broken})
+    nets = figure_networks()
+    nets["fig5"] = Network(fig5.vertices, capacities)
+    monkeypatch.setattr("fullflow.figures.figure_networks", lambda: nets)
+    checks = figure_checks()
     failed = [c for c in checks if not c.passed]
     assert failed
     assert all(c.figure == "fig5" for c in failed)

@@ -2,12 +2,7 @@ import pytest
 
 from fullflow.errors import FullFlowError, InvalidInputError
 from fullflow.figures import FIGURE_NAMES, figure_network
-from fullflow.flows import (
-    Flow,
-    decompose,
-    max_flow,
-    min_cost_max_flow,
-)
+from fullflow.flows import Flow, decompose, max_flow
 from fullflow.network import Network, build_network, vertex_group
 from fullflow.paths import Path, is_arc_disjoint, path_of
 
@@ -66,10 +61,6 @@ BAD_CALLS = {
     "same endpoints, Flow": (
         lambda: Flow("a", "a", {}),
         "source and sink must differ, both are 'a'",
-    ),
-    "negative cost": (
-        lambda: min_cost_max_flow(AB, "a", "b", {("a", "b"): -1}),
-        "negative cost -1 on arc ('a', 'b')",
     ),
     "one-vertex path": (
         lambda: Path(("a",)),

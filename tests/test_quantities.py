@@ -17,7 +17,6 @@ from fullflow.flows import (
     flow_through,
     flow_value,
     max_flow,
-    min_cost_max_flow,
     validate_flow,
 )
 from fullflow.network import build_network
@@ -36,6 +35,7 @@ from helpers import (
     brute_force_min_throughput,
     candidate_paths,
     capacity_of_set,
+    cheapest_max_flow,
     enumerated_passage,
     induced_flow,
     maximum_sequences,
@@ -512,7 +512,7 @@ def test_flow_through_lower_bound(net_yz, data):
     costs = {}
     for arc in sorted(net.capacities):
         costs[arc] = data.draw(st.integers(0, 2), label=f"cost {arc}")
-    flows = [max_flow(net, y, z)[1], min_cost_max_flow(net, y, z, costs)[2]]
+    flows = [max_flow(net, y, z)[1], cheapest_max_flow(net, y, z, costs)[2]]
     for x in net.vertices:
         bound = enumerated_passage(net, y, z, {x})
         for f in flows:
