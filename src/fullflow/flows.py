@@ -22,11 +22,13 @@ every result here is a pure, deterministic function of its inputs:
 Max flows run on ``Network.compiled``, built once per network (vertices
 and arcs as integers, each vertex with one sorted list of the neighbors
 it shares an arc with, in either direction), through one augment loop
-(``_augment``) over the breadth-first path finder.  A max flow restricted
-to part of the network is the same loop under a capacity vector with the
-excluded arcs at zero.  The forced throughput (in ``quantities``) is a
-cost of the pair's own max flow, least once its negative-cost residual
-cycles are cancelled (``_cancel_negative_cycles``).
+(``_augment``) over the breadth-first path finder; it also hands back the
+source side of the min cut where its last search failed, from which
+``settle_pair`` proves some drops.  A max flow restricted to part of the
+network is the same loop under a capacity vector with the excluded arcs
+at zero.  The forced throughput (in ``quantities``) is a cost of the
+pair's own max flow, least once its negative-cost residual cycles are
+cancelled (``_cancel_negative_cycles``).
 """
 
 from __future__ import annotations
@@ -140,14 +142,15 @@ def _bfs_augmenting(
     flow: Sequence[int],
     source: int,
     sink: int,
-) -> list[tuple[int, int]] | None:
+) -> list[tuple[int, int]] | bytearray:
     """Lexicographically least shortest augmenting path, as (arc id, dir) moves.
 
     Works on the compiled network: ``caps`` and ``flow`` are indexed by arc
     id (``caps`` may be any pointwise reduction of the network's
     capacities, zeros included).  Each vertex's neighbors are expanded in
     canonical order, taking the forward arc when it has room and the
-    backward arc otherwise.
+    backward arc otherwise.  With no path left, it returns instead the
+    vertices it reached, as one byte per vertex (1 for reached).
     """
     neighbors = net.neighbors
     parent: dict[int, tuple[int, int, int]] = {}
@@ -173,7 +176,7 @@ def _bfs_augmenting(
                 return moves
             seen[w] = 1
             queue.append(w)
-    return None
+    return seen
 
 
 def _augment(
@@ -182,20 +185,21 @@ def _augment(
     flow: list[int],
     source: int,
     sink: int,
-) -> int:
+) -> tuple[int, bytearray]:
     """Saturate the augmenting paths :func:`_bfs_augmenting` returns until
     it finds none.
 
     The one augment loop in the package.  ``flow`` (indexed by arc id) is
-    updated in place; the return value is the amount added.  An arc at
-    zero in ``caps`` carries no flow, so a flow from zero under ``caps`` is
-    a flow of the network restricted to the other arcs.
+    updated in place; the return value is the amount added and what the
+    last, failing search reached: the source side of a minimum cut.  An
+    arc at zero in ``caps`` carries no flow, so a flow from zero under
+    ``caps`` is a flow of the network restricted to the other arcs.
     """
     added = 0
     while True:
         moves = _bfs_augmenting(net, caps, flow, source, sink)
-        if moves is None:
-            return added
+        if type(moves) is bytearray:
+            return added, moves
         bottleneck = min(
             [caps[arc] - flow[arc] if d == FORWARD else flow[arc] for arc, d in moves]
         )
@@ -293,7 +297,7 @@ def max_flow(network: Network, source: VertexId, sink: VertexId) -> tuple[int, F
     _check_endpoints(network, source, sink)
     net = network.compiled
     flow = [0] * len(net.arcs)
-    value = _augment(net, net.capacities, flow, net.index[source], net.index[sink])
+    value, _ = _augment(net, net.capacities, flow, net.index[source], net.index[sink])
     return value, _as_flow(net, source, sink, flow)
 
 
@@ -350,8 +354,8 @@ def _decompose_ids(
             left[a] -= 1
         paths.append(arcs)
     if any(left):
-        for start, moves in enumerate(neighbors):
-            while any(a >= 0 and left[a] for _, a, _ in moves):
+        for start, moves in enumerate(net.out_arcs):
+            while any(left[a] for a in moves):
                 walk, arcs = [start], []
                 while not step(walk, arcs):
                     pass

@@ -86,14 +86,17 @@ class CompiledNetwork:
     capacity ``capacities[a]``.  ``neighbors[i]`` lists every vertex joined
     to vertex ``i`` by an arc in either direction, in canonical order, as
     ``(j, out_arc, in_arc)``: the ids of the arcs ``i->j`` and ``j->i``,
-    or -1 where there is no such arc.  These are exactly the residual
-    moves a flow can ever offer at ``i``.
+    or -1 where there is no such arc: the residual moves a flow can ever
+    offer at ``i``.  ``out_arcs[i]`` and ``in_arcs[i]`` hold the same
+    arc ids, split by direction.
     """
 
     index: dict[VertexId, int]
     arcs: tuple[Arc, ...]
     capacities: tuple[int, ...]
     neighbors: tuple[tuple[tuple[int, int, int], ...], ...]
+    out_arcs: tuple[tuple[int, ...], ...]
+    in_arcs: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -155,6 +158,8 @@ class Network:
             arcs=arcs,
             capacities=tuple(self.capacities[arc] for arc in arcs),
             neighbors=neighbors,
+            out_arcs=tuple(tuple(a for _, a, _ in m if a >= 0) for m in neighbors),
+            in_arcs=tuple(tuple(a for _, _, a in m if a >= 0) for m in neighbors),
         )
 
 

@@ -55,10 +55,13 @@ def vitality_drop(
     """Fall in maximum flow value when all arcs incident to the group vanish.
 
     Always in ``[0, max_flow]``; equals the full max-flow value whenever
-    the group touches an endpoint; monotone in the group.
+    the group touches an endpoint; monotone in the group; 0, with no max
+    flow run, for the empty group.
     """
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
+    if not group:
+        return 0
     _, _, [(drop, _)] = settle_pair(network, source, sink, [group], passage=False)
     return drop
 
@@ -251,20 +254,26 @@ def settle_pair(
     1. ``max_flow == 0``: drop = passage = 0.
     2. ``source`` or ``sink`` is in X: every path meets X, so drop =
        passage = max_flow.
-    3. ``f`` sends nothing through X (``flow_through(f, X) == 0``): drop =
-       passage = 0, since passage <= throughput <= ``flow_through(f, X)``.
+    3. The cut rule: let S be the source side of the min cut where the
+       last search of ``f`` failed, and C_X the capacity of the arcs from
+       S to the rest that touch X.  If C_X equals ``through =
+       flow_through(f, X)`` (always so when through is 0), drop = passage
+       = through, with no restricted flow.  C_X <= through, as ``f`` fills
+       those arcs and each unit on them passes through X; and the
+       restricted flow is at most ``max_flow - C_X``, what the cut keeps
+       in G - X: so C_X <= drop <= through, and rule 4's squeeze follows.
     4. Otherwise the drop comes from one more max flow ``g``, with the
        arcs touching X at zero capacity.  When several groups share the
        pair, ``g`` is warm-started from the unit paths of ``f`` that
        avoid X, which carry at least ``max_flow - flow_through(f, X)``,
        so at most ``through - drop`` augmentations remain.  ``f`` is
        decomposed, its cycles dropped, at most once per pair: for the
-       first group whose bound is positive (``through < max_flow``); a
-       group before that, or a lone group, starts from zero.  A lone
-       group's warm start saves about one augmenting BFS, less than the
-       decomposition costs, so only a shared pair pays for one.  If the
-       drop equals ``flow_through(f, X)``, the passage is squeezed to the
-       same value.
+       first group that reaches ``g`` with a positive bound (``through <
+       max_flow``); a group before that, or a lone group, starts from
+       zero.  A lone group's warm start saves about one augmenting BFS,
+       less than the decomposition costs, so only a shared pair pays for
+       one.  If the drop equals ``through``, the passage is squeezed to
+       the same value.
     5. A single vertex takes passage = drop, which the paper proves for
        singletons, unless ``exact`` turns this shortcut off.
 
@@ -294,7 +303,7 @@ def settle_pair(
     net = network.compiled
     s, t = net.index[source], net.index[sink]
     flow = [0] * len(net.arcs)
-    total = _augment(net, net.capacities, flow, s, t)
+    total, reached = _augment(net, net.capacities, flow, s, t)
     if total == 0:
         return total, flow, [(0, 0)] * len(groups)
     settled: list[tuple[int, int | None]] = []
@@ -304,31 +313,27 @@ def settle_pair(
         if source in group or sink in group:
             drop = found = total
         else:
-            incident = [net.neighbors[net.index[x]] for x in group]
-            # flow_through(f, X), as no endpoint is in X; -1 is no arc
-            through = sum(flow[a] for moves in incident for _, a, _ in moves if a >= 0)
-            if through == 0:
-                drop = found = 0
+            members = {net.index[x] for x in group}
+            # flow_through(f, X), as no endpoint is in X
+            through = sum(flow[a] for x in members for a in net.out_arcs[x])
+            if through == 0 or _cut_capacity(net, reached, members) == through:
+                drop = found = through
             else:
                 caps = list(net.capacities)
-                for moves in incident:
-                    for _, out_arc, in_arc in moves:
-                        if out_arc >= 0:
-                            caps[out_arc] = 0
-                        if in_arc >= 0:
-                            caps[in_arc] = 0
+                for x in members:
+                    for a in net.out_arcs[x] + net.in_arcs[x]:
+                        caps[a] = 0
                 if units is None and shared and through < total:
                     units, _ = _decompose_ids(net, flow, s, t, total)
                 # warm start: the unit paths of f with no arc at zero in
                 # caps avoid X, so together they are a flow under caps
-                kept_flow = [0] * len(caps)
-                kept = 0
+                kept_flow, kept = [0] * len(caps), 0
                 for path in units or ():
                     if all(map(caps.__getitem__, path)):
                         for a in path:
                             kept_flow[a] += 1
                         kept += 1
-                kept += _augment(net, caps, kept_flow, s, t)
+                kept += _augment(net, caps, kept_flow, s, t)[0]
                 drop = total - kept
                 if drop == through or (not exact and len(group) == 1):
                     found = drop
@@ -344,6 +349,20 @@ def settle_pair(
                     )
         settled.append((drop, found))
     return total, flow, settled
+
+
+def _cut_capacity(net: CompiledNetwork, reached: bytearray, members: set[int]) -> int:
+    """C_X of :func:`settle_pair`'s rule 3: the capacity of the arcs from
+    ``reached`` to the rest that touch ``members``, each counted once."""
+    caps, cut = net.capacities, 0
+    for x in members:
+        for w, out_arc, in_arc in net.neighbors[x]:
+            if reached[x]:
+                if out_arc >= 0 and not reached[w]:
+                    cut += caps[out_arc]
+            elif in_arc >= 0 and reached[w] and w not in members:
+                cut += caps[in_arc]  # an arc from a member counts at its tail
+    return cut
 
 
 def _passage_at_drop(
@@ -365,14 +384,14 @@ def _passage_at_drop(
     """
     # rule 6: kept_flow plus a flow under the capacity it leaves
     spare = [c - g for c, g in zip(net.capacities, kept_flow)]
-    if _augment(net, spare, [0] * len(spare), s, t) == drop:
+    if _augment(net, spare, [0] * len(spare), s, t)[0] == drop:
         return True
     # rule 7: a maximum flow entering X least
     costs = [int(head in group and tail not in group) for tail, head in net.arcs]
     cheapest = list(flow)
     _cancel_negative_cycles(net, net.capacities, cheapest, costs)
     bound = [min(f, c) for f, c in zip(cheapest, caps)]
-    return _augment(net, bound, [0] * len(caps), s, t) == kept
+    return _augment(net, bound, [0] * len(caps), s, t)[0] == kept
 
 
 def forced_passage(
@@ -387,10 +406,13 @@ def forced_passage(
     """Minimum number of paths meeting the group in a maximum sequence.
 
     Settled by :func:`settle_pair`: ``exact`` only turns off the singleton
-    shortcut, and the search runs where no rule applies.
+    shortcut, and the search runs where no rule applies.  The empty group
+    takes 0 with no max flow run.
     """
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
+    if not group:
+        return 0
     _, _, [(_, value)] = settle_pair(
         network,
         source,
@@ -433,9 +455,8 @@ def _least_throughput(
     through = sum(map(mul, costs, flow))
     ends = len(group) - len(interior)
     if ends:  # add the flow value, once per endpoint in the group
-        moves = net.neighbors[s]
-        through += ends * sum(flow[a] for _, a, _ in moves if a >= 0)
-        through -= ends * sum(flow[a] for _, _, a in moves if a >= 0)
+        through += ends * sum(map(flow.__getitem__, net.out_arcs[s]))
+        through -= ends * sum(map(flow.__getitem__, net.in_arcs[s]))
     return through
 
 

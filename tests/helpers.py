@@ -5,7 +5,8 @@ The definitions -- restriction, boundary arcs, set capacity, generalized
 paths and the augmenting path, the signed arc function and what is built
 from it, the oracle throughput and the enumerated passage -- are written
 as the paper states them, with no shortcut, so that tests can check the
-library against them.  ``reference_decompose`` is the canonical
+library against them; ``cut_capacity_touching`` is the cut rule's C_X
+on vertex tokens.  ``reference_decompose`` is the canonical
 decomposition walk on vertex tokens, the reference for the library's walk
 on arc ids.  ``reference_min_cost_max_flow`` is the successive shortest
 path solver, the reference for the library's negative-cycle canceller,
@@ -56,6 +57,32 @@ def restrict(network, members):
         if arc[0] not in group and arc[1] not in group
     }
     return Network(network.vertices, kept)
+
+
+def cut_capacity_touching(network, flow, members):
+    """C_X of the cut rule, from the paper's definitions: the capacity of
+    the arcs that touch the group and lead from the vertices the residual
+    network of ``flow`` reaches from its source to the rest."""
+    group = vertex_group(network, members)
+    reached = {flow.source}
+    queue = [flow.source]
+    for v in queue:
+        for (tail, head), cap in network.capacities.items():
+            on = flow.values.get((tail, head), 0)
+            if tail == v and on < cap:
+                w = head
+            elif head == v and on > 0:
+                w = tail
+            else:
+                continue
+            if w not in reached:
+                reached.add(w)
+                queue.append(w)
+    return sum(
+        cap
+        for (tail, head), cap in network.capacities.items()
+        if tail in reached and head not in reached and group & {tail, head}
+    )
 
 
 def boundary_arcs(network, members):
@@ -175,7 +202,9 @@ def find_augmenting_path(network, flow):
         net.index[flow.source],
         net.index[flow.sink],
     )
-    return None if moves is None else _moves_to_gpath(net, moves, flow.source)
+    if isinstance(moves, bytearray):  # the vertices reached: no path left
+        return None
+    return _moves_to_gpath(net, moves, flow.source)
 
 
 def record_augment_calls(monkeypatch):
@@ -202,7 +231,7 @@ def cheapest_max_flow(network, source, sink, arc_cost):
     costs = [arc_cost.get(arc, 0) for arc in net.arcs]
     flow = [0] * len(net.arcs)
     s, t = net.index[source], net.index[sink]
-    value = flows._augment(net, net.capacities, flow, s, t)
+    value, _ = flows._augment(net, net.capacities, flow, s, t)
     flows._cancel_negative_cycles(net, net.capacities, flow, costs)
     cost = sum(c * f for c, f in zip(costs, flow))
     return value, cost, flows._as_flow(net, source, sink, flow)

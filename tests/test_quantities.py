@@ -36,6 +36,7 @@ from helpers import (
     candidate_paths,
     capacity_of_set,
     cheapest_max_flow,
+    cut_capacity_touching,
     enumerated_passage,
     induced_flow,
     maximum_sequences,
@@ -324,10 +325,10 @@ def _record_restricted_flows(monkeypatch):
     def recorded(net, caps, flow, s, t):
         warm = list(flow)
         bfs_calls.clear()
-        added = _augment(net, caps, flow, s, t)
+        result = _augment(net, caps, flow, s, t)
         if caps is not net.capacities:
             records.append((warm, flow, len(bfs_calls)))
-        return added
+        return result
 
     monkeypatch.setattr(flows, "_bfs_augmenting", counted)
     monkeypatch.setattr(quantities, "_augment", recorded)
@@ -338,10 +339,11 @@ def _record_restricted_flows(monkeypatch):
 def test_warm_restricted_flow_matches_cold(n, monkeypatch):
     # settle_pair's restricted max flows, for several groups of one pair,
     # against cold max flows on the restricted networks: the same values
-    # and valid flows of those networks.  From the first group with
-    # through < max_flow on, each starts from the unit paths of the pair's
-    # flow that avoid its group; before it, from zero.  Either way at most
-    # through - drop augmentations follow
+    # and valid flows of those networks.  A restricted flow runs for each
+    # group with flow through it that the cut rule leaves.  From the first
+    # such group with through < max_flow on, each starts from the unit
+    # paths of the pair's flow that avoid its group; before it, from zero.
+    # Either way at most through - drop augmentations follow
     records = _record_restricted_flows(monkeypatch)
     net = seeded_network(n)
     compiled = net.compiled
@@ -357,7 +359,7 @@ def test_warm_restricted_flow_matches_cold(n, monkeypatch):
         reached = [
             (group, drop)
             for group, (drop, _) in zip(groups, settled)
-            if total and flow_through(f, group)
+            if total and flow_through(f, group) != cut_capacity_touching(net, f, group)
         ]
         assert len(records) == len(reached)
         decomposed = False
@@ -390,12 +392,12 @@ def test_lone_group_starts_cold(monkeypatch, fig1):
 def test_warm_restricted_flow_matches_networkx(monkeypatch):
     # networkx as a third reference for the drops, on groups of 1, 2 and
     # 3 vertices that share one pair, so that their restricted flows may
-    # start warm
+    # start warm; ten pairs leave eight warm starts after the cut rule
     nx = pytest.importorskip("networkx")
     records = _record_restricted_flows(monkeypatch)
     net = seeded_network(24)
     rng = random.Random("warm:networkx")
-    for _ in range(6):
+    for _ in range(10):
         y, z = rng.sample(net.vertices, 2)
         inner = [v for v in net.vertices if v not in (y, z)]
         groups = [frozenset(rng.sample(inner, size)) for size in (1, 2, 3)]
@@ -407,6 +409,117 @@ def test_warm_restricted_flow_matches_networkx(monkeypatch):
                 graph.add_edge(tail, head, capacity=cap)
             assert total - drop == nx.maximum_flow_value(graph, y, z)
     assert sum(any(warm) for warm, _, _ in records) >= 8
+
+
+def _networkx_max_flow_value(net, y, z):
+    nx = pytest.importorskip("networkx")
+    graph = nx.DiGraph()
+    graph.add_nodes_from(net.vertices)
+    for (tail, head), cap in net.capacities.items():
+        graph.add_edge(tail, head, capacity=cap)
+    return nx.maximum_flow_value(graph, y, z)
+
+
+def _check_cut_rule(monkeypatch, n, reference=lambda net, y, z: max_flow(net, y, z)[0]):
+    # settle_pair on the seeded network, for random groups of 1-3 vertices
+    # that share a pair, against the reference max flow of each restricted
+    # network.  The cut rule settles the groups whose flow through equals
+    # C_X (cut_capacity_touching, on tokens) with no restricted flow, at
+    # passage = drop = through; the other groups with flow through them
+    # each run one restricted flow
+    records = _record_restricted_flows(monkeypatch)
+    net = seeded_network(n)
+    rng = random.Random(f"cut:{n}")
+    terms, flows_run, flows_left = [], 0, 0
+    for _ in range(8):
+        y, z = rng.sample(net.vertices, 2)
+        total, f = max_flow(net, y, z)
+        inner = [v for v in net.vertices if v not in (y, z)]
+        groups = [frozenset(rng.sample(inner, rng.randint(1, 3))) for _ in range(4)]
+        records.clear()
+        _, _, settled = settle_pair(net, y, z, groups, passage=False)
+        flows_run += len(records)
+        for group, (drop, passage) in zip(groups, settled):
+            through = flow_through(f, group)
+            cut = total > 0 and through == cut_capacity_touching(net, f, group)
+            flows_left += total > 0 and not cut
+            expected = total - reference(restrict(net, group), y, z)
+            terms.append((drop, expected, passage, through, cut and through > 0))
+    assert [t[0] for t in terms] == [t[1] for t in terms], "drop != restricted max flow"
+    cut_terms = [(drop, passage, through) for drop, _, passage, through, cut in terms if cut]
+    assert all(drop == passage == through for drop, passage, through in cut_terms)
+    return len(cut_terms), flows_run, flows_left
+
+
+@pytest.mark.parametrize("n", [9, 16, 24, 40])
+def test_cut_rule_matches_restricted_flow(n, monkeypatch):
+    settled, flows_run, flows_left = _check_cut_rule(monkeypatch, n)
+    assert settled >= 4 and flows_run == flows_left
+
+
+def test_cut_rule_matches_networkx(monkeypatch):
+    settled, flows_run, flows_left = _check_cut_rule(
+        monkeypatch, 24, _networkx_max_flow_value
+    )
+    assert settled >= 4 and flows_run == flows_left
+
+
+def test_cut_sum_over_every_cut_arc_is_caught(monkeypatch):
+    # negative control: a C_X that also counts the cut arcs not touching X
+    # is the whole cut, max_flow.  It settles other terms than the cut
+    # rule, and a group with through == max_flow at drop = max_flow, which
+    # its restricted flow refutes at n = 16
+    def every_cut_arc(net, reached, members):
+        return sum(
+            cap
+            for (tail, head), cap in zip(net.arcs, net.capacities)
+            if reached[net.index[tail]] and not reached[net.index[head]]
+        )
+
+    monkeypatch.setattr(quantities, "_cut_capacity", every_cut_arc)
+    _, flows_run, flows_left = _check_cut_rule(monkeypatch, 9)
+    assert flows_run != flows_left
+    with pytest.raises(AssertionError, match="restricted max flow"):
+        _check_cut_rule(monkeypatch, 16)
+
+
+def test_cut_rule_on_fig1(monkeypatch, fig1):
+    # (u, z, {x}): f fills u->x and u->z, so S = {u}, and the flow through
+    # x, 2, is the capacity of u->x: no restricted flow and no BFS beyond
+    # the canonical flow's.  (y, z, {x}) cuts at y, where no arc touches
+    # x, and still runs one restricted flow
+    calls = record_augment_calls(monkeypatch)
+    bfs_calls = []
+
+    def counted(*args):
+        bfs_calls.append(1)
+        return _bfs_augmenting(*args)
+
+    monkeypatch.setattr(flows, "_bfs_augmenting", counted)
+    max_flow(fig1, "u", "z")
+    canonical = len(bfs_calls)
+    calls.clear()
+    bfs_calls.clear()
+    x = frozenset({"x"})
+    assert settle_pair(fig1, "u", "z", [x], passage=True)[2] == [(2, 2)]
+    assert calls == [True] and len(bfs_calls) == canonical
+    calls.clear()
+    assert settle_pair(fig1, "y", "z", [x], passage=True)[2] == [(2, 2)]
+    assert calls == [True, False]
+
+
+def test_empty_group_runs_no_flow(monkeypatch, fig1):
+    # the empty group takes 0 with no max flow, once the endpoints and the
+    # group are checked
+    calls = record_augment_calls(monkeypatch)
+    assert vitality_drop(fig1, "y", "z", []) == 0
+    assert forced_passage(fig1, "y", "z", [], exact=True) == 0
+    assert calls == []
+    for bad in (("y", "y", []), ("y", "q", []), ("y", "z", ["q"])):
+        with pytest.raises(InvalidInputError):
+            vitality_drop(fig1, *bad)
+        with pytest.raises(InvalidInputError):
+            forced_passage(fig1, *bad)
 
 
 def _check_settle_pair(net, y, z, max_group):
@@ -456,7 +569,7 @@ def test_loosened_extension_rule_is_caught(monkeypatch, fig5):
     # the drop settles fig5's gap term {x1, x2} at 1, where its passage is 2
     def loosened(net, s, t, group, flow, caps, kept_flow, kept, drop):
         spare = [c - g for c, g in zip(net.capacities, kept_flow)]
-        added = _augment(net, spare, [0] * len(spare), s, t)
+        added, _ = _augment(net, spare, [0] * len(spare), s, t)
         return added >= drop - 1
 
     monkeypatch.setattr(quantities, "_passage_at_drop", loosened)
