@@ -420,9 +420,9 @@ def _networkx_max_flow_value(net, y, z):
     return nx.maximum_flow_value(graph, y, z)
 
 
-def _check_cut_rule(monkeypatch, n, reference=lambda net, y, z: max_flow(net, y, z)[0]):
+def _check_cut_rule(monkeypatch, n, value=lambda net, y, z: max_flow(net, y, z)[0]):
     # settle_pair on the seeded network, for random groups of 1-3 vertices
-    # that share a pair, against the reference max flow of each restricted
+    # that share a pair, against the max-flow value of each restricted
     # network.  The cut rule settles the groups whose flow through equals
     # C_X (cut_capacity_touching, on tokens) with no restricted flow, at
     # passage = drop = through; the other groups with flow through them
@@ -443,11 +443,11 @@ def _check_cut_rule(monkeypatch, n, reference=lambda net, y, z: max_flow(net, y,
             through = flow_through(f, group)
             cut = total > 0 and through == cut_capacity_touching(net, f, group)
             flows_left += total > 0 and not cut
-            expected = total - reference(restrict(net, group), y, z)
+            expected = total - value(restrict(net, group), y, z)
             terms.append((drop, expected, passage, through, cut and through > 0))
     assert [t[0] for t in terms] == [t[1] for t in terms], "drop != restricted max flow"
-    cut_terms = [(drop, passage, through) for drop, _, passage, through, cut in terms if cut]
-    assert all(drop == passage == through for drop, passage, through in cut_terms)
+    cut_terms = [term for term in terms if term[4]]
+    assert all(drop == passage == through for drop, _, passage, through, _ in cut_terms)
     return len(cut_terms), flows_run, flows_left
 
 
