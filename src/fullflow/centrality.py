@@ -93,7 +93,8 @@ def _group_sums(
     drops: list[dict[int, int]] = [{} for _ in groups]
     passages: list[dict[int, int]] = [{} for _ in groups]
     terms: list[list[PairTerm]] = [[] for _ in groups]
-    if not groups:
+    if not groups or not (explain or any(groups)):
+        # an empty group's drop and passage are 0 on every pair
         return drops, passages, terms
     for y, z in ordered_pairs(network):
         total, _, settled = settle_pair(

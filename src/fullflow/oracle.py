@@ -2,9 +2,10 @@
 
 The flow oracle enumerates raw arc assignments and filters by the
 conservation law -- a genuinely different code path from the augmenting
-search, so shared assumptions cannot hide a bug.  Subtrees are cut as soon
-as conservation is already broken at a vertex whose incident arcs are all
-assigned; that discards no valid assignment.
+search, so shared assumptions cannot hide a bug.  One walk serves every
+ordered pair: a subtree is cut as soon as two vertices whose incident arcs
+are all assigned both send net flow out, or both take net flow in, as no
+flow of any pair lies below it.
 
 Instance generation is reproducible: a spec fixes the vertex count,
 capacity bound, arc probability and seed, and the same spec always yields
@@ -23,7 +24,6 @@ from .errors import BudgetExceededError, InvalidSpecError
 from .flows import (
     Flow,
     _as_flow,
-    _check_endpoints,
     decompose,
     flow_through,
     recompose,
@@ -86,19 +86,20 @@ def generate(spec: InstanceSpec) -> Network:
 
 def brute_force_flows(
     network: Network,
-    source: VertexId,
-    sink: VertexId,
     *,
     assignment_budget: int = DEFAULT_ASSIGNMENT_BUDGET,
-) -> tuple[int, list[Flow]]:
-    """Enumerate every integral assignment within capacity, keep the flows
-    of maximum value.
+) -> dict[tuple[VertexId, VertexId], tuple[int, list[Flow]]]:
+    """Enumerate every integral assignment within capacity once, and keep
+    the flows of maximum value of every ordered pair, in enumeration order.
 
+    An assignment that conserves flow at every vertex is a circulation, a
+    flow of value 0 for every pair; one whose only unbalanced vertices are
+    u, with net outflow, and v, with net inflow k, is a flow of value k for
+    (u, v).  A pair with no flow of positive value keeps the circulations.
     The budget bounds the size of the raw assignment space
     (product of capacity+1 over the positive arcs); larger instances raise
     BudgetExceededError up front.
     """
-    _check_endpoints(network, source, sink)
     net = network.compiled
     arcs, caps = net.arcs, net.capacities
     space = prod(c + 1 for c in caps)
@@ -108,55 +109,62 @@ def brute_force_flows(
             partial=0,
             nodes=0,
         )
-    s, t = net.index[source], net.index[sink]
     ends = [(net.index[tail], net.index[head]) for tail, head in arcs]
-    # conservation can be settled for a vertex once its incident arcs are
-    # all assigned, that is at the last arc index touching it
+    # a vertex's net flow is settled once its incident arcs are all
+    # assigned, that is at the last arc index touching it
     last_index = {v: idx for idx, pair in enumerate(ends) for v in pair}
     settles: list[tuple[int, ...]] = [()] * len(arcs)
     for vertex, idx in last_index.items():
-        if vertex not in (s, t):
-            settles[idx] += (vertex,)
+        settles[idx] += (vertex,)
     balance = [0] * len(net.neighbors)
     assignment: list[int] = [0] * len(arcs)
-    best_value = 0
-    best: list[Flow] = []
+    # (source, sink) -> (value, assignments); (-1, -1) keeps the circulations
+    best: dict[tuple[int, int], tuple[int, list[tuple[int, ...]]]] = {}
 
-    def leaf():
-        nonlocal best_value
-        value = -balance[s]
-        if value < best_value:
-            return
-        flow = Flow(
-            source,
-            sink,
-            {arcs[i]: v for i, v in enumerate(assignment) if v},
-        )
-        if value > best_value:
-            best_value = value
-            best.clear()
-        best.append(flow)
+    def leaf(source: int, sink: int):
+        value = balance[sink] if sink >= 0 else 0
+        kept = best.get((source, sink))
+        if kept is None or value > kept[0]:
+            best[source, sink] = value, [tuple(assignment)]
+        elif value == kept[0]:
+            kept[1].append(tuple(assignment))
 
-    def rec(idx: int):
+    def rec(idx: int, source: int, sink: int):
+        # source and sink are the settled vertices with net outflow and net
+        # inflow, -1 while there is none; no flow of any pair lies below a
+        # node with two of either kind
         if idx == len(arcs):
-            leaf()
+            leaf(source, sink)
             return
         (tail, head), settled = ends[idx], settles[idx]
         for val in range(caps[idx] + 1):
             assignment[idx] = val
             balance[tail] -= val
             balance[head] += val
+            out, into = source, sink
             for v in settled:
-                if balance[v]:
-                    break
+                if balance[v] < 0:
+                    if out >= 0:
+                        break
+                    out = v
+                elif balance[v] > 0:
+                    if into >= 0:
+                        break
+                    into = v
             else:
-                rec(idx + 1)
+                rec(idx + 1, out, into)
             balance[tail] += val
             balance[head] -= val
-        assignment[idx] = 0
 
-    rec(0)
-    return best_value, best
+    rec(0, -1, -1)
+    result = {}
+    for y, z in ordered_pairs(network):
+        value, leaves = best.get((net.index[y], net.index[z]), best[-1, -1])
+        result[y, z] = value, [
+            Flow(y, z, {arcs[i]: v for i, v in enumerate(values) if v})
+            for values in leaves
+        ]
+    return result
 
 
 @dataclass
@@ -209,8 +217,10 @@ def cross_check(
     drop <= passage <= min(throughput, max flow); and, when the assignment
     space fits the budget, the solver's value and throughput minima agree
     with the assignment-enumeration oracle.
-    Instances whose enumeration or assignment space exceeds a budget are
-    skipped for that part and counted, never silently dropped.
+    The oracle enumerates an instance's assignments once, before its pair
+    loop, for every pair.  Instances whose enumeration or assignment space
+    exceeds a budget are skipped for that part and counted per pair, never
+    silently dropped.
     """
     report = CrossCheckReport(generator=GENERATOR_ID, instances=len(batch))
 
@@ -235,6 +245,10 @@ def cross_check(
         singletons = [frozenset({x}) for x in net.vertices]
         groups = singletons + sampled_groups
         distinct = list(dict.fromkeys(groups))
+        try:
+            oracle = brute_force_flows(net, assignment_budget=assignment_budget)
+        except BudgetExceededError:
+            oracle = None
         for y, z in ordered_pairs(net):
             where = f"{label} pair ({y},{z})"
             report.pairs_checked += 1
@@ -300,13 +314,10 @@ def cross_check(
                         f"drop {drop}, enumeration {enum}, passage {passage}, "
                         f"throughput {throughput[group]}, max flow {value}",
                     )
-            try:
-                oracle_value, oracle_flows = brute_force_flows(
-                    net, y, z, assignment_budget=assignment_budget
-                )
-            except BudgetExceededError:
+            if oracle is None:
                 report.oracle_skips += 1
                 continue
+            oracle_value, oracle_flows = oracle[y, z]
             check(
                 oracle_value == value,
                 f"{where}: oracle max {oracle_value}, solver max {value}",

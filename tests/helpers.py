@@ -291,7 +291,7 @@ def induced_flow(network, seq):
 def brute_force_min_throughput(network, source, sink, members):
     """Minimum group throughput over the exhaustively enumerated maximum flows."""
     group = vertex_group(network, members)
-    _value, flows = brute_force_flows(network, source, sink)
+    _value, flows = brute_force_flows(network)[source, sink]
     return min(flow_through(f, group) for f in flows)
 
 

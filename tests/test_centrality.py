@@ -17,6 +17,7 @@ from fullflow.flows import max_flow
 from fullflow.network import ordered_pairs
 from fullflow.quantities import pair_report
 
+from helpers import record_augment_calls
 from strategies import fig5_with_extra_arcs, networks
 
 
@@ -86,6 +87,22 @@ def test_report_explain_terms(fig6):
 
 def test_report_empty_list(fig1):
     assert centrality_report(fig1, []) == []
+
+
+def test_empty_groups_run_no_flow(monkeypatch, fig1):
+    # an empty group's terms are all 0, so only explain, which keeps them,
+    # runs the pairs' max flows
+    calls = record_augment_calls(monkeypatch)
+    assert full_flow_vitality(fig1, []) == 0
+    assert full_flow_betweenness(fig1, []) == 0
+    reports = centrality_report(fig1, [[], set()])
+    assert [r.record() for r in reports] == ["- 0 1 0 1 0.000000 0.000000"] * 2
+    assert calls == []
+    (rep,) = centrality_report(fig1, [[]], explain=True)
+    assert rep.record() == "- 0 1 0 1 0.000000 0.000000"
+    assert len(rep.pair_terms) == 10
+    assert all(t.vitality_drop == t.forced_passage == 0 for t in rep.pair_terms)
+    assert len(calls) == len(ordered_pairs(fig1))
 
 
 def test_report_record_format(fig6):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from math import prod
@@ -7,10 +8,15 @@ import pytest
 from fullflow import oracle, quantities
 from fullflow.errors import BudgetExceededError, InvalidSpecError
 from fullflow.flows import Flow, flow_value, max_flow, validate_flow
+from fullflow.network import ordered_pairs
 from fullflow.oracle import InstanceSpec, brute_force_flows, cross_check, generate
 from fullflow.quantities import _least_throughput
 
-from helpers import brute_force_min_throughput, record_augment_calls
+from helpers import (
+    brute_force_min_throughput,
+    cancel_one_cycle,
+    record_augment_calls,
+)
 
 
 def test_spec_validation():
@@ -41,7 +47,7 @@ def test_generate_is_deterministic():
 
 
 def test_brute_force_fig6(fig6):
-    value, flows = brute_force_flows(fig6, "y", "z")
+    value, flows = brute_force_flows(fig6)["y", "z"]
     assert value == 1
     assert len(flows) == 1
     assert flows[0].values == {
@@ -53,13 +59,13 @@ def test_brute_force_zero_capacity():
     from fullflow.network import build_network
 
     net = build_network(["a", "b"], [])
-    value, flows = brute_force_flows(net, "a", "b")
+    value, flows = brute_force_flows(net)["a", "b"]
     assert value == 0
     assert [f.values for f in flows] == [{}]
 
 
 def test_brute_force_fig3(fig3):
-    value, flows = brute_force_flows(fig3, "y", "z")
+    value, flows = brute_force_flows(fig3)["y", "z"]
     assert value == 2
     assert value == max_flow(fig3, "y", "z")[0]
     for f in flows:
@@ -69,7 +75,7 @@ def test_brute_force_fig3(fig3):
 
 def test_brute_force_budget(fig1):
     with pytest.raises(BudgetExceededError):
-        brute_force_flows(fig1, "y", "z", assignment_budget=10)
+        brute_force_flows(fig1, assignment_budget=10)
 
 
 def test_brute_force_min_throughput(fig6, fig1):
@@ -101,19 +107,22 @@ def test_cross_check_reports_are_deterministic():
     assert first == second
 
 
-def _unpruned_max_flows(net, y, z):
+def _unpruned_max_flows(net):
+    # every ordered pair's maximum flows among the raw assignment product,
+    # each assignment checked by validate_flow
     arcs = sorted(net.capacities)
     ranges = [range(net.capacities[arc] + 1) for arc in arcs]
-    flows = [Flow(y, z, dict(zip(arcs, values)))
-             for values in itertools.product(*ranges)]
-    flows = [f for f in flows if validate_flow(net, f) is None]
-    best = max(flow_value(f) for f in flows)
-    return best, [f for f in flows if flow_value(f) == best]
+    assignments = [dict(zip(arcs, values)) for values in itertools.product(*ranges)]
+    result = {}
+    for y, z in ordered_pairs(net):
+        flows = [Flow(y, z, values) for values in assignments]
+        flows = [f for f in flows if validate_flow(net, f) is None]
+        best = max(flow_value(f) for f in flows)
+        result[y, z] = best, [f for f in flows if flow_value(f) == best]
+    return result
 
 
-def test_brute_force_matches_unpruned_enumeration():
-    # the pruned enumeration keeps exactly the maximum flows of the raw
-    # assignment product, in the product's order
+def _check_matches_unpruned_enumeration():
     rng = random.Random("unpruned")
     checked = 0
     while checked < 40:
@@ -122,9 +131,40 @@ def test_brute_force_matches_unpruned_enumeration():
         net = generate(spec)
         if prod(cap + 1 for cap in net.capacities.values()) > 3000:
             continue
-        y, z = rng.sample(net.vertices, 2)
-        assert brute_force_flows(net, y, z) == _unpruned_max_flows(net, y, z)
+        assert oracle.brute_force_flows(net) == _unpruned_max_flows(net)
         checked += 1
+
+
+def test_brute_force_matches_unpruned_enumeration():
+    # the pruned enumeration keeps exactly every pair's maximum flows of the
+    # raw assignment product, in the product's order
+    _check_matches_unpruned_enumeration()
+
+
+def _cut_at_first_unbalanced_vertex():
+    """brute_force_flows with the cut rule of a one-pair walk, which exempts
+    no vertex once the walk serves every pair: a subtree is cut at the first
+    settled vertex out of balance."""
+    source = inspect.getsource(oracle.brute_force_flows)
+    rule = source[source.index("            for v in settled:"):
+                  source.index("            else:\n                rec(")]
+    mutated = source.replace(
+        rule,
+        "            for v in settled:\n"
+        "                if balance[v]:\n"
+        "                    break\n",
+    )
+    assert mutated != source
+    namespace = dict(vars(oracle))
+    exec(mutated, namespace)
+    return namespace["brute_force_flows"]
+
+
+def test_cutting_at_any_unbalanced_vertex_is_caught(monkeypatch):
+    # negative control: that rule leaves only the circulations
+    monkeypatch.setattr(oracle, "brute_force_flows", _cut_at_first_unbalanced_vertex())
+    with pytest.raises(AssertionError):
+        _check_matches_unpruned_enumeration()
 
 
 PINNED_BATCH = [InstanceSpec(2 + i % 5, 2, 0.5, 300 + i) for i in range(10)]
@@ -165,12 +205,40 @@ def test_skipped_cancelling_breaks_cross_check(monkeypatch):
     # negative control: throughputs read off the canonical flow, with no
     # cycle cancelled, disagree with the enumeration and the oracle.  On
     # this batch no throughput needs a second cancellation, so a canceller
-    # that stops after one passes here; the min-cost differentials of
-    # test_flows catch that one
+    # that stops after one passes here; the next test catches that one
     monkeypatch.setattr(quantities, "_cancel_negative_cycles", lambda *args: None)
     report = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=200)
     assert len(report.violations) == 9
     assert all("throughput" in violation for violation in report.violations)
+
+
+def test_cancelling_one_cycle_breaks_cross_check(monkeypatch):
+    # negative control: the throughput of pair (b, d) through {c} needs two
+    # cancellations.  As {c} is a singleton, the enumeration check sees
+    # the wrong throughput also when the oracle is skipped
+    batch = [InstanceSpec(6, 3, 0.5, 1)]
+    assert cross_check(batch).ok
+    monkeypatch.setattr(quantities, "_cancel_negative_cycles", cancel_one_cycle)
+    for budget, violations in ((oracle.DEFAULT_ASSIGNMENT_BUDGET, 2), (0, 1)):
+        report = cross_check(batch, assignment_budget=budget)
+        assert len(report.violations) == violations
+        assert all("pair (b,d)" in violation and "throughput" in violation
+                   for violation in report.violations)
+
+
+def test_cross_check_runs_one_oracle_per_instance(monkeypatch):
+    # one walk over an instance's assignments serves all its pairs; the
+    # walks that find the space over budget count too
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return brute_force_flows(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "brute_force_flows", counted)
+    report = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=200)
+    assert report.ok
+    assert len(calls) == len(PINNED_BATCH) == 10
 
 
 def test_cross_check_runs_one_canonical_flow_per_pair(monkeypatch):

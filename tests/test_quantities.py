@@ -168,7 +168,7 @@ def test_forced_throughput_figures(fig1, fig6):
 
 
 def test_forced_throughput_matches_oracle_fig1(fig1):
-    value, flows = brute_force_flows(fig1, "y", "z")
+    value, flows = brute_force_flows(fig1)["y", "z"]
     assert value == 3
     oracle = min(flow_through(f, {"x"}) for f in flows)
     assert oracle == forced_throughput(fig1, "y", "z", {"x"}) == 2
@@ -663,7 +663,7 @@ def test_enumeration_matches_decompositions(net_yz):
     # induced flow
     net, y, z = net_yz
     classes = {s.paths for s in enumerate_max_sequences(net, y, z)}
-    _, maximum_flows = brute_force_flows(net, y, z)
+    _, maximum_flows = brute_force_flows(net)[y, z]
     for f in maximum_flows:
         assert tuple(sorted(decompose(net, f).paths)) in classes
     for paths in classes:
