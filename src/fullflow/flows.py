@@ -354,8 +354,8 @@ def _decompose_ids(
             left[a] -= 1
         paths.append(arcs)
     if any(left):
-        for start, moves in enumerate(net.out_arcs):
-            while any(left[a] for a in moves):
+        for start, moves in enumerate(neighbors):
+            while any(a >= 0 and left[a] for _, a, _ in moves):
                 walk, arcs = [start], []
                 while not step(walk, arcs):
                     pass

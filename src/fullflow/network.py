@@ -87,16 +87,15 @@ class CompiledNetwork:
     to vertex ``i`` by an arc in either direction, in canonical order, as
     ``(j, out_arc, in_arc)``: the ids of the arcs ``i->j`` and ``j->i``,
     or -1 where there is no such arc: the residual moves a flow can ever
-    offer at ``i``.  ``out_arcs[i]`` and ``in_arcs[i]`` hold the same
-    arc ids, split by direction.
+    offer at ``i``.  It is the one per-vertex arc index, read by every
+    solver.  ``index`` maps each vertex to its number, so it also holds
+    the vertex set.
     """
 
     index: dict[VertexId, int]
     arcs: tuple[Arc, ...]
     capacities: tuple[int, ...]
     neighbors: tuple[tuple[tuple[int, int, int], ...], ...]
-    out_arcs: tuple[tuple[int, ...], ...]
-    in_arcs: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -126,11 +125,7 @@ class Network:
         return self.capacities.get(arc, 0)
 
     def has_vertex(self, token: VertexId) -> bool:
-        return token in self._vertex_set
-
-    @cached_property
-    def _vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
+        return token in self.compiled.index
 
     @cached_property
     def compiled(self) -> CompiledNetwork:
@@ -142,24 +137,21 @@ class Network:
         for tail, head in arcs:
             joined[index[tail]].add(index[head])
             joined[index[head]].add(index[tail])
-        neighbors = tuple(
-            tuple(
-                (
-                    j,
-                    arc_ids.get((v, self.vertices[j]), -1),
-                    arc_ids.get((self.vertices[j], v), -1),
-                )
-                for j in sorted(joined[i])
-            )
-            for i, v in enumerate(self.vertices)
-        )
         return CompiledNetwork(
             index=index,
             arcs=arcs,
             capacities=tuple(self.capacities[arc] for arc in arcs),
-            neighbors=neighbors,
-            out_arcs=tuple(tuple(a for _, a, _ in m if a >= 0) for m in neighbors),
-            in_arcs=tuple(tuple(a for _, _, a in m if a >= 0) for m in neighbors),
+            neighbors=tuple(
+                tuple(
+                    (
+                        j,
+                        arc_ids.get((v, self.vertices[j]), -1),
+                        arc_ids.get((self.vertices[j], v), -1),
+                    )
+                    for j in sorted(joined[i])
+                )
+                for i, v in enumerate(self.vertices)
+            ),
         )
 
 
@@ -170,7 +162,7 @@ def vertex_group(network: Network, members: Iterable[VertexId]) -> frozenset:
     order).  The result may be empty and may contain any network vertex.
     """
     group = frozenset(members)
-    known = network._vertex_set
+    known = network.compiled.index
     for token in sorted(group):
         if token not in known:
             raise InvalidInputError(f"unknown vertex {token!r}")

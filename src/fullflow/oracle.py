@@ -191,12 +191,9 @@ class CrossCheckReport:
             f"assertions {self.assertions}",
             f"oracle_skips {self.oracle_skips}",
             f"enumeration_skips {self.enumeration_skips}",
+            f"violations {len(self.violations)}",
         ]
-        if self.violations:
-            lines.append(f"violations {len(self.violations)}")
-            lines.extend(f"violation: {v}" for v in self.violations)
-        else:
-            lines.append("violations 0")
+        lines.extend(f"violation: {v}" for v in self.violations)
         return "\n".join(lines) + "\n"
 
 
@@ -209,18 +206,17 @@ def cross_check(
     """Verify the solvers against first principles on every batch instance.
 
     Per instance and ordered pair: the decomposition round-trips and its
-    paths are arc-disjoint with length equal to the flow value; for every
-    singleton the minimum passage over the complete enumeration equals the
-    passage and the vitality drop that :func:`settle_pair` gives (without
-    ``exact``) and the forced throughput; for sampled groups that
-    enumeration minimum equals the settled passage and lies in the chain
-    drop <= passage <= min(throughput, max flow); and, when the assignment
-    space fits the budget, the solver's value and throughput minima agree
-    with the assignment-enumeration oracle.
-    The oracle enumerates an instance's assignments once, before its pair
-    loop, for every pair.  Instances whose enumeration or assignment space
-    exceeds a budget are skipped for that part and counted per pair, never
-    silently dropped.
+    paths are arc-disjoint with length equal to the flow value; when the
+    assignment space fits the budget, the oracle's maximum flows are valid
+    and of the solver's value.  Then, for every singleton and sampled
+    group, the minimum passage over the complete enumeration equals the
+    passage :func:`settle_pair` gives (without ``exact``) and lies in the
+    chain drop <= passage <= min(throughput, max flow), all three equal
+    for a singleton; and the oracle's least throughput equals the forced
+    throughput.  The oracle enumerates an instance's assignments once,
+    before its pair loop, for every pair.  Instances whose enumeration or
+    assignment space exceeds a budget are skipped for that part and counted
+    per pair, never silently dropped.
     """
     report = CrossCheckReport(generator=GENERATOR_ID, instances=len(batch))
 
@@ -236,14 +232,11 @@ def cross_check(
             f"p={spec.arc_probability} seed={spec.seed})"
         )
         sample_rng = random.Random(spec.seed * 1_000_003 + 17)
-        sampled_groups = [frozenset(), frozenset(net.vertices)]
+        groups = [frozenset({x}) for x in net.vertices]
+        groups += [frozenset(), frozenset(net.vertices)]
         for _ in range(_RANDOM_GROUPS):
             size = sample_rng.randint(0, len(net.vertices))
-            sampled_groups.append(
-                frozenset(sample_rng.sample(net.vertices, size))
-            )
-        singletons = [frozenset({x}) for x in net.vertices]
-        groups = singletons + sampled_groups
+            groups.append(frozenset(sample_rng.sample(net.vertices, size)))
         distinct = list(dict.fromkeys(groups))
         try:
             oracle = brute_force_flows(net, assignment_budget=assignment_budget)
@@ -289,52 +282,48 @@ def cross_check(
                 is_arc_disjoint(net, dec.paths.paths),
                 f"{where}: decomposition paths not arc-disjoint",
             )
-            ends = net.compiled.index[y], net.compiled.index[z]
-            throughput = {
-                group: _least_throughput(net.compiled, arc_flow, *ends, group)
-                for group in distinct
-            }
-            if sequences is not None:
-                fast = dict(zip(distinct, settled))
-                for group in singletons:
-                    enum = min(passage_count(s, group) for s in sequences)
-                    drop, passage = fast[group]
-                    check(
-                        enum == passage == drop == throughput[group],
-                        f"{where} singleton {render_group(group)}: enumeration "
-                        f"{enum}, passage {passage}, drop {drop}, throughput "
-                        f"{throughput[group]}",
-                    )
-                for group in sampled_groups:
-                    enum = min(passage_count(s, group) for s in sequences)
-                    drop, passage = fast[group]
-                    check(
-                        drop <= enum == passage <= min(throughput[group], value),
-                        f"{where} group {render_group(group)}: chain broken: "
-                        f"drop {drop}, enumeration {enum}, passage {passage}, "
-                        f"throughput {throughput[group]}, max flow {value}",
-                    )
             if oracle is None:
                 report.oracle_skips += 1
-                continue
-            oracle_value, oracle_flows = oracle[y, z]
-            check(
-                oracle_value == value,
-                f"{where}: oracle max {oracle_value}, solver max {value}",
-            )
-            bad = next(
-                (f for f in oracle_flows if validate_flow(net, f) is not None),
-                None,
-            )
-            check(
-                bad is None,
-                f"{where}: oracle produced an invalid maximum flow {bad}",
-            )
-            for group in groups:
-                oracle_min = min(flow_through(f, group) for f in oracle_flows)
+                oracle_flows = None
+            else:
+                oracle_value, oracle_flows = oracle[y, z]
                 check(
-                    oracle_min == throughput[group],
-                    f"{where} group {render_group(group)}: oracle throughput "
-                    f"{oracle_min}, solver {throughput[group]}",
+                    oracle_value == value,
+                    f"{where}: oracle max {oracle_value}, solver max {value}",
                 )
+                bad = next(
+                    (f for f in oracle_flows if validate_flow(net, f) is not None),
+                    None,
+                )
+                check(
+                    bad is None,
+                    f"{where}: oracle produced an invalid maximum flow {bad}",
+                )
+            ends = net.compiled.index[y], net.compiled.index[z]
+            terms = {
+                group: (
+                    drop,
+                    passage,
+                    _least_throughput(net.compiled, arc_flow, *ends, group, value),
+                )
+                for group, (drop, passage) in zip(distinct, settled)
+            }
+            for group in groups:
+                drop, passage, throughput = terms[group]
+                named = f"{where} group {render_group(group)}"
+                if sequences is not None:
+                    enum = min(passage_count(s, group) for s in sequences)
+                    check(
+                        drop <= enum == passage <= min(throughput, value)
+                        and (len(group) != 1 or drop == passage == throughput),
+                        f"{named}: drop {drop}, enumeration {enum}, passage "
+                        f"{passage}, max flow {value}, throughput {throughput}",
+                    )
+                if oracle_flows is not None:
+                    oracle_min = min(flow_through(f, group) for f in oracle_flows)
+                    check(
+                        oracle_min == throughput,
+                        f"{named}: oracle throughput {oracle_min}, solver "
+                        f"{throughput}",
+                    )
     return report

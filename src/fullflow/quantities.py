@@ -314,15 +314,17 @@ def settle_pair(
             drop = found = total
         else:
             members = {net.index[x] for x in group}
-            # flow_through(f, X), as no endpoint is in X
-            through = sum(flow[a] for x in members for a in net.out_arcs[x])
-            if through == 0 or _cut_capacity(net, reached, members) == through:
+            through, cut = _through_and_cut(net, flow, reached, members)
+            if cut == through:
                 drop = found = through
             else:
                 caps = list(net.capacities)
                 for x in members:
-                    for a in net.out_arcs[x] + net.in_arcs[x]:
-                        caps[a] = 0
+                    for _, out_arc, in_arc in net.neighbors[x]:
+                        if out_arc >= 0:
+                            caps[out_arc] = 0
+                        if in_arc >= 0:
+                            caps[in_arc] = 0
                 if units is None and shared and through < total:
                     units, _ = _decompose_ids(net, flow, s, t, total)
                 # warm start: the unit paths of f with no arc at zero in
@@ -351,18 +353,23 @@ def settle_pair(
     return total, flow, settled
 
 
-def _cut_capacity(net: CompiledNetwork, reached: bytearray, members: set[int]) -> int:
-    """C_X of :func:`settle_pair`'s rule 3: the capacity of the arcs from
-    ``reached`` to the rest that touch ``members``, each counted once."""
-    caps, cut = net.capacities, 0
+def _through_and_cut(
+    net: CompiledNetwork, flow: Sequence[int], reached: bytearray, members: set[int]
+) -> tuple[int, int]:
+    """``(through, C_X)`` of :func:`settle_pair`'s rule 3, in one walk over
+    the arcs at ``members``, none of them an endpoint: the flow out of the
+    members, and the capacity of the arcs from ``reached`` to the rest that
+    touch them, each counted once."""
+    caps, through, cut = net.capacities, 0, 0
     for x in members:
         for w, out_arc, in_arc in net.neighbors[x]:
-            if reached[x]:
-                if out_arc >= 0 and not reached[w]:
+            if out_arc >= 0:
+                through += flow[out_arc]
+                if reached[x] and not reached[w]:
                     cut += caps[out_arc]
-            elif in_arc >= 0 and reached[w] and w not in members:
+            if in_arc >= 0 and not reached[x] and reached[w] and w not in members:
                 cut += caps[in_arc]  # an arc from a member counts at its tail
-    return cut
+    return through, cut
 
 
 def _passage_at_drop(
@@ -431,16 +438,22 @@ def forced_throughput(
     """Minimum total flow through the group over all maximum flows."""
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
-    _, flow, _ = settle_pair(network, source, sink, [], passage=False)
+    total, flow, _ = settle_pair(network, source, sink, [], passage=False)
     net = network.compiled
-    return _least_throughput(net, flow, net.index[source], net.index[sink], group)
+    ends = net.index[source], net.index[sink]
+    return _least_throughput(net, flow, *ends, group, total)
 
 
 def _least_throughput(
-    net: CompiledNetwork, flow: Sequence[int], s: int, t: int, group: frozenset
+    net: CompiledNetwork,
+    flow: Sequence[int],
+    s: int,
+    t: int,
+    group: frozenset,
+    value: int,
 ) -> int:
     """Forced throughput of the group at the pair (s, t), from a maximum
-    flow ``flow`` of the pair, by arc id and left as it is.
+    flow ``flow`` of the pair, by arc id and left as it is, and its value.
 
     A flow's throughput is its value once per endpoint in the group plus
     its flow out of the other members: a cost, unit on their out-arcs,
@@ -453,11 +466,7 @@ def _least_throughput(
         flow = list(flow)
         _cancel_negative_cycles(net, net.capacities, flow, costs)
     through = sum(map(mul, costs, flow))
-    ends = len(group) - len(interior)
-    if ends:  # add the flow value, once per endpoint in the group
-        through += ends * sum(map(flow.__getitem__, net.out_arcs[s]))
-        through -= ends * sum(map(flow.__getitem__, net.in_arcs[s]))
-    return through
+    return through + (len(group) - len(interior)) * value
 
 
 @dataclass(frozen=True)
@@ -533,7 +542,7 @@ def pair_report(
         )
     net = network.compiled
     ends = net.index[source], net.index[sink]
-    throughput = _least_throughput(net, flow, *ends, group)
+    throughput = _least_throughput(net, flow, *ends, group, total)
     if not (0 <= drop <= passage <= min(throughput, total)):
         raise InvariantViolationError(
             f"pair quantity chain violated for ({source!r}, {sink!r}, "

@@ -1,7 +1,11 @@
+import hashlib
+import json
 import os
 import shlex
 import subprocess
 import sys
+from importlib import resources
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -332,6 +336,45 @@ def test_output_stable_under_hash_randomization(fig5_file):
     assert run("1") == run("2")
 
 
+def _fixture_sweep(data):
+    """Every argv of the fixture sweep, over the network files in ``data``."""
+    sweep = []
+    for name, network in figure_networks().items():
+        path = str(data / f"{name}.net")
+        vertices = network.vertices
+        groups = [""] + list(vertices) + [",".join(g) for g in combinations(vertices, 2)]
+        for y, z in permutations(vertices, 2):
+            for group in groups:
+                for flags in ([], ["--exact", "--witness"]):
+                    sweep.append(["pair", path, y, z, "--set", group, *flags])
+        sets = [arg for g in groups[1:] for arg in ("--set", g)]
+        for args in ([], sets):
+            for flags in ([], ["--exact"]):
+                sweep.append(["centrality", path, "--explain", *args, *flags])
+    sweep.append(["examples"])
+    return sweep
+
+
+def test_fixture_sweep_output_pinned(capsys):
+    # every fixture, ordered pair and group of at most two vertices, as
+    # `pair` with and without --exact --witness, and as `centrality
+    # --explain` over all singletons and over every such group, with and
+    # without --exact; the hash covers argv, exit code, stdout and stderr
+    data = resources.files("fullflow") / "data"
+    mask = str(data)
+    digest = hashlib.sha256()
+    sweep = _fixture_sweep(data)
+    for argv in sweep:
+        code = main(argv)
+        captured = capsys.readouterr()
+        record = [argv, code, captured.out, captured.err]
+        digest.update(json.dumps(record).replace(mask, "DATA").encode() + b"\n")
+    assert len(sweep) == 7369
+    assert digest.hexdigest() == (
+        "822c3b850ae25e6d4cc3ba4b6fccb97e4fc7e8755ed5d0feac8528090295f67d"
+    )
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest", "--instances", "8", "--seed", "42"]) == 0
     out = capsys.readouterr().out
@@ -370,7 +413,9 @@ def test_selftest_rejects_bad_sizes(args, flag, capsys):
 
 
 def test_selftest_violation_exits_4(capsys, monkeypatch):
-    # negative control: a throughput off by one must be reported, not raised
+    # negative control: a throughput off by one must be reported, not raised.
+    # Instance 0 samples the group {b}, a second time, and as a singleton
+    # its throughput must equal its passage at (a, b) and (b, a) too
     from fullflow import oracle
 
     real = oracle._least_throughput
@@ -379,8 +424,8 @@ def test_selftest_violation_exits_4(capsys, monkeypatch):
     )
     assert main(["selftest", "--instances", "3"]) == 4
     lines = capsys.readouterr().out.splitlines()
-    assert lines[6] == "violations 220"
-    assert len(lines) == 7 + 220
+    assert lines[6] == "violations 222"
+    assert len(lines) == 7 + 222
     assert lines[7].startswith("violation: instance 0 (n=2 cap<=2 p=0.4 seed=0) ")
     assert lines[7].endswith(" throughput 1")
 

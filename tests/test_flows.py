@@ -475,10 +475,10 @@ def _check_least_throughput(n):
     for net, y, z, _, group, through in _min_cost_cases(n):
         value, cost, _ = reference_min_cost_max_flow(net, y, z, through)
         compiled = net.compiled
-        _, canonical = max_flow(net, y, z)
+        total, canonical = max_flow(net, y, z)
         arc_flow = [canonical.values.get(arc, 0) for arc in compiled.arcs]
         least = _least_throughput(
-            compiled, arc_flow, compiled.index[y], compiled.index[z], group
+            compiled, arc_flow, compiled.index[y], compiled.index[z], group, total
         )
         assert least == len(group & {y, z}) * value + cost
         assert arc_flow == [canonical.values.get(arc, 0) for arc in compiled.arcs]

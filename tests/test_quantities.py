@@ -19,7 +19,7 @@ from fullflow.flows import (
     max_flow,
     validate_flow,
 )
-from fullflow.network import build_network
+from fullflow.network import build_network, ordered_pairs
 from fullflow.oracle import brute_force_flows
 from fullflow.paths import ArcDisjointSequence, passage_count
 from fullflow.quantities import (
@@ -464,19 +464,71 @@ def test_cut_rule_matches_networkx(monkeypatch):
     assert settled >= 4 and flows_run == flows_left
 
 
+def test_through_and_cut_matches_definitions():
+    # the one walk over the members' arcs against flow_through and
+    # cut_capacity_touching (on tokens), for every group of 1-3 vertices
+    # without an endpoint, at two random pairs with a positive flow per
+    # network and at the first pair whose cut has an arc between two other
+    # vertices: the group of both has an arc from one member to another
+    # across the cut, which C_X counts once.  At n = 24 no pair has one
+    crossing = 0
+    for n in (9, 16, 24):
+        net = seeded_network(n)
+        compiled = net.compiled
+        cuts = {}
+        for y, z in ordered_pairs(net):
+            flow = [0] * len(compiled.arcs)
+            s, t = compiled.index[y], compiled.index[z]
+            total, reached = _augment(compiled, compiled.capacities, flow, s, t)
+            if total:
+                cuts[y, z] = flow, reached
+        inner_cut = [
+            (y, z)
+            for (y, z), (_, reached) in cuts.items()
+            if any(
+                reached[compiled.index[tail]]
+                and not reached[compiled.index[head]]
+                and not {tail, head} & {y, z}
+                for tail, head in compiled.arcs
+            )
+        ]
+        pairs = random.Random(f"through-and-cut:{n}").sample(list(cuts), 2)
+        for y, z in pairs + inner_cut[:1]:
+            flow, reached = cuts[y, z]
+            f = _as_flow(compiled, y, z, flow)
+            inner = [v for v in net.vertices if v not in (y, z)]
+            for size in (1, 2, 3):
+                for group in itertools.combinations(inner, size):
+                    members = {compiled.index[x] for x in group}
+                    assert quantities._through_and_cut(
+                        compiled, flow, reached, members
+                    ) == (flow_through(f, group), cut_capacity_touching(net, f, group))
+                    crossing += any(
+                        tail in group
+                        and head in group
+                        and reached[compiled.index[tail]]
+                        and not reached[compiled.index[head]]
+                        for tail, head in compiled.arcs
+                    )
+    assert crossing > 0
+
+
 def test_cut_sum_over_every_cut_arc_is_caught(monkeypatch):
     # negative control: a C_X that also counts the cut arcs not touching X
     # is the whole cut, max_flow.  It settles other terms than the cut
     # rule, and a group with through == max_flow at drop = max_flow, which
     # its restricted flow refutes at n = 16
-    def every_cut_arc(net, reached, members):
-        return sum(
+    real = quantities._through_and_cut
+
+    def every_cut_arc(net, flow, reached, members):
+        through, _ = real(net, flow, reached, members)
+        return through, sum(
             cap
             for (tail, head), cap in zip(net.arcs, net.capacities)
             if reached[net.index[tail]] and not reached[net.index[head]]
         )
 
-    monkeypatch.setattr(quantities, "_cut_capacity", every_cut_arc)
+    monkeypatch.setattr(quantities, "_through_and_cut", every_cut_arc)
     _, flows_run, flows_left = _check_cut_rule(monkeypatch, 9)
     assert flows_run != flows_left
     with pytest.raises(AssertionError, match="restricted max flow"):
