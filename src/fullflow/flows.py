@@ -66,6 +66,8 @@ class Flow:
             tail, head = arc
             if tail == head:
                 raise InvalidInputError(f"flow on self-loop arc {arc!r}")
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise InvalidInputError(f"flow {val!r} on arc {arc!r} is not an integer")
             if val < 0:
                 raise InvalidInputError(f"negative flow {val} on arc {arc!r}")
             if val > 0:

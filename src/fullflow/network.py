@@ -158,12 +158,12 @@ class Network:
 def vertex_group(network: Network, members: Iterable[VertexId]) -> frozenset:
     """Validate ``members`` against ``network`` and return them as a frozenset.
 
-    Raises InvalidInputError naming the first offending token (in sorted
-    order).  The result may be empty and may contain any network vertex.
+    Raises InvalidInputError naming the first offending token (in order of
+    ``str``).  The result may be empty and may contain any network vertex.
     """
     group = frozenset(members)
     known = network.compiled.index
-    for token in sorted(group):
+    for token in sorted(group, key=str):
         if token not in known:
             raise InvalidInputError(f"unknown vertex {token!r}")
     return group

@@ -21,16 +21,9 @@ from math import prod
 from typing import Sequence
 
 from .errors import BudgetExceededError, InvalidSpecError
-from .flows import (
-    Flow,
-    _as_flow,
-    decompose,
-    flow_through,
-    recompose,
-    validate_flow,
-)
+from .flows import _as_flow, decompose, flow_through, recompose, validate_flow
 from .network import Network, VertexId, ordered_pairs
-from .paths import ArcDisjointSequence, is_arc_disjoint, passage_count
+from .paths import is_arc_disjoint, passage_count
 from .quantities import (
     DEFAULT_NODE_BUDGET,
     _least_throughput,
@@ -56,6 +49,11 @@ class InstanceSpec:
     seed: int
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            kind = "a number" if name == "arc_probability" else "an integer"
+            types = (int, float) if kind == "a number" else int
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise InvalidSpecError(name, f"{value!r} is not {kind}")
         if not 2 <= self.vertex_count <= 6:
             raise InvalidSpecError("vertex_count", f"{self.vertex_count} outside 2..6")
         if not 0 <= self.max_capacity <= 3:
@@ -88,14 +86,17 @@ def brute_force_flows(
     network: Network,
     *,
     assignment_budget: int = DEFAULT_ASSIGNMENT_BUDGET,
-) -> dict[tuple[VertexId, VertexId], tuple[int, list[Flow]]]:
+) -> dict[tuple[VertexId, VertexId], tuple[int, list[tuple[int, ...]]]]:
     """Enumerate every integral assignment within capacity once, and keep
-    the flows of maximum value of every ordered pair, in enumeration order.
+    the maximum flows of every ordered pair as ``(value, assignments)``.
 
-    An assignment that conserves flow at every vertex is a circulation, a
+    An assignment is the tuple of arc values indexed by arc id of
+    ``network.compiled``; each pair's are in enumeration order.  An
+    assignment that conserves flow at every vertex is a circulation, a
     flow of value 0 for every pair; one whose only unbalanced vertices are
     u, with net outflow, and v, with net inflow k, is a flow of value k for
-    (u, v).  A pair with no flow of positive value keeps the circulations.
+    (u, v).  Every pair with no flow of positive value shares one
+    ``(0, circulations)`` entry.
     The budget bounds the size of the raw assignment space
     (product of capacity+1 over the positive arcs); larger instances raise
     BudgetExceededError up front.
@@ -157,14 +158,10 @@ def brute_force_flows(
             balance[head] -= val
 
     rec(0, -1, -1)
-    result = {}
-    for y, z in ordered_pairs(network):
-        value, leaves = best.get((net.index[y], net.index[z]), best[-1, -1])
-        result[y, z] = value, [
-            Flow(y, z, {arcs[i]: v for i, v in enumerate(values) if v})
-            for values in leaves
-        ]
-    return result
+    return {
+        (y, z): best.get((net.index[y], net.index[z]), best[-1, -1])
+        for y, z in ordered_pairs(network)
+    }
 
 
 @dataclass
@@ -214,9 +211,10 @@ def cross_check(
     chain drop <= passage <= min(throughput, max flow), all three equal
     for a singleton; and the oracle's least throughput equals the forced
     throughput.  The oracle enumerates an instance's assignments once,
-    before its pair loop, for every pair.  Instances whose enumeration or
-    assignment space exceeds a budget are skipped for that part and counted
-    per pair, never silently dropped.
+    before its pair loop, for every pair; a pair's assignments are made
+    into flows only while that pair is checked.  Instances whose
+    enumeration or assignment space exceeds a budget are skipped for that
+    part and counted per pair, never silently dropped.
     """
     report = CrossCheckReport(generator=GENERATOR_ID, instances=len(batch))
 
@@ -258,12 +256,10 @@ def cross_check(
                 )
             else:
                 try:
-                    sequences = [
-                        ArcDisjointSequence(paths, y, z)
-                        for _, paths in _max_sequences(
-                            net, y, z, value, node_budget, "sequence enumeration"
-                        )
-                    ]
+                    found = _max_sequences(
+                        net, y, z, value, node_budget, "sequence enumeration"
+                    )
+                    sequences = [seq for _, seq in found]
                 except BudgetExceededError:
                     pass
             if sequences is None:
@@ -282,15 +278,16 @@ def cross_check(
                 is_arc_disjoint(net, dec.paths.paths),
                 f"{where}: decomposition paths not arc-disjoint",
             )
+            oracle_flows = None
             if oracle is None:
                 report.oracle_skips += 1
-                oracle_flows = None
             else:
-                oracle_value, oracle_flows = oracle[y, z]
+                oracle_value, assignments = oracle[y, z]
                 check(
                     oracle_value == value,
                     f"{where}: oracle max {oracle_value}, solver max {value}",
                 )
+                oracle_flows = [_as_flow(net.compiled, y, z, a) for a in assignments]
                 bad = next(
                     (f for f in oracle_flows if validate_flow(net, f) is not None),
                     None,

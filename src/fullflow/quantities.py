@@ -108,8 +108,8 @@ def _max_sequences(
     node_budget: int,
     what: str,
     group: frozenset | None = None,
-) -> Iterator[tuple[int, tuple[Path, ...]]]:
-    """Yield ``(hits, paths)`` for the maximum sequences, canonically.
+) -> Iterator[tuple[int, ArcDisjointSequence]]:
+    """Yield ``(hits, sequence)`` for the maximum sequences, canonically.
 
     ``target`` is the pair's max-flow value; ``hits`` counts the paths
     meeting ``group``.  A node holds a multiset of candidate paths that
@@ -122,7 +122,7 @@ def _max_sequences(
     index of each open node, so the depth is not bounded by Python's.
     """
     if target == 0:
-        yield 0, ()
+        yield 0, ArcDisjointSequence((), source, sink)
         return
     where = f" group {render_group(group)}" if group is not None else ""
     reason = f"{what} budget exhausted at pair ({source}, {sink}){where}"
@@ -154,10 +154,11 @@ def _max_sequences(
             found += 1
             if group is not None:
                 best = hits
-            yield hits, tuple(
+            paths = tuple(
                 Path((source,) + tuple(arcs[a][1] for a in cand_arcs[i]))
                 for i in chosen
             )
+            yield hits, ArcDisjointSequence(paths, source, sink)
         else:
             frames.append(start)
         # an open node at depth d has d chosen paths, so a path beyond that
@@ -202,10 +203,10 @@ def enumerate_max_sequences(
     """
     _check_endpoints(network, source, sink)
     target = settle_pair(network, source, sink, [], passage=False)[0]
-    for _, paths in _max_sequences(
+    for _, seq in _max_sequences(
         network, source, sink, target, node_budget, "sequence enumeration"
     ):
-        yield ArcDisjointSequence(paths, source, sink)
+        yield seq
 
 
 def _min_passage(
@@ -230,7 +231,7 @@ def _min_passage(
             f"no maximum sequence found for {source!r}->{sink!r} "
             f"despite max flow {target}"
         )
-    return best[0], ArcDisjointSequence(best[1], source, sink)
+    return best
 
 
 def settle_pair(

@@ -288,11 +288,19 @@ def induced_flow(network, seq):
     return Flow(seq.source, seq.sink, dict(counts))
 
 
+def oracle_max_flows(network, source, sink):
+    """(value, flows) of the pair's maximum flows as the brute-force oracle
+    enumerates them, each arc-id assignment made a :class:`Flow`."""
+    value, assignments = brute_force_flows(network)[source, sink]
+    net = network.compiled
+    return value, [flows._as_flow(net, source, sink, a) for a in assignments]
+
+
 def brute_force_min_throughput(network, source, sink, members):
     """Minimum group throughput over the exhaustively enumerated maximum flows."""
     group = vertex_group(network, members)
-    _value, flows = brute_force_flows(network)[source, sink]
-    return min(flow_through(f, group) for f in flows)
+    _value, maximum_flows = oracle_max_flows(network, source, sink)
+    return min(flow_through(f, group) for f in maximum_flows)
 
 
 def reference_min_cost_max_flow(network, source, sink, arc_cost):

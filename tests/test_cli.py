@@ -382,6 +382,21 @@ def test_selftest_passes(capsys):
     assert "violations 0" in out
 
 
+def test_selftest_large_budget_pinned(capsys):
+    # the one batch whose instances keep thousands of maximum flows: at this
+    # assignment budget n = 6 instances reach the oracle
+    args = ["selftest", "--seed", "7", "--instances", "200", "--max-vertices", "6",
+            "--assignment-budget", "1000000"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[3:6] == [
+        "assertions 62600", "oracle_skips 150", "enumeration_skips 0"
+    ]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "64037b34e4ce4c56826de5984e5301a91f8250f727554cd2dca4dc3e855a0a2e"
+    )
+
+
 def test_selftest_byte_identical(capsys):
     args = ["selftest", "--instances", "6", "--seed", "9"]
     assert main(args) == 0

@@ -20,7 +20,6 @@ from fullflow.flows import (
     validate_flow,
 )
 from fullflow.network import build_network, ordered_pairs
-from fullflow.oracle import brute_force_flows
 from fullflow.paths import BACKWARD, FORWARD, ArcDisjointSequence, path_of
 from fullflow.quantities import _least_throughput, settle_pair
 from helpers import (
@@ -31,6 +30,7 @@ from helpers import (
     cancel_one_cycle,
     cheapest_max_flow,
     find_augmenting_path,
+    oracle_max_flows,
     random_flow,
     reference_decompose,
     reference_min_cost_max_flow,
@@ -66,6 +66,15 @@ def test_flow_rejects_negative_and_same_endpoints():
         Flow("y", "y", {})
     with pytest.raises(Exception):
         Flow("y", "z", {("a", "b"): -1})
+
+
+@pytest.mark.parametrize("val", [0.5, True, "1", 1.0])
+def test_flow_rejects_non_integer_values(val):
+    # a half unit would pass validate_flow on fig1 and fail in decompose,
+    # True would be written out as "True", and a string fails to compare
+    with pytest.raises(InvalidInputError) as caught:
+        Flow("y", "z", {("y", "u"): val, ("u", "z"): val})
+    assert str(caught.value) == f"flow {val!r} on arc ('y', 'u') is not an integer"
 
 
 def test_flow_normalizes_zero_entries():
@@ -384,7 +393,7 @@ def test_max_flow_antitone_and_flows_carry_over(net_yz, data):
 @given(networks_with_endpoints(max_vertices=4, max_capacity=2))
 def test_max_flow_matches_assignment_oracle(net_yz):
     net, y, z = net_yz
-    oracle_value, oracle_flows = brute_force_flows(net)[y, z]
+    oracle_value, oracle_flows = oracle_max_flows(net, y, z)
     solver_value, solver_flow = max_flow(net, y, z)
     assert solver_value == oracle_value
     assert validate_flow(net, solver_flow) is None
@@ -414,7 +423,7 @@ def test_min_cost_is_optimal_against_assignment_oracle(net_yz, data):
     for arc in sorted(net.capacities):
         costs[arc] = data.draw(st.integers(0, 3), label=f"cost {arc}")
     value, cost, f = cheapest_max_flow(net, y, z, costs)
-    oracle_value, oracle_flows = brute_force_flows(net)[y, z]
+    oracle_value, oracle_flows = oracle_max_flows(net, y, z)
     assert value == oracle_value
     assert validate_flow(net, f) is None
     assert f in oracle_flows
@@ -527,7 +536,7 @@ def test_capacity_decrease_equivalence(net_yz, data):
     reduced = data.draw(reduced_capacities(net))
     full_value, _ = max_flow(net, y, z)
     reduced_value, _ = max_flow(reduced, y, z)
-    _, reduced_max_flows = brute_force_flows(reduced)[y, z]
+    _, reduced_max_flows = oracle_max_flows(reduced, y, z)
     all_carry_over = all(
         validate_flow(net, f) is None and flow_value(f) == full_value
         for f in reduced_max_flows

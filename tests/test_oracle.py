@@ -7,7 +7,7 @@ import pytest
 
 from fullflow import oracle, quantities
 from fullflow.errors import BudgetExceededError, InvalidSpecError
-from fullflow.flows import Flow, flow_value, max_flow, validate_flow
+from fullflow.flows import _as_flow, flow_value, max_flow, validate_flow
 from fullflow.network import ordered_pairs
 from fullflow.oracle import InstanceSpec, brute_force_flows, cross_check, generate
 from fullflow.quantities import _least_throughput
@@ -15,6 +15,7 @@ from fullflow.quantities import _least_throughput
 from helpers import (
     brute_force_min_throughput,
     cancel_one_cycle,
+    oracle_max_flows,
     record_augment_calls,
 )
 
@@ -22,6 +23,7 @@ from helpers import (
 def test_spec_validation():
     InstanceSpec(2, 0, 0.0, 0)
     InstanceSpec(6, 3, 1.0, 2**64 - 1)
+    InstanceSpec(3, 2, 1, 0)
     with pytest.raises(InvalidSpecError):
         InstanceSpec(1, 2, 0.5, 0)
     with pytest.raises(InvalidSpecError):
@@ -30,6 +32,29 @@ def test_spec_validation():
         InstanceSpec(3, 2, 1.5, 0)
     with pytest.raises(InvalidSpecError):
         InstanceSpec(3, 2, 0.5, -1)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((2.5, 2, 0.4, 1), "vertex_count 2.5 is not an integer"),
+        ((3, 2.0, 0.4, 1.5), "max_capacity 2.0 is not an integer"),
+        ((3, True, 0.4, 1), "max_capacity True is not an integer"),
+        ((3, 2, "0.4", 1), "arc_probability '0.4' is not a number"),
+        ((3, 2, False, 1), "arc_probability False is not a number"),
+        ((3, 2, 0.4, 1.5), "seed 1.5 is not an integer"),
+    ],
+    ids=["float-count", "float-capacity", "bool-capacity", "str-probability",
+         "bool-probability", "float-seed"],
+)
+def test_spec_rejects_non_numbers(fields, message):
+    # a float count or seed would reach generate and fail on a slice index
+    # or run silently, a bool would pass as 0 or 1, and a string fails to
+    # compare; each is named by its field instead
+    with pytest.raises(InvalidSpecError) as caught:
+        InstanceSpec(*fields)
+    assert str(caught.value) == message
+    assert caught.value.field == message.split()[0]
 
 
 def test_generate_degenerate_specs():
@@ -47,7 +72,7 @@ def test_generate_is_deterministic():
 
 
 def test_brute_force_fig6(fig6):
-    value, flows = brute_force_flows(fig6)["y", "z"]
+    value, flows = oracle_max_flows(fig6, "y", "z")
     assert value == 1
     assert len(flows) == 1
     assert flows[0].values == {
@@ -59,13 +84,26 @@ def test_brute_force_zero_capacity():
     from fullflow.network import build_network
 
     net = build_network(["a", "b"], [])
-    value, flows = brute_force_flows(net)["a", "b"]
+    value, flows = oracle_max_flows(net, "a", "b")
     assert value == 0
     assert [f.values for f in flows] == [{}]
 
 
+def test_brute_force_keeps_arc_id_assignments():
+    # an assignment is one value per arc id; every pair with no positive
+    # flow shares the one list of circulations
+    net = generate(InstanceSpec(4, 2, 0.4, 4))
+    result = brute_force_flows(net)
+    zero = [assignments for value, assignments in result.values() if value == 0]
+    assert len(zero) == 4
+    assert all(assignments is zero[0] for assignments in zero)
+    for value, assignments in result.values():
+        assert assignments
+        assert all(len(a) == len(net.compiled.arcs) for a in assignments)
+
+
 def test_brute_force_fig3(fig3):
-    value, flows = brute_force_flows(fig3)["y", "z"]
+    value, flows = oracle_max_flows(fig3, "y", "z")
     assert value == 2
     assert value == max_flow(fig3, "y", "z")[0]
     for f in flows:
@@ -108,17 +146,17 @@ def test_cross_check_reports_are_deterministic():
 
 
 def _unpruned_max_flows(net):
-    # every ordered pair's maximum flows among the raw assignment product,
-    # each assignment checked by validate_flow
-    arcs = sorted(net.capacities)
-    ranges = [range(net.capacities[arc] + 1) for arc in arcs]
-    assignments = [dict(zip(arcs, values)) for values in itertools.product(*ranges)]
+    # every ordered pair's maximum assignments among the raw product of arc
+    # values, indexed by arc id, each checked by validate_flow
+    arcs = net.compiled.arcs
+    ranges = [range(net.capacity(arc) + 1) for arc in arcs]
+    assignments = list(itertools.product(*ranges))
     result = {}
     for y, z in ordered_pairs(net):
-        flows = [Flow(y, z, values) for values in assignments]
-        flows = [f for f in flows if validate_flow(net, f) is None]
-        best = max(flow_value(f) for f in flows)
-        result[y, z] = best, [f for f in flows if flow_value(f) == best]
+        flows = [(_as_flow(net.compiled, y, z, a), a) for a in assignments]
+        valid = [(flow_value(f), a) for f, a in flows if validate_flow(net, f) is None]
+        best = max(value for value, _ in valid)
+        result[y, z] = best, [a for value, a in valid if value == best]
     return result
 
 

@@ -20,7 +20,6 @@ from fullflow.flows import (
     validate_flow,
 )
 from fullflow.network import build_network, ordered_pairs
-from fullflow.oracle import brute_force_flows
 from fullflow.paths import ArcDisjointSequence, passage_count
 from fullflow.quantities import (
     enumerate_max_sequences,
@@ -40,6 +39,7 @@ from helpers import (
     enumerated_passage,
     induced_flow,
     maximum_sequences,
+    oracle_max_flows,
     record_augment_calls,
     restrict,
     seeded_network,
@@ -135,6 +135,14 @@ def test_forced_passage_fig1(fig1):
     assert forced_passage(fig1, "y", "z", {"x", "v"}, exact=True) == 2
 
 
+def test_mixed_group_names_the_unknown_vertex(fig1):
+    # an int and a token cannot be sorted together, so the group is
+    # checked in order of str
+    with pytest.raises(InvalidInputError) as caught:
+        forced_passage(fig1, "y", "z", {1, "x"})
+    assert str(caught.value) == "unknown vertex 1"
+
+
 def test_forced_passage_fig5_strict_gap(fig5):
     group = {"x1", "x2"}
     assert forced_passage(fig5, "y", "z", group, exact=True) == 2
@@ -168,7 +176,7 @@ def test_forced_throughput_figures(fig1, fig6):
 
 
 def test_forced_throughput_matches_oracle_fig1(fig1):
-    value, flows = brute_force_flows(fig1)["y", "z"]
+    value, flows = oracle_max_flows(fig1, "y", "z")
     assert value == 3
     oracle = min(flow_through(f, {"x"}) for f in flows)
     assert oracle == forced_throughput(fig1, "y", "z", {"x"}) == 2
@@ -715,7 +723,7 @@ def test_enumeration_matches_decompositions(net_yz):
     # induced flow
     net, y, z = net_yz
     classes = {s.paths for s in enumerate_max_sequences(net, y, z)}
-    _, maximum_flows = brute_force_flows(net)[y, z]
+    _, maximum_flows = oracle_max_flows(net, y, z)
     for f in maximum_flows:
         assert tuple(sorted(decompose(net, f).paths)) in classes
     for paths in classes:
