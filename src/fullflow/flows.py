@@ -63,6 +63,8 @@ class Flow:
             )
         cleaned: dict[Arc, int] = {}
         for arc, val in self.values.items():
+            if not (isinstance(arc, tuple) and len(arc) == 2):
+                raise InvalidInputError(f"flow arc {arc!r} is not a (tail, head) pair")
             tail, head = arc
             if tail == head:
                 raise InvalidInputError(f"flow on self-loop arc {arc!r}")
@@ -114,27 +116,28 @@ def validate_flow(network: Network, flow: Flow) -> str | None:
     """Check compatibility on every arc and conservation at interior vertices.
 
     Returns None when the flow is valid, otherwise a message naming the
-    first offending arc or vertex in canonical order.  Vertices outside
-    the network raise InvalidInputError instead.
+    first arc over capacity in canonical order, else the first vertex whose
+    inflow and outflow, summed in one pass over the arcs, differ.  Unknown
+    vertices raise InvalidInputError, naming the first in order of ``str``.
     """
     _check_endpoints(network, flow.source, flow.sink)
-    for tail, head in sorted(flow.values):
-        for vertex in (tail, head):
-            if not network.has_vertex(vertex):
-                raise InvalidInputError(f"unknown vertex {vertex!r} in flow support")
-    for arc in sorted(flow.values):
-        if flow.values[arc] > network.capacity(arc):
-            return (
-                f"flow {flow.values[arc]} exceeds capacity "
-                f"{network.capacity(arc)} on arc {arc!r}"
-            )
-    for x in network.vertices:
-        if x in (flow.source, flow.sink):
-            continue
-        into = sum(v for (_t, h), v in flow.values.items() if h == x)
-        outof = sum(v for (t, _h), v in flow.values.items() if t == x)
-        if into != outof:
-            return f"conservation fails at vertex {x!r}: in {into}, out {outof}"
+    index = network.compiled.index
+    unknown = {v for arc in flow.values for v in arc if v not in index}
+    if unknown:
+        vertex = min(unknown, key=str)
+        raise InvalidInputError(f"unknown vertex {vertex!r} in flow support")
+    over = [arc for arc, val in flow.values.items() if val > network.capacity(arc)]
+    if over:
+        arc = min(over)
+        cap = network.capacity(arc)
+        return f"flow {flow.values[arc]} exceeds capacity {cap} on arc {arc!r}"
+    into, out = [0] * len(index), [0] * len(index)
+    for (tail, head), val in flow.values.items():
+        out[index[tail]] += val
+        into[index[head]] += val
+    for x, i in index.items():
+        if into[i] != out[i] and x not in (flow.source, flow.sink):
+            return f"conservation fails at vertex {x!r}: in {into[i]}, out {out[i]}"
     return None
 
 

@@ -10,20 +10,23 @@ flow of any pair lies below it.
 Instance generation is reproducible: a spec fixes the vertex count,
 capacity bound, arc probability and seed, and the same spec always yields
 the same network.  ``cross_check`` runs a batch of specs against the
-solvers and reports violations verbatim instead of raising.
+solvers, scoring a pair's groups against vertex masks of its enumerated
+paths and outflow vectors of its oracle flows, and reports violations
+verbatim instead of raising.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import suppress
 from dataclasses import dataclass, field
 from math import prod
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import BudgetExceededError, InvalidSpecError
-from .flows import _as_flow, decompose, flow_through, recompose, validate_flow
+from .flows import _as_flow, decompose, recompose, validate_flow
 from .network import Network, VertexId, ordered_pairs
-from .paths import is_arc_disjoint, passage_count
+from .paths import is_arc_disjoint
 from .quantities import (
     DEFAULT_NODE_BUDGET,
     _least_throughput,
@@ -210,18 +213,19 @@ def cross_check(
     passage :func:`settle_pair` gives (without ``exact``) and lies in the
     chain drop <= passage <= min(throughput, max flow), all three equal
     for a singleton; and the oracle's least throughput equals the forced
-    throughput.  The oracle enumerates an instance's assignments once,
-    before its pair loop, for every pair; a pair's assignments are made
-    into flows only while that pair is checked.  Instances whose
-    enumeration or assignment space exceeds a budget are skipped for that
-    part and counted per pair, never silently dropped.
+    throughput.  One oracle walk per instance serves every pair.  A pair's
+    groups are scored against its enumerated paths as vertex masks (see
+    :func:`passage_count`) and its validated oracle flows as per-vertex
+    outflows, the value at the endpoints (see :func:`flow_through`).  An
+    enumeration or assignment space over budget is skipped and counted per
+    pair, never silently dropped.
     """
     report = CrossCheckReport(generator=GENERATOR_ID, instances=len(batch))
 
-    def check(condition: bool, message: str):
+    def check(condition: bool, message: Callable[[], str]):
         report.assertions += 1
         if not condition:
-            report.violations.append(message)
+            report.violations.append(message())
 
     for index, spec in enumerate(batch):
         net = generate(spec)
@@ -240,9 +244,13 @@ def cross_check(
             oracle = brute_force_flows(net, assignment_budget=assignment_budget)
         except BudgetExceededError:
             oracle = None
+        vertex, moves = net.compiled.index, net.compiled.neighbors
+        head_bits = [1 << vertex[head] for _, head in net.compiled.arcs]
+        out_arcs = [[a for _, a, _ in around if a >= 0] for around in moves]
         for y, z in ordered_pairs(net):
             where = f"{label} pair ({y},{z})"
             report.pairs_checked += 1
+            s, t = vertex[y], vertex[z]
             sequences = None
             try:
                 value, arc_flow, settled = settle_pair(
@@ -255,72 +263,75 @@ def cross_check(
                     net, y, z, distinct, passage=False, node_budget=node_budget
                 )
             else:
-                try:
-                    found = _max_sequences(
-                        net, y, z, value, node_budget, "sequence enumeration"
-                    )
-                    sequences = [seq for _, seq in found]
-                except BudgetExceededError:
-                    pass
+                with suppress(BudgetExceededError):
+                    # a path's source and arc heads are distinct: their bits add up
+                    sequences = [
+                        [sum(map(head_bits.__getitem__, p), 1 << s) for p in paths]
+                        for _, paths in _max_sequences(
+                            net, y, z, value, node_budget, "sequence enumeration"
+                        )
+                    ]
             if sequences is None:
                 report.enumeration_skips += 1
             flow = _as_flow(net.compiled, y, z, arc_flow)
             dec = decompose(net, flow)
             check(
                 recompose(dec) == flow,
-                f"{where}: decomposition does not recompose to the flow",
+                lambda: f"{where}: decomposition does not recompose to the flow",
             )
             check(
                 len(dec.paths) == value,
-                f"{where}: decomposition has {len(dec.paths)} paths, value {value}",
+                lambda: f"{where}: decomposition has {len(dec.paths)} paths, "
+                f"value {value}",
             )
             check(
                 is_arc_disjoint(net, dec.paths.paths),
-                f"{where}: decomposition paths not arc-disjoint",
+                lambda: f"{where}: decomposition paths not arc-disjoint",
             )
-            oracle_flows = None
+            outflows = None
             if oracle is None:
                 report.oracle_skips += 1
             else:
                 oracle_value, assignments = oracle[y, z]
                 check(
                     oracle_value == value,
-                    f"{where}: oracle max {oracle_value}, solver max {value}",
+                    lambda: f"{where}: oracle max {oracle_value}, solver max {value}",
                 )
-                oracle_flows = [_as_flow(net.compiled, y, z, a) for a in assignments]
-                bad = next(
-                    (f for f in oracle_flows if validate_flow(net, f) is not None),
-                    None,
-                )
+                flows = (_as_flow(net.compiled, y, z, a) for a in assignments)
+                bad = next((f for f in flows if validate_flow(net, f)), None)
                 check(
                     bad is None,
-                    f"{where}: oracle produced an invalid maximum flow {bad}",
+                    lambda: f"{where}: oracle produced an invalid maximum flow {bad}",
                 )
-            ends = net.compiled.index[y], net.compiled.index[z]
+                # a vertex's share of a throughput: its outflow, or the value
+                into_s = [a for _, _, a in moves[s] if a >= 0]
+                outflows = []
+                for a in assignments:
+                    out = [sum(map(a.__getitem__, arcs)) for arcs in out_arcs]
+                    out[s] = out[t] = out[s] - sum(map(a.__getitem__, into_s))
+                    outflows.append(out)
             terms = {
-                group: (
-                    drop,
-                    passage,
-                    _least_throughput(net.compiled, arc_flow, *ends, group, value),
-                )
-                for group, (drop, passage) in zip(distinct, settled)
+                g: (*term, _least_throughput(net.compiled, arc_flow, s, t, g, value))
+                for g, term in zip(distinct, settled)
             }
             for group in groups:
                 drop, passage, throughput = terms[group]
-                named = f"{where} group {render_group(group)}"
+                members = [vertex[x] for x in group]
                 if sequences is not None:
-                    enum = min(passage_count(s, group) for s in sequences)
+                    bits = sum(1 << i for i in members)
+                    enum = min(sum(1 for m in masks if m & bits) for masks in sequences)
                     check(
                         drop <= enum == passage <= min(throughput, value)
                         and (len(group) != 1 or drop == passage == throughput),
-                        f"{named}: drop {drop}, enumeration {enum}, passage "
-                        f"{passage}, max flow {value}, throughput {throughput}",
+                        lambda: f"{where} group {render_group(group)}: drop {drop}, "
+                        f"enumeration {enum}, passage {passage}, max flow {value}, "
+                        f"throughput {throughput}",
                     )
-                if oracle_flows is not None:
-                    oracle_min = min(flow_through(f, group) for f in oracle_flows)
+                if outflows is not None:
+                    oracle_min = min(sum(map(o.__getitem__, members)) for o in outflows)
                     check(
                         oracle_min == throughput,
-                        f"{named}: oracle throughput {oracle_min}, solver "
-                        f"{throughput}",
+                        lambda: f"{where} group {render_group(group)}: oracle "
+                        f"throughput {oracle_min}, solver {throughput}",
                     )
     return report

@@ -108,21 +108,22 @@ def _max_sequences(
     node_budget: int,
     what: str,
     group: frozenset | None = None,
-) -> Iterator[tuple[int, ArcDisjointSequence]]:
-    """Yield ``(hits, sequence)`` for the maximum sequences, canonically.
+) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
+    """Yield ``(hits, paths)`` for the maximum sequences, canonically.
 
-    ``target`` is the pair's max-flow value; ``hits`` counts the paths
-    meeting ``group``.  A node holds a multiset of candidate paths that
-    fits the capacities; one with fewer than ``target`` paths is always
-    opened.  Without a group every sequence is yielded; with one, a node
-    meeting it at least as often as the last yield is cut, so each yield
-    improves on the one before.  More than ``node_budget`` candidate paths
-    exhaust the budget before the search starts; each node is counted
-    against it as it is entered.  The stack holds the next candidate
-    index of each open node, so the depth is not bounded by Python's.
+    ``paths`` lists its paths as arc-id tuples of ``network.compiled``;
+    ``hits`` counts those meeting ``group``, and ``target`` is the pair's
+    max-flow value.  A node holds a multiset of candidate paths that fits
+    the capacities; one with fewer than ``target`` paths is always opened.
+    Without a group every sequence is yielded; with one, a node meeting it
+    at least as often as the last yield is cut, so each yield improves on
+    the one before.  More than ``node_budget`` candidate paths exhaust the
+    budget before the search starts; each node is counted against it as it
+    is entered.  The stack holds the next candidate index of each open node,
+    so the depth is not bounded by Python's.
     """
     if target == 0:
-        yield 0, ArcDisjointSequence((), source, sink)
+        yield 0, []
         return
     where = f" group {render_group(group)}" if group is not None else ""
     reason = f"{what} budget exhausted at pair ({source}, {sink}){where}"
@@ -154,11 +155,7 @@ def _max_sequences(
             found += 1
             if group is not None:
                 best = hits
-            paths = tuple(
-                Path((source,) + tuple(arcs[a][1] for a in cand_arcs[i]))
-                for i in chosen
-            )
-            yield hits, ArcDisjointSequence(paths, source, sink)
+            yield hits, [cand_arcs[i] for i in chosen]
         else:
             frames.append(start)
         # an open node at depth d has d chosen paths, so a path beyond that
@@ -203,10 +200,18 @@ def enumerate_max_sequences(
     """
     _check_endpoints(network, source, sink)
     target = settle_pair(network, source, sink, [], passage=False)[0]
-    for _, seq in _max_sequences(
+    for _, paths in _max_sequences(
         network, source, sink, target, node_budget, "sequence enumeration"
     ):
-        yield seq
+        yield _sequence(network.compiled, source, sink, paths)
+
+
+def _sequence(
+    net: CompiledNetwork, source: VertexId, sink: VertexId, paths: list[tuple[int, ...]]
+) -> ArcDisjointSequence:
+    """The sequence of paths given as arc-id tuples of ``net``."""
+    heads = [[net.arcs[a][1] for a in path] for path in paths]
+    return ArcDisjointSequence(tuple(Path((source, *h)) for h in heads), source, sink)
 
 
 def _min_passage(
@@ -231,7 +236,7 @@ def _min_passage(
             f"no maximum sequence found for {source!r}->{sink!r} "
             f"despite max flow {target}"
         )
-    return best
+    return best[0], _sequence(network.compiled, source, sink, best[1])
 
 
 def settle_pair(
@@ -458,16 +463,17 @@ def _least_throughput(
 
     A flow's throughput is its value once per endpoint in the group plus
     its flow out of the other members: a cost, unit on their out-arcs,
-    least once the negative cycles of ``flow`` are cancelled.  A flow of
-    cost 0 is least already, as no cost is negative.
+    least once the negative cycles of ``flow`` are cancelled.  With no flow
+    out of them the cost is 0, least already, and no cost vector is built.
     """
-    interior = {x for x in group if net.index[x] not in (s, t)}
-    costs = [int(tail in interior) for tail, _ in net.arcs]
-    if any(map(mul, costs, flow)):
-        flow = list(flow)
-        _cancel_negative_cycles(net, net.capacities, flow, costs)
-    through = sum(map(mul, costs, flow))
-    return through + (len(group) - len(interior)) * value
+    interior = {net.index[x] for x in group} - {s, t}
+    ends = (len(group) - len(interior)) * value
+    if not any(flow[a] for x in interior for _, a, _ in net.neighbors[x] if a >= 0):
+        return ends
+    costs = [int(net.index[tail] in interior) for tail, _ in net.arcs]
+    flow = list(flow)
+    _cancel_negative_cycles(net, net.capacities, flow, costs)
+    return sum(map(mul, costs, flow)) + ends
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import pytest
 
 from fullflow.errors import FullFlowError, InvalidInputError
 from fullflow.figures import FIGURE_NAMES, figure_network
-from fullflow.flows import Flow, decompose, max_flow
+from fullflow.flows import Flow, decompose, max_flow, validate_flow
 from fullflow.network import Network, build_network, vertex_group
 from fullflow.paths import Path, is_arc_disjoint, path_of
 
@@ -73,6 +73,18 @@ BAD_CALLS = {
     "invalid flow": (
         lambda: decompose(AB, Flow("a", "b", {("a", "b"): 2})),
         "flow 2 exceeds capacity 1 on arc ('a', 'b')",
+    ),
+    "string flow arc": (
+        lambda: Flow("a", "b", {"ab": 1}),
+        "flow arc 'ab' is not a (tail, head) pair",
+    ),
+    "one-vertex flow arc": (
+        lambda: Flow("a", "b", {("a",): 1}),
+        "flow arc ('a',) is not a (tail, head) pair",
+    ),
+    "mixed-type flow vertex": (
+        lambda: validate_flow(AB, Flow("a", "b", {(1, "b"): 1, ("a", "b"): 1})),
+        "unknown vertex 1 in flow support",
     ),
     "unknown figure": (
         lambda: figure_network("fig9"),

@@ -61,6 +61,27 @@ def test_validate_reports_conservation_violation(fig1):
     assert validate_flow(fig1, f) == "conservation fails at vertex 'v': in 1, out 0"
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        # unbalanced at u, v and x; u comes first in canonical order
+        (
+            {("v", "x"): 1, ("y", "u"): 1, ("u", "x"): 2},
+            "conservation fails at vertex 'u': in 1, out 2",
+        ),
+        # over capacity on (y, v) and (u, x), and unbalanced too: the
+        # capacity check comes first, and (u, x) first among the arcs
+        (
+            {("z", "u"): 1, ("y", "v"): 3, ("u", "x"): 3},
+            "flow 3 exceeds capacity 2 on arc ('u', 'x')",
+        ),
+        ({("v", "x"): 1, ("z", "u"): 1}, "flow 1 exceeds capacity 0 on arc ('z', 'u')"),
+    ],
+)
+def test_validate_reports_the_first_violation_in_canonical_order(fig1, values, message):
+    assert validate_flow(fig1, Flow("y", "z", values)) == message
+
+
 def test_flow_rejects_negative_and_same_endpoints():
     with pytest.raises(InvalidInputError):
         Flow("y", "y", {})

@@ -299,3 +299,36 @@ def test_cross_check_settles_again_when_the_search_runs_out(monkeypatch):
     again = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=5)
     assert again.render() == report.render()
     assert sum(calls) == again.pairs_checked + 2 == 142
+
+
+def _mutated(function, old, new):
+    """``function`` rebuilt from its source with the one ``old`` replaced."""
+    source = inspect.getsource(function)
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(source.replace(old, new), namespace)
+    return namespace[function.__name__]
+
+
+def test_path_masks_without_the_source_are_caught():
+    # negative control: a path mask missing the source's bit misses every
+    # group that holds the source, where the passage is the max flow
+    mutant = _mutated(
+        oracle.cross_check,
+        "sum(map(head_bits.__getitem__, p), 1 << s)",
+        "sum(map(head_bits.__getitem__, p))",
+    )
+    report = mutant(PINNED_BATCH, assignment_budget=5000, node_budget=200)
+    assert len(report.violations) == 139
+    assert all("enumeration" in violation for violation in report.violations)
+
+
+def test_oracle_throughput_counting_no_endpoint_is_caught():
+    # negative control: an oracle flow of value 0 counts nothing at the
+    # endpoints of a group that holds one, where the solver counts the value
+    mutant = _mutated(
+        oracle.cross_check, "out[s] - sum(map(a.__getitem__, into_s))", "0"
+    )
+    report = mutant(PINNED_BATCH, assignment_budget=5000, node_budget=200)
+    assert len(report.violations) == 166
+    assert all("oracle throughput" in violation for violation in report.violations)
