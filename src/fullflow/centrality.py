@@ -7,12 +7,16 @@ over the same denominator.  Sums are ``fractions.Fraction`` values, so
 results are exact, order-independent and comparable with ``==``; pairs
 whose maximum flow value is zero contribute nothing rather than 0/0.
 
-Each pair ``(y, z)`` is settled once, for every group of the call, by
-:func:`fullflow.quantities.settle_pair`, whose docstring states the rules
-that settle a term without the passage search.  ``exact`` only turns off
-the singleton shortcut.  The pair loop adds each term's integer drop and
-passage into per-group sums keyed by the max-flow value, the term's
-denominator; a :class:`PairTerm` is built only for ``explain``.
+Each pair ``(y, z)`` is settled once, for every group of the call: by the
+rule below, or by :func:`fullflow.quantities.settle_pair`, whose docstring
+states the rules that settle a term without the passage search.  ``exact``
+only turns off the singleton shortcut.  The pair loop adds each term's
+integer drop and passage into per-group sums keyed by the max-flow value,
+the term's denominator; a :class:`PairTerm` is built only for ``explain``.
+A group X that holds y or z, or leaves no y->z path once the arcs touching
+it are zeroed, has drop = passage = max flow.  Without ``explain``, for a
+source y that at most one group X avoids, two searches find what y reaches
+in G and in G - X; a sink only G reaches takes 1 for every group, no flow run.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolationError
-from .network import Network, VertexId, ordered_pairs, vertex_group
-from .quantities import DEFAULT_NODE_BUDGET, render_group, settle_pair
+from .flows import _bfs_augmenting
+from .network import Network, VertexId, vertex_group
+from .quantities import DEFAULT_NODE_BUDGET, _zeroed_caps, render_group, settle_pair
 
 _DECIMAL_PLACES = 6  # the decimal columns of a CLI record
 
@@ -87,8 +92,8 @@ def _group_sums(
     pair order (otherwise no terms are kept).
 
     ``passage``, ``exact`` and ``node_budget`` are passed to
-    :func:`settle_pair`, once per pair; without ``passage`` the passage
-    sums stay empty.
+    :func:`settle_pair`, once per pair that the module docstring's rule
+    leaves; without ``passage`` the passage sums stay empty.
     """
     drops: list[dict[int, int]] = [{} for _ in groups]
     passages: list[dict[int, int]] = [{} for _ in groups]
@@ -96,19 +101,38 @@ def _group_sums(
     if not groups or not (explain or any(groups)):
         # an empty group's drop and passage are 0 on every pair
         return drops, passages, terms
-    for y, z in ordered_pairs(network):
-        total, _, settled = settle_pair(
-            network, y, z, groups, passage=passage, exact=exact, node_budget=node_budget
-        )
-        if total == 0:
-            continue
-        for (drop, found), by_drop, by_passage in zip(settled, drops, passages):
-            by_drop[total] = by_drop.get(total, 0) + drop
-            if passage:
-                by_passage[total] = by_passage.get(total, 0) + found
-        if explain:
-            for (drop, found), kept in zip(settled, terms):
-                kept.append(PairTerm(y, z, total, drop, found))
+    net = network.compiled
+    zeros = [0] * len(net.arcs)
+    everything = b"\1" * len(net.neighbors)
+    for s, y in enumerate(network.vertices):
+        avoiding = [group for group in groups if y not in group]
+        reach = bypass = everything
+        if not explain and len(avoiding) <= 1:
+            # a search whose sink is its source returns what it reached
+            reach = _bfs_augmenting(net, net.capacities, zeros, s, s)
+            bypass = bytes(len(reach))  # what y reaches in G - X
+            if avoiding:
+                caps = _zeroed_caps(net, map(net.index.__getitem__, avoiding[0]))
+                bypass = _bfs_augmenting(net, caps, zeros, s, s)
+        for t, z in enumerate(network.vertices):
+            if t == s or not reach[t]:
+                continue
+            if bypass[t]:
+                total, _, settled = settle_pair(
+                    network, y, z, groups, passage=passage, exact=exact,
+                    node_budget=node_budget,
+                )
+            else:
+                total, settled = 1, [(1, 1)] * len(groups)  # drop = passage = max flow
+            if total == 0:
+                continue
+            for (drop, found), by_drop, by_passage in zip(settled, drops, passages):
+                by_drop[total] = by_drop.get(total, 0) + drop
+                if passage:
+                    by_passage[total] = by_passage.get(total, 0) + found
+            if explain:
+                for (drop, found), kept in zip(settled, terms):
+                    kept.append(PairTerm(y, z, total, drop, found))
     return drops, passages, terms
 
 

@@ -168,7 +168,7 @@ def _max_sequences(
                     caps[a] += 1
                 hits -= meets[i]
             i = frames[-1]
-            while i < n and not all(caps[a] for a in cand_arcs[i]):
+            while i < n and not all(map(caps.__getitem__, cand_arcs[i])):
                 i += 1
             if i == n:
                 frames.pop()
@@ -259,7 +259,7 @@ def settle_pair(
 
     1. ``max_flow == 0``: drop = passage = 0.
     2. ``source`` or ``sink`` is in X: every path meets X, so drop =
-       passage = max_flow.
+       passage = max_flow; see ``centrality`` for groups meeting every path.
     3. The cut rule: let S be the source side of the min cut where the
        last search of ``f`` failed, and C_X the capacity of the arcs from
        S to the rest that touch X.  If C_X equals ``through =
@@ -324,13 +324,7 @@ def settle_pair(
             if cut == through:
                 drop = found = through
             else:
-                caps = list(net.capacities)
-                for x in members:
-                    for _, out_arc, in_arc in net.neighbors[x]:
-                        if out_arc >= 0:
-                            caps[out_arc] = 0
-                        if in_arc >= 0:
-                            caps[in_arc] = 0
+                caps = _zeroed_caps(net, members)
                 if units is None and shared and through < total:
                     units, _ = _decompose_ids(net, flow, s, t, total)
                 # warm start: the unit paths of f with no arc at zero in
@@ -357,6 +351,18 @@ def settle_pair(
                     )
         settled.append((drop, found))
     return total, flow, settled
+
+
+def _zeroed_caps(net: CompiledNetwork, members: Iterable[int]) -> list[int]:
+    """``net.capacities`` with the arcs touching ``members`` (ids) at 0."""
+    caps = list(net.capacities)
+    for x in members:
+        for _, out_arc, in_arc in net.neighbors[x]:
+            if out_arc >= 0:
+                caps[out_arc] = 0
+            if in_arc >= 0:
+                caps[in_arc] = 0
+    return caps
 
 
 def _through_and_cut(

@@ -13,6 +13,7 @@ path solver, the reference for the library's negative-cycle canceller,
 which ``cheapest_max_flow`` runs on the canonical max flow.
 """
 
+import inspect
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -205,6 +206,17 @@ def find_augmenting_path(network, flow):
     if isinstance(moves, bytearray):  # the vertices reached: no path left
         return None
     return _moves_to_gpath(net, moves, flow.source)
+
+
+def mutated(function, old, new):
+    """``function`` rebuilt from its source with the one ``old`` replaced,
+    for negative controls: a check that passes on the package must fail on
+    the mutant."""
+    source = inspect.getsource(function)
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(source.replace(old, new), namespace)
+    return namespace[function.__name__]
 
 
 def record_augment_calls(monkeypatch):

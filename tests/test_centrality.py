@@ -1,23 +1,27 @@
 import itertools
+import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings, target
 from hypothesis import strategies as st
 
 import pytest
 
+from fullflow import centrality
 from fullflow.centrality import (
+    _group_sums,
     centrality_report,
     decimal_text,
     full_flow_betweenness,
     full_flow_vitality,
 )
 from fullflow.errors import InvalidInputError
+from fullflow.figures import figure_network
 from fullflow.flows import max_flow
 from fullflow.network import ordered_pairs
-from fullflow.quantities import pair_report
+from fullflow.quantities import pair_report, settle_pair
 
-from helpers import record_augment_calls
+from helpers import mutated, record_augment_calls, restrict, seeded_network
 from strategies import fig5_with_extra_arcs, networks
 
 
@@ -224,3 +228,150 @@ def test_sums_match_explained_terms_on_gap_networks(net, data):
 @given(networks(max_vertices=6))
 def test_sums_match_explained_terms_on_singletons(net):
     _check_sums_match_terms(net, [[v] for v in net.vertices])
+
+
+FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
+
+
+def _separated_pairs(net, members):
+    """The pairs (y, z) with neither endpoint in the group and no y->z path
+    once the arcs touching it are zeroed, though G has one."""
+    cut = restrict(net, members)
+    return [
+        (y, z)
+        for y, z in ordered_pairs(net)
+        if not {y, z} & members
+        and max_flow(net, y, z)[0] > 0
+        and max_flow(cut, y, z)[0] == 0
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks(min_vertices=4, max_vertices=6), st.data())
+def test_sums_match_explained_terms_on_lone_groups(net, data):
+    # a lone group meets every y->z path of the pairs with an endpoint in it
+    # and of those it separates; the plain sums take 1 there with no flow
+    members = data.draw(
+        st.sets(st.sampled_from(net.vertices), min_size=1, max_size=3), label="group"
+    )
+    separated = len(_separated_pairs(net, members))
+    target(separated, label="separated pairs")
+    event("group separates a pair" if separated else "group separates no pair")
+    _check_sums_match_terms(net, [members])
+
+
+def _check_lone_groups_on_figures():
+    # every figure's lone groups of 1-3 vertices; fig4's {x} separates
+    # (v, z), and no figure's z reaches another vertex
+    for name in FIGURES:
+        net = figure_network(name)
+        for k in (1, 2, 3):
+            for members in itertools.combinations(net.vertices, k):
+                _check_sums_match_terms(net, [set(members)])
+
+
+def test_sums_match_explained_terms_on_figure_lone_groups():
+    assert _separated_pairs(figure_network("fig4"), {"x"}) == [("v", "z")]
+    _check_lone_groups_on_figures()
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_sums_match_explained_terms_on_seeded_networks(n):
+    net = seeded_network(n)
+    rng = random.Random(n)
+    for _ in range(6):
+        _check_sums_match_terms(net, [set(rng.sample(net.vertices, rng.randint(2, 3)))])
+
+
+def _check_groups_sharing_a_vertex(net, a, b, c):
+    # source a is avoided by no group, b and c by one each, the rest by both
+    _check_sums_match_terms(net, [{a, b}, {a, c}])
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks(min_vertices=3, max_vertices=6))
+def test_sums_match_explained_terms_on_groups_sharing_a_vertex(net):
+    _check_groups_sharing_a_vertex(net, "a", "b", "c")
+
+
+def _check_groups_sharing_a_vertex_on_figures():
+    for name in FIGURES:
+        net = figure_network(name)
+        for a in net.vertices:
+            rest = [v for v in net.vertices if v != a]
+            for b, c in itertools.combinations(rest, 2):
+                _check_groups_sharing_a_vertex(net, a, b, c)
+
+
+def test_sums_match_explained_terms_on_figure_groups_sharing_a_vertex():
+    _check_groups_sharing_a_vertex_on_figures()
+
+
+def _record_settle_calls(monkeypatch):
+    calls = []
+
+    def recorded(network, y, z, groups, **options):
+        calls.append((y, z))
+        return settle_pair(network, y, z, groups, **options)
+
+    monkeypatch.setattr(centrality, "settle_pair", recorded)
+    return calls
+
+
+def test_lone_group_settles_only_pairs_with_a_path_around_it(monkeypatch):
+    # the pairs outside X that G - X still joins are the only ones whose
+    # max flow runs; the pairs with an endpoint in X, the ones X separates
+    # and the ones G does not join run none
+    calls = _record_settle_calls(monkeypatch)
+    cases = [(figure_network(f"fig{i}"), {"x"}) for i in range(1, 5)]
+    cases += [(figure_network("fig5"), {"x1", "x2"}), (figure_network("fig6"), {"x1"})]
+    cases.append((seeded_network(16), {"v02", "v03"}))
+    for net, members in cases:
+        cut = restrict(net, members)
+        expected = [
+            (y, z)
+            for y, z in ordered_pairs(net)
+            if not {y, z} & members and max_flow(cut, y, z)[0] > 0
+        ]
+        calls.clear()
+        centrality_report(net, [members])
+        assert calls == expected, (net.vertices, members)
+
+
+def test_singletons_settle_every_pair(monkeypatch):
+    # with n > 2 singletons every source is avoided by two groups or more,
+    # so no reach search runs and every ordered pair is settled
+    calls = _record_settle_calls(monkeypatch)
+    searches = []
+    monkeypatch.setattr(centrality, "_bfs_augmenting", lambda *args: searches.append(args))
+    net = seeded_network(9)
+    centrality_report(net, [[v] for v in net.vertices])
+    assert calls == ordered_pairs(net)
+    assert len(calls) == 9 * 8
+    assert searches == []
+
+
+def _with_mutant(monkeypatch, old, new):
+    monkeypatch.setattr(centrality, "_group_sums", mutated(_group_sums, old, new))
+
+
+def test_reach_rule_reversed_is_caught(monkeypatch):
+    # negative control: the term taken as 1 where y does reach z in G - X
+    _with_mutant(monkeypatch, "            if bypass[t]:", "            if not bypass[t]:")
+    with pytest.raises(AssertionError):
+        _check_lone_groups_on_figures()
+
+
+def test_reach_rule_without_the_reach_in_g_is_caught(monkeypatch):
+    # negative control: a sink that G does not reach also takes 1
+    _with_mutant(monkeypatch, "if t == s or not reach[t]:", "if t == s:")
+    with pytest.raises(AssertionError):
+        _check_lone_groups_on_figures()
+
+
+def test_reach_rule_for_two_avoiding_groups_is_caught(monkeypatch):
+    # negative control: the rule run when two groups avoid y, with only the
+    # first group's G - X searched
+    _with_mutant(monkeypatch, "len(avoiding) <= 1", "len(avoiding) <= 2")
+    with pytest.raises(AssertionError):
+        _check_groups_sharing_a_vertex_on_figures()

@@ -13,6 +13,7 @@ from fullflow.oracle import InstanceSpec, brute_force_flows, cross_check, genera
 from fullflow.quantities import _least_throughput
 
 from helpers import (
+    mutated,
     brute_force_min_throughput,
     cancel_one_cycle,
     oracle_max_flows,
@@ -186,15 +187,15 @@ def _cut_at_first_unbalanced_vertex():
     source = inspect.getsource(oracle.brute_force_flows)
     rule = source[source.index("            for v in settled:"):
                   source.index("            else:\n                rec(")]
-    mutated = source.replace(
+    changed = source.replace(
         rule,
         "            for v in settled:\n"
         "                if balance[v]:\n"
         "                    break\n",
     )
-    assert mutated != source
+    assert changed != source
     namespace = dict(vars(oracle))
-    exec(mutated, namespace)
+    exec(changed, namespace)
     return namespace["brute_force_flows"]
 
 
@@ -301,19 +302,10 @@ def test_cross_check_settles_again_when_the_search_runs_out(monkeypatch):
     assert sum(calls) == again.pairs_checked + 2 == 142
 
 
-def _mutated(function, old, new):
-    """``function`` rebuilt from its source with the one ``old`` replaced."""
-    source = inspect.getsource(function)
-    assert source.count(old) == 1
-    namespace = dict(vars(inspect.getmodule(function)))
-    exec(source.replace(old, new), namespace)
-    return namespace[function.__name__]
-
-
 def test_path_masks_without_the_source_are_caught():
     # negative control: a path mask missing the source's bit misses every
     # group that holds the source, where the passage is the max flow
-    mutant = _mutated(
+    mutant = mutated(
         oracle.cross_check,
         "sum(map(head_bits.__getitem__, p), 1 << s)",
         "sum(map(head_bits.__getitem__, p))",
@@ -326,7 +318,7 @@ def test_path_masks_without_the_source_are_caught():
 def test_oracle_throughput_counting_no_endpoint_is_caught():
     # negative control: an oracle flow of value 0 counts nothing at the
     # endpoints of a group that holds one, where the solver counts the value
-    mutant = _mutated(
+    mutant = mutated(
         oracle.cross_check, "out[s] - sum(map(a.__getitem__, into_s))", "0"
     )
     report = mutant(PINNED_BATCH, assignment_budget=5000, node_budget=200)
