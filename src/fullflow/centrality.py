@@ -13,10 +13,12 @@ states the rules that settle a term without the passage search.  ``exact``
 only turns off the singleton shortcut.  The pair loop adds each term's
 integer drop and passage into per-group sums keyed by the max-flow value,
 the term's denominator; a :class:`PairTerm` is built only for ``explain``.
+One zero-flow search per source y finds what y reaches in G and, in its
+tree, each reached sink's first augmenting path; other sinks have no term.
 A group X that holds y or z, or leaves no y->z path once the arcs touching
 it are zeroed, has drop = passage = max flow.  Without ``explain``, for a
-source y that at most one group X avoids, two searches find what y reaches
-in G and in G - X; a sink only G reaches takes 1 for every group, no flow run.
+source y that at most one group X avoids, one more search finds what y
+reaches in G - X; a sink only G reaches takes 1 for every group, no flow run.
 """
 
 from __future__ import annotations
@@ -92,8 +94,9 @@ def _group_sums(
     pair order (otherwise no terms are kept).
 
     ``passage``, ``exact`` and ``node_budget`` are passed to
-    :func:`settle_pair`, once per pair that the module docstring's rule
-    leaves; without ``passage`` the passage sums stay empty.
+    :func:`settle_pair`, with the source's tree, once per pair that the
+    module docstring's rules leave, ``explain`` or not; without ``passage``
+    the passage sums stay empty.
     """
     drops: list[dict[int, int]] = [{} for _ in groups]
     passages: list[dict[int, int]] = [{} for _ in groups]
@@ -103,29 +106,29 @@ def _group_sums(
         return drops, passages, terms
     net = network.compiled
     zeros = [0] * len(net.arcs)
-    everything = b"\1" * len(net.neighbors)
+    restricted: dict[frozenset, list[int]] = {}  # the capacities of G - X by X
     for s, y in enumerate(network.vertices):
+        # a search whose sink is its source keeps all it reaches in its tree
+        tree = _bfs_augmenting(net, net.capacities, zeros, s, s)
         avoiding = [group for group in groups if y not in group]
-        reach = bypass = everything
+        bypass = tree  # the sinks to settle: what y reaches in G - X, if the rule runs
         if not explain and len(avoiding) <= 1:
-            # a search whose sink is its source returns what it reached
-            reach = _bfs_augmenting(net, net.capacities, zeros, s, s)
-            bypass = bytes(len(reach))  # what y reaches in G - X
+            bypass = ()
             if avoiding:
-                caps = _zeroed_caps(net, map(net.index.__getitem__, avoiding[0]))
-                bypass = _bfs_augmenting(net, caps, zeros, s, s)
+                group = avoiding[0]
+                if group not in restricted:
+                    restricted[group] = _zeroed_caps(net, map(net.index.__getitem__, group))
+                bypass = _bfs_augmenting(net, restricted[group], zeros, s, s)
         for t, z in enumerate(network.vertices):
-            if t == s or not reach[t]:
+            if t == s or t not in tree:
                 continue
-            if bypass[t]:
+            if t in bypass:
                 total, _, settled = settle_pair(
                     network, y, z, groups, passage=passage, exact=exact,
-                    node_budget=node_budget,
+                    node_budget=node_budget, tree=tree,
                 )
             else:
                 total, settled = 1, [(1, 1)] * len(groups)  # drop = passage = max flow
-            if total == 0:
-                continue
             for (drop, found), by_drop, by_passage in zip(settled, drops, passages):
                 by_drop[total] = by_drop.get(total, 0) + drop
                 if passage:

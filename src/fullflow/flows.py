@@ -22,9 +22,13 @@ every result here is a pure, deterministic function of its inputs:
 Max flows run on ``Network.compiled``, built once per network (vertices
 and arcs as integers, each vertex with one sorted list of the neighbors
 it shares an arc with, in either direction), through one augment loop
-(``_augment``) over the breadth-first path finder; it also hands back the
-source side of the min cut where its last search failed, from which
-``settle_pair`` proves some drops.  A max flow restricted to part of the
+(``_augment``) over the trees of a breadth-first search
+(``_bfs_augmenting``).  Each tree maps the vertices it reached to their
+parent links, so its keys are what the source reaches: the source side
+of the min cut once the sink is missing, from which ``settle_pair``
+proves some drops.  At zero flow the links do not depend on the sink, so
+one tree per source gives ``centrality`` what the source reaches and
+every sink's first augmenting path.  A max flow restricted to part of the
 network is the same loop under a capacity vector with the excluded arcs
 at zero.  The forced throughput (in ``quantities``) is a cost of the
 pair's own max flow, least once its negative-cost residual cycles are
@@ -147,24 +151,25 @@ def _bfs_augmenting(
     flow: Sequence[int],
     source: int,
     sink: int,
-) -> list[tuple[int, int]] | bytearray:
-    """Lexicographically least shortest augmenting path, as (arc id, dir) moves.
+) -> dict[int, tuple[int, int, int] | None]:
+    """Breadth-first search tree of the residual moves from ``source``: each
+    vertex reached maps to its parent link ``(vertex, arc id, dir)``.
 
     Works on the compiled network: ``caps`` and ``flow`` are indexed by arc
     id (``caps`` may be any pointwise reduction of the network's
     capacities, zeros included).  Each vertex's neighbors are expanded in
     canonical order, taking the forward arc when it has room and the
-    backward arc otherwise.  With no path left, it returns instead the
-    vertices it reached, as one byte per vertex (1 for reached).
+    backward arc otherwise.  It stops at ``sink``, whose links lead back
+    along the lexicographically least shortest augmenting path; a tree
+    without it holds every vertex reached.  The source maps to None, and a
+    link is fixed when its vertex is first reached, whatever the sink.
     """
     neighbors = net.neighbors
-    parent: dict[int, tuple[int, int, int]] = {}
-    seen = bytearray(len(neighbors))
-    seen[source] = 1
+    parent: dict[int, tuple[int, int, int] | None] = {source: None}
     queue = [source]
     for v in queue:
         for w, out_arc, in_arc in neighbors[v]:
-            if seen[w]:
+            if w in parent:
                 continue
             if out_arc >= 0 and flow[out_arc] < caps[out_arc]:
                 parent[w] = (v, out_arc, FORWARD)
@@ -173,15 +178,9 @@ def _bfs_augmenting(
             else:
                 continue
             if w == sink:
-                moves: list[tuple[int, int]] = []
-                while w != source:
-                    w, arc, direction = parent[w]
-                    moves.append((arc, direction))
-                moves.reverse()
-                return moves
-            seen[w] = 1
+                return parent
             queue.append(w)
-    return seen
+    return parent
 
 
 def _augment(
@@ -190,27 +189,35 @@ def _augment(
     flow: list[int],
     source: int,
     sink: int,
-) -> tuple[int, bytearray]:
-    """Saturate the augmenting paths :func:`_bfs_augmenting` returns until
-    it finds none.
+    tree: dict[int, tuple[int, int, int] | None] | None = None,
+) -> tuple[int, dict[int, tuple[int, int, int] | None]]:
+    """Saturate the augmenting paths :func:`_bfs_augmenting` finds until
+    its tree misses the sink.
 
     The one augment loop in the package.  ``flow`` (indexed by arc id) is
-    updated in place; the return value is the amount added and what the
-    last, failing search reached: the source side of a minimum cut.  An
-    arc at zero in ``caps`` carries no flow, so a flow from zero under
-    ``caps`` is a flow of the network restricted to the other arcs.
+    updated in place; the return value is the amount added and the last
+    tree, whose keys are the source side of a minimum cut.  An arc at zero
+    in ``caps`` carries no flow, so a flow from zero under ``caps`` is a
+    flow of the network restricted to the other arcs.  A ``tree`` of the
+    search from ``source`` to itself, under ``caps`` at a zero ``flow``,
+    stands in for the first search: it holds the same links.
     """
     added = 0
-    while True:
-        moves = _bfs_augmenting(net, caps, flow, source, sink)
-        if type(moves) is bytearray:
-            return added, moves
+    if tree is None:
+        tree = _bfs_augmenting(net, caps, flow, source, sink)
+    while sink in tree:
+        moves, w = [], sink
+        while w != source:
+            w, arc, d = tree[w]
+            moves.append((arc, d))
         bottleneck = min(
             [caps[arc] - flow[arc] if d == FORWARD else flow[arc] for arc, d in moves]
         )
         for arc, d in moves:
             flow[arc] += d * bottleneck
         added += bottleneck
+        tree = _bfs_augmenting(net, caps, flow, source, sink)
+    return added, tree
 
 
 def _negative_cycle(

@@ -248,6 +248,7 @@ def settle_pair(
     passage: bool,
     exact: bool = False,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    tree: dict | None = None,
 ) -> tuple[int, list[int], list[tuple[int, int | None]]]:
     """The pair's maximum flow value, its canonical maximum flow ``f`` and
     one ``(drop, passage)`` per group.
@@ -304,12 +305,13 @@ def settle_pair(
 
     Every rule is a proof; ``exact`` only turns off rule 5, so that
     singletons reach rules 6 to 8 too.  The groups must be validated
-    (:func:`vertex_group`).
+    (:func:`vertex_group`).  ``tree``, the tree of the search from
+    ``source`` to itself at zero flow, saves ``f`` its first search.
     """
     net = network.compiled
     s, t = net.index[source], net.index[sink]
     flow = [0] * len(net.arcs)
-    total, reached = _augment(net, net.capacities, flow, s, t)
+    total, reached = _augment(net, net.capacities, flow, s, t, tree)
     if total == 0:
         return total, flow, [(0, 0)] * len(groups)
     settled: list[tuple[int, int | None]] = []
@@ -366,7 +368,7 @@ def _zeroed_caps(net: CompiledNetwork, members: Iterable[int]) -> list[int]:
 
 
 def _through_and_cut(
-    net: CompiledNetwork, flow: Sequence[int], reached: bytearray, members: set[int]
+    net: CompiledNetwork, flow: Sequence[int], reached: dict, members: set[int]
 ) -> tuple[int, int]:
     """``(through, C_X)`` of :func:`settle_pair`'s rule 3, in one walk over
     the arcs at ``members``, none of them an endpoint: the flow out of the
@@ -377,9 +379,9 @@ def _through_and_cut(
         for w, out_arc, in_arc in net.neighbors[x]:
             if out_arc >= 0:
                 through += flow[out_arc]
-                if reached[x] and not reached[w]:
+                if x in reached and w not in reached:
                     cut += caps[out_arc]
-            if in_arc >= 0 and not reached[x] and reached[w] and w not in members:
+            if in_arc >= 0 and x not in reached and w in reached and w not in members:
                 cut += caps[in_arc]  # an arc from a member counts at its tail
     return through, cut
 
@@ -474,12 +476,14 @@ def _least_throughput(
     """
     interior = {net.index[x] for x in group} - {s, t}
     ends = (len(group) - len(interior)) * value
-    if not any(flow[a] for x in interior for _, a, _ in net.neighbors[x] if a >= 0):
-        return ends
-    costs = [int(net.index[tail] in interior) for tail, _ in net.arcs]
-    flow = list(flow)
-    _cancel_negative_cycles(net, net.capacities, flow, costs)
-    return sum(map(mul, costs, flow)) + ends
+    for x in interior:
+        for _, a, _ in net.neighbors[x]:
+            if a >= 0 and flow[a]:
+                costs = [int(net.index[tail] in interior) for tail, _ in net.arcs]
+                flow = list(flow)
+                _cancel_negative_cycles(net, net.capacities, flow, costs)
+                return sum(map(mul, costs, flow)) + ends
+    return ends
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ paths and the augmenting path, the signed arc function and what is built
 from it, the oracle throughput and the enumerated passage -- are written
 as the paper states them, with no shortcut, so that tests can check the
 library against them; ``cut_capacity_touching`` is the cut rule's C_X
-on vertex tokens.  ``reference_decompose`` is the canonical
-decomposition walk on vertex tokens, the reference for the library's walk
-on arc ids.  ``reference_min_cost_max_flow`` is the successive shortest
+on vertex tokens, over the vertices ``residual_reach`` finds.
+``reference_decompose`` is the canonical decomposition walk on vertex
+tokens, the reference for the library's walk on arc ids.  ``reference_min_cost_max_flow`` is the successive shortest
 path solver, the reference for the library's negative-cycle canceller,
 which ``cheapest_max_flow`` runs on the canonical max flow.
 """
@@ -60,16 +60,15 @@ def restrict(network, members):
     return Network(network.vertices, kept)
 
 
-def cut_capacity_touching(network, flow, members):
-    """C_X of the cut rule, from the paper's definitions: the capacity of
-    the arcs that touch the group and lead from the vertices the residual
-    network of ``flow`` reaches from its source to the rest."""
-    group = vertex_group(network, members)
-    reached = {flow.source}
-    queue = [flow.source]
+def residual_reach(network, source, values):
+    """The vertices that the residual network of the arc assignment
+    ``values`` reaches from ``source``; with no flow, those that a path of
+    positive-capacity arcs reaches."""
+    reached = {source}
+    queue = [source]
     for v in queue:
         for (tail, head), cap in network.capacities.items():
-            on = flow.values.get((tail, head), 0)
+            on = values.get((tail, head), 0)
             if tail == v and on < cap:
                 w = head
             elif head == v and on > 0:
@@ -79,6 +78,15 @@ def cut_capacity_touching(network, flow, members):
             if w not in reached:
                 reached.add(w)
                 queue.append(w)
+    return reached
+
+
+def cut_capacity_touching(network, flow, members):
+    """C_X of the cut rule, from the paper's definitions: the capacity of
+    the arcs that touch the group and lead from the vertices the residual
+    network of ``flow`` reaches from its source to the rest."""
+    group = vertex_group(network, members)
+    reached = residual_reach(network, flow.source, flow.values)
     return sum(
         cap
         for (tail, head), cap in network.capacities.items()
@@ -196,16 +204,17 @@ def find_augmenting_path(network, flow):
     if violation is not None:
         raise InvalidInputError(violation)
     net = network.compiled
-    moves = _bfs_augmenting(
-        net,
-        net.capacities,
-        [flow.values.get(arc, 0) for arc in net.arcs],
-        net.index[flow.source],
-        net.index[flow.sink],
+    source, sink = net.index[flow.source], net.index[flow.sink]
+    tree = _bfs_augmenting(
+        net, net.capacities, [flow.values.get(arc, 0) for arc in net.arcs], source, sink
     )
-    if isinstance(moves, bytearray):  # the vertices reached: no path left
+    if sink not in tree:  # no path left
         return None
-    return _moves_to_gpath(net, moves, flow.source)
+    moves = []
+    while sink != source:  # the parent links back from the sink
+        sink, arc, direction = tree[sink]
+        moves.append((arc, direction))
+    return _moves_to_gpath(net, moves[::-1], flow.source)
 
 
 def mutated(function, old, new):
@@ -225,9 +234,9 @@ def record_augment_calls(monkeypatch):
     under the network's own capacities), False for a restricted one."""
     calls = []
 
-    def recorded(net, caps, flow, source, sink):
+    def recorded(net, caps, flow, source, sink, *rest):
         calls.append(caps is net.capacities and not any(flow))
-        return _augment(net, caps, flow, source, sink)
+        return _augment(net, caps, flow, source, sink, *rest)
 
     monkeypatch.setattr(flows, "_augment", recorded)
     monkeypatch.setattr(quantities, "_augment", recorded)

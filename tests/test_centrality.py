@@ -17,7 +17,7 @@ from fullflow.centrality import (
 )
 from fullflow.errors import InvalidInputError
 from fullflow.figures import figure_network
-from fullflow.flows import max_flow
+from fullflow.flows import _bfs_augmenting, max_flow
 from fullflow.network import ordered_pairs
 from fullflow.quantities import pair_report, settle_pair
 
@@ -95,7 +95,7 @@ def test_report_empty_list(fig1):
 
 def test_empty_groups_run_no_flow(monkeypatch, fig1):
     # an empty group's terms are all 0, so only explain, which keeps them,
-    # runs the pairs' max flows
+    # runs the max flows: one per pair that a path joins, as many as terms
     calls = record_augment_calls(monkeypatch)
     assert full_flow_vitality(fig1, []) == 0
     assert full_flow_betweenness(fig1, []) == 0
@@ -106,7 +106,7 @@ def test_empty_groups_run_no_flow(monkeypatch, fig1):
     assert rep.record() == "- 0 1 0 1 0.000000 0.000000"
     assert len(rep.pair_terms) == 10
     assert all(t.vitality_drop == t.forced_passage == 0 for t in rep.pair_terms)
-    assert len(calls) == len(ordered_pairs(fig1))
+    assert calls == [True] * 10
 
 
 def test_report_record_format(fig6):
@@ -193,9 +193,11 @@ def test_report_terms_match_pair_report_on_figures(fig1, fig5, fig6):
 
 def _check_sums_match_terms(net, groups):
     # the report's sums, kept without terms, against the sums over the
-    # terms of --explain and against the one-group measures
+    # terms of --explain and against the one-group measures; and each term's
+    # max flow and drop against max flows of G and of G - X
     plain = centrality_report(net, groups)
     explained = centrality_report(net, groups, explain=True)
+    totals = {(y, z): max_flow(net, y, z)[0] for y, z in ordered_pairs(net)}
     for report, terms in zip(plain, explained):
         assert report.pair_terms is None
         assert report.vitality == sum(
@@ -212,6 +214,14 @@ def _check_sums_match_terms(net, groups):
         )
         assert full_flow_vitality(net, report.group) == report.vitality
         assert full_flow_betweenness(net, report.group) == report.betweenness
+        cut = restrict(net, report.group)
+        assert [
+            (t.source, t.sink, t.max_flow_total, t.vitality_drop) for t in terms.pair_terms
+        ] == [
+            (y, z, total, total - max_flow(cut, y, z)[0])
+            for (y, z), total in totals.items()
+            if total
+        ]
 
 
 @settings(max_examples=15, deadline=None)
@@ -336,15 +346,21 @@ def test_lone_group_settles_only_pairs_with_a_path_around_it(monkeypatch):
 
 def test_singletons_settle_every_pair(monkeypatch):
     # with n > 2 singletons every source is avoided by two groups or more,
-    # so no reach search runs and every ordered pair is settled
+    # so no G - X search runs: one zero-flow search per source, and every
+    # ordered pair that a path joins is settled
     calls = _record_settle_calls(monkeypatch)
     searches = []
-    monkeypatch.setattr(centrality, "_bfs_augmenting", lambda *args: searches.append(args))
+
+    def recorded(net, caps, flow, s, t):
+        searches.append((caps is net.capacities and not any(flow), s, t))
+        return _bfs_augmenting(net, caps, flow, s, t)
+
+    monkeypatch.setattr(centrality, "_bfs_augmenting", recorded)
     net = seeded_network(9)
     centrality_report(net, [[v] for v in net.vertices])
-    assert calls == ordered_pairs(net)
-    assert len(calls) == 9 * 8
-    assert searches == []
+    assert calls == [(y, z) for y, z in ordered_pairs(net) if max_flow(net, y, z)[0] > 0]
+    assert len(calls) == 64
+    assert searches == [(True, s, s) for s in range(9)]
 
 
 def _with_mutant(monkeypatch, old, new):
@@ -353,14 +369,14 @@ def _with_mutant(monkeypatch, old, new):
 
 def test_reach_rule_reversed_is_caught(monkeypatch):
     # negative control: the term taken as 1 where y does reach z in G - X
-    _with_mutant(monkeypatch, "            if bypass[t]:", "            if not bypass[t]:")
+    _with_mutant(monkeypatch, "            if t in bypass:", "            if t not in bypass:")
     with pytest.raises(AssertionError):
         _check_lone_groups_on_figures()
 
 
 def test_reach_rule_without_the_reach_in_g_is_caught(monkeypatch):
     # negative control: a sink that G does not reach also takes 1
-    _with_mutant(monkeypatch, "if t == s or not reach[t]:", "if t == s:")
+    _with_mutant(monkeypatch, "if t == s or t not in tree:", "if t == s:")
     with pytest.raises(AssertionError):
         _check_lone_groups_on_figures()
 

@@ -7,10 +7,11 @@ import pytest
 
 from fullflow import flows, quantities
 from fullflow.errors import InvalidInputError
-from fullflow.figures import fig2_stored_flow
+from fullflow.figures import FIGURE_NAMES, fig2_stored_flow, figure_network
 from fullflow.flows import (
     Decomposition,
     Flow,
+    _bfs_augmenting,
     decompose,
     flow_through,
     flow_to_text,
@@ -21,7 +22,7 @@ from fullflow.flows import (
 )
 from fullflow.network import build_network, ordered_pairs
 from fullflow.paths import BACKWARD, FORWARD, ArcDisjointSequence, path_of
-from fullflow.quantities import _least_throughput, settle_pair
+from fullflow.quantities import _least_throughput, _zeroed_caps, settle_pair
 from helpers import (
     GeneralizedPath,
     ResidualView,
@@ -34,10 +35,11 @@ from helpers import (
     random_flow,
     reference_decompose,
     reference_min_cost_max_flow,
+    residual_reach,
     restrict,
     seeded_network,
 )
-from strategies import networks_with_endpoints, reduced_capacities
+from strategies import networks, networks_with_endpoints, reduced_capacities
 
 
 def test_fig2_stored_flow_is_valid(fig2):
@@ -126,6 +128,37 @@ def test_find_augmenting_path_null_flow_fig1(fig1):
 
 def test_find_augmenting_path_none_when_maximum(fig2):
     assert find_augmenting_path(fig2, fig2_stored_flow()) is None
+
+
+def _check_zero_flow_trees(net, members=()):
+    # the search from each vertex to itself at zero flow, under the
+    # capacities of G - X: the keys of its tree are what a plain walk over
+    # the positive-capacity arcs of restrict(net, X) reaches, and each
+    # parent link is such an arc into its key
+    compiled = net.compiled
+    token = {i: x for x, i in compiled.index.items()}
+    caps = _zeroed_caps(compiled, [compiled.index[x] for x in members])
+    cut = restrict(net, members)
+    for s, y in enumerate(net.vertices):
+        tree = _bfs_augmenting(compiled, caps, [0] * len(caps), s, s)
+        assert {token[v] for v in tree} == residual_reach(cut, y, {})
+        assert tree.pop(s) is None
+        for w, (v, arc, direction) in tree.items():
+            assert direction == FORWARD and caps[arc] > 0
+            assert compiled.arcs[arc] == (token[v], token[w])
+
+
+def test_zero_flow_trees_on_fixed_networks():
+    for net in [*map(figure_network, FIGURE_NAMES), *map(seeded_network, (9, 16, 24))]:
+        _check_zero_flow_trees(net)
+        _check_zero_flow_trees(net, net.vertices[1::3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks(max_vertices=6), st.data())
+def test_zero_flow_trees(net, data):
+    members = data.draw(st.sets(st.sampled_from(net.vertices), max_size=3), label="X")
+    _check_zero_flow_trees(net, members)
 
 
 def test_find_augmenting_path_prefers_forward_move():

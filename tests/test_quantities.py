@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from fullflow import flows, quantities
+from fullflow import centrality, flows, quantities
 from fullflow.errors import BudgetExceededError, InvalidInputError
 from fullflow.figures import FIGURE_NAMES, figure_network
 from fullflow.flows import (
@@ -39,6 +39,7 @@ from helpers import (
     enumerated_passage,
     induced_flow,
     maximum_sequences,
+    mutated,
     oracle_max_flows,
     record_augment_calls,
     restrict,
@@ -46,6 +47,7 @@ from helpers import (
 )
 from strategies import (
     fig5_with_extra_arcs,
+    networks,
     networks_with_endpoints,
     networks_with_endpoints_and_group,
 )
@@ -330,10 +332,10 @@ def _record_restricted_flows(monkeypatch):
         bfs_calls.append(1)
         return _bfs_augmenting(*args)
 
-    def recorded(net, caps, flow, s, t):
+    def recorded(net, caps, flow, s, t, *rest):
         warm = list(flow)
         bfs_calls.clear()
-        result = _augment(net, caps, flow, s, t)
+        result = _augment(net, caps, flow, s, t, *rest)
         if caps is not net.capacities:
             records.append((warm, flow, len(bfs_calls)))
         return result
@@ -494,8 +496,8 @@ def test_through_and_cut_matches_definitions():
             (y, z)
             for (y, z), (_, reached) in cuts.items()
             if any(
-                reached[compiled.index[tail]]
-                and not reached[compiled.index[head]]
+                compiled.index[tail] in reached
+                and compiled.index[head] not in reached
                 and not {tail, head} & {y, z}
                 for tail, head in compiled.arcs
             )
@@ -514,8 +516,8 @@ def test_through_and_cut_matches_definitions():
                     crossing += any(
                         tail in group
                         and head in group
-                        and reached[compiled.index[tail]]
-                        and not reached[compiled.index[head]]
+                        and compiled.index[tail] in reached
+                        and compiled.index[head] not in reached
                         for tail, head in compiled.arcs
                     )
     assert crossing > 0
@@ -533,7 +535,7 @@ def test_cut_sum_over_every_cut_arc_is_caught(monkeypatch):
         return through, sum(
             cap
             for (tail, head), cap in zip(net.arcs, net.capacities)
-            if reached[net.index[tail]] and not reached[net.index[head]]
+            if net.index[tail] in reached and net.index[head] not in reached
         )
 
     monkeypatch.setattr(quantities, "_through_and_cut", every_cut_arc)
@@ -541,6 +543,66 @@ def test_cut_sum_over_every_cut_arc_is_caught(monkeypatch):
     assert flows_run != flows_left
     with pytest.raises(AssertionError, match="restricted max flow"):
         _check_cut_rule(monkeypatch, 16)
+
+
+def _check_tree_start(net, search=_bfs_augmenting):
+    # settle_pair with the zero-flow search tree of the source, from which
+    # the canonical flow takes its first path, against settle_pair without
+    # it and against max_flow, for the singletons and two random pairs; a
+    # sink the tree does not reach has max flow 0
+    compiled = net.compiled
+    zeros = [0] * len(compiled.arcs)
+    rng = random.Random(f"tree-start:{net.vertices}")
+    groups = [frozenset({x}) for x in net.vertices]
+    groups += [frozenset(rng.sample(net.vertices, 2)) for _ in range(2)]
+    for s, y in enumerate(net.vertices):
+        tree = search(compiled, compiled.capacities, zeros, s, s)
+        for t, z in enumerate(net.vertices):
+            if t == s:
+                continue
+            total, flow = max_flow(net, y, z)
+            if t not in tree:
+                assert total == 0
+                continue
+            result = settle_pair(net, y, z, groups, passage=True, tree=tree)
+            assert result == settle_pair(net, y, z, groups, passage=True)
+            assert _as_flow(compiled, y, z, result[1]) == flow
+
+
+@pytest.mark.parametrize("name", FIGURE_NAMES)
+def test_tree_start_on_figures(name):
+    _check_tree_start(figure_network(name))
+
+
+@pytest.mark.parametrize("n", [9, 16, 24])
+def test_tree_start_on_seeded_networks(n):
+    _check_tree_start(seeded_network(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks(max_vertices=6))
+def test_tree_start_on_random_networks(net):
+    _check_tree_start(net)
+
+
+def test_tree_in_reversed_neighbor_order_is_caught(monkeypatch):
+    # negative control: a tree whose search expands each vertex's neighbors
+    # in reversed order reaches the same vertices with other parent links,
+    # so some first path is not the canonical one.  The centrality outputs
+    # alone do not catch it: a term's drop and passage do not depend on
+    # which maximum flow settles them, as the second half shows
+    backwards = mutated(
+        flows._bfs_augmenting, "in neighbors[v]:", "in reversed(neighbors[v]):"
+    )
+    net = seeded_network(9)
+    with pytest.raises(AssertionError):
+        _check_tree_start(net, backwards)
+    groups = [[x] for x in net.vertices] + [["v01", "v04"], ["v02", "v03", "v07"]]
+    expected = centrality.centrality_report(net, groups, explain=True)
+    monkeypatch.setattr(centrality, "_bfs_augmenting", backwards)
+    assert centrality.centrality_report(net, groups, explain=True) == expected
+    plain = centrality.centrality_report(net, groups)
+    assert [r.record() for r in plain] == [r.record() for r in expected]
 
 
 def test_cut_rule_on_fig1(monkeypatch, fig1):
