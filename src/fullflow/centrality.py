@@ -164,15 +164,10 @@ def full_flow_betweenness(
     exact: bool = False,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Fraction:
-    """Sum over flow-positive pairs of (forced passage) / (max flow value).
-
-    ``exact`` as in :func:`centrality_report`.
-    """
-    group = vertex_group(network, members)
-    _, (passages,), _ = _group_sums(
-        network, [group], passage=True, exact=exact, node_budget=node_budget
-    )
-    return _ratio_sum(passages)
+    """Sum over flow-positive pairs of (forced passage) / (max flow value):
+    the betweenness :func:`centrality_report` gives, ``exact`` as there."""
+    report = centrality_report(network, [members], exact=exact, node_budget=node_budget)
+    return report[0].betweenness
 
 
 def centrality_report(

@@ -15,9 +15,10 @@ every result here is a pure, deterministic function of its inputs:
   sorted neighbor expansion, forward moves preferred on ties);
 * ``decompose`` peels the canonically least positive out-arc first,
   extracting all paths before hunting remaining cycles.  The walk itself
-  runs once, on arc ids (``_decompose_ids``); ``decompose`` maps its
-  result to :class:`Path` and :class:`Cycle`, and ``settle_pair`` takes
-  the paths as they are to warm-start its restricted max flows.
+  runs once, on arc ids (``_decompose_ids``); ``settle_pair`` takes its
+  paths as they are to warm-start its restricted max flows.  Arc-id paths
+  become :class:`Path` values in one place, ``_sequence``, for
+  decompositions and the passage search's witnesses and enumerations.
 
 Max flows run on ``Network.compiled``, built once per network (vertices
 and arcs as integers, each vertex with one sorted list of the neighbors
@@ -221,13 +222,10 @@ def _augment(
 
 
 def _negative_cycle(
-    net: CompiledNetwork,
-    caps: Sequence[int],
-    flow: Sequence[int],
-    costs: Sequence[int],
+    net: CompiledNetwork, flow: Sequence[int], costs: Sequence[int]
 ) -> list[tuple[int, int]] | None:
-    """A negative-cost residual cycle of ``flow``, as (arc id, dir) moves,
-    or None when there is none.
+    """A negative-cost residual cycle of ``flow`` under the capacities of
+    ``net``, as (arc id, dir) moves, or None when there is none.
 
     Bellman-Ford from a virtual source at cost 0 to every vertex, over the
     residual moves of :func:`_bfs_augmenting` at cost ``costs[a]`` forward
@@ -236,7 +234,7 @@ def _negative_cycle(
     is none, each label is at least the cost of a simple path, so the
     sweeps either settle or close one.
     """
-    neighbors = net.neighbors
+    neighbors, caps = net.neighbors, net.capacities
     n = len(neighbors)
     dist = [0] * n
     pred = [-1] * n  # the parent link into each vertex: its tail and move
@@ -273,15 +271,13 @@ def _negative_cycle(
 
 
 def _cancel_negative_cycles(
-    net: CompiledNetwork,
-    caps: Sequence[int],
-    flow: list[int],
-    costs: Sequence[int],
+    net: CompiledNetwork, flow: list[int], costs: Sequence[int]
 ) -> None:
     """Cancel each negative-cost residual cycle of the maximum flow ``flow``
     by its bottleneck, in place, until none is left: then it is a min-cost
     maximum flow (Klein, 1967), still integral."""
-    while (moves := _negative_cycle(net, caps, flow, costs)) is not None:
+    caps = net.capacities
+    while (moves := _negative_cycle(net, flow, costs)) is not None:
         bottleneck = min(
             [caps[arc] - flow[arc] if d == FORWARD else flow[arc] for arc, d in moves]
         )
@@ -403,15 +399,22 @@ def decompose(network: Network, flow: Flow) -> Decomposition:
         value,
     )
     return Decomposition(
-        ArcDisjointSequence(
-            tuple(Path((flow.source, *[arcs[a][1] for a in p])) for p in paths),
-            flow.source,
-            flow.sink,
-        ),
+        _sequence(net, flow.source, flow.sink, paths),
         tuple(
             Cycle(tuple(arcs[a][0] for a in c) + (arcs[c[0]][0],)).rotated_to_least()
             for c in cycles
         ),
+    )
+
+
+def _sequence(
+    net: CompiledNetwork, source: VertexId, sink: VertexId, paths: Iterable[Sequence]
+) -> ArcDisjointSequence:
+    """The sequence of the ``source``->``sink`` paths given as arc ids of
+    ``net``: the one place arc-id paths become :class:`Path` values."""
+    arcs = net.arcs
+    return ArcDisjointSequence(
+        tuple(Path((source, *[arcs[a][1] for a in p])) for p in paths), source, sink
     )
 
 

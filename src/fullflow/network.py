@@ -62,8 +62,10 @@ def _check_vertices(vertices: Iterable[VertexId]) -> tuple[VertexId, ...]:
 
 
 def _check_arc(arc: Arc, cap, known) -> None:
-    """Raise unless ``arc`` joins two distinct vertices of ``known`` and
-    ``cap`` is a nonnegative ``int`` (not a bool)."""
+    """Raise unless ``arc`` is a pair joining two distinct vertices of
+    ``known`` and ``cap`` is a nonnegative ``int`` (not a bool)."""
+    if not (isinstance(arc, tuple) and len(arc) == 2):
+        raise InvalidInputError(f"arc {arc!r} is not a (tail, head) pair")
     tail, head = arc
     if tail not in known:
         raise InvalidInputError(f"unknown vertex {tail!r} in arc {arc!r}")
@@ -176,15 +178,20 @@ def build_network(
     """Build a network from declared vertices and (tail, head, capacity) entries.
 
     Zero-capacity entries are accepted and dropped.  Raises
-    InvalidInputError naming the offending token or arc for a bad or
-    repeated vertex, fewer than two vertices, an unknown vertex, a
-    self-loop, a repeated arc, or a capacity that is negative or not an
-    ``int``.  A repeated arc is reported after the first entries of all
-    arcs have been checked.
+    InvalidInputError naming the offending entry, token or arc for an
+    entry that is not a tuple or list of three, a bad or repeated vertex,
+    fewer than two vertices, an unknown vertex, a self-loop, a repeated
+    arc, or a capacity that is negative or not an ``int``.  A repeated arc
+    is reported after the first entries of all arcs have been checked.
     """
     caps: dict[Arc, int] = {}
     repeat = None
-    for tail, head, cap in entries:
+    for entry in entries:
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 3):
+            raise InvalidInputError(
+                f"entry {entry!r} is not a (tail, head, capacity) triple"
+            )
+        tail, head, cap = entry
         arc = (tail, head)
         if arc not in caps:
             caps[arc] = cap

@@ -214,9 +214,11 @@ def cross_check(
     chain drop <= passage <= min(throughput, max flow), all three equal
     for a singleton; and the oracle's least throughput equals the forced
     throughput.  One oracle walk per instance serves every pair.  A pair's
-    groups are scored against its enumerated paths as vertex masks (see
-    :func:`passage_count`) and its validated oracle flows as per-vertex
-    outflows, the value at the endpoints (see :func:`flow_through`).  An
+    groups are scored against the vertex masks of its enumerated paths, as
+    the enumeration yields them (see :func:`passage_count`), and its
+    validated oracle flows as per-vertex outflows, the value at the
+    endpoints (see :func:`flow_through`).  The passages checked against
+    them come from :func:`settle_pair`, whose rules 1 to 7 read no mask.  An
     enumeration or assignment space over budget is skipped and counted per
     pair, never silently dropped.
     """
@@ -245,7 +247,6 @@ def cross_check(
         except BudgetExceededError:
             oracle = None
         vertex, moves = net.compiled.index, net.compiled.neighbors
-        head_bits = [1 << vertex[head] for _, head in net.compiled.arcs]
         out_arcs = [[a for _, a, _ in around if a >= 0] for around in moves]
         for y, z in ordered_pairs(net):
             where = f"{label} pair ({y},{z})"
@@ -264,13 +265,8 @@ def cross_check(
                 )
             else:
                 with suppress(BudgetExceededError):
-                    # a path's source and arc heads are distinct: their bits add up
-                    sequences = [
-                        [sum(map(head_bits.__getitem__, p), 1 << s) for p in paths]
-                        for _, paths in _max_sequences(
-                            net, y, z, value, node_budget, "sequence enumeration"
-                        )
-                    ]
+                    found = _max_sequences(net, y, z, value, node_budget)
+                    sequences = [masks for _, _, masks in found]
             if sequences is None:
                 report.enumeration_skips += 1
             flow = _as_flow(net.compiled, y, z, arc_flow)

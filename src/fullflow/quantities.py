@@ -42,9 +42,10 @@ from .flows import (
     _cancel_negative_cycles,
     _check_endpoints,
     _decompose_ids,
+    _sequence,
 )
 from .network import CompiledNetwork, Network, VertexId, vertex_group
-from .paths import ArcDisjointSequence, Path
+from .paths import ArcDisjointSequence
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -106,39 +107,40 @@ def _max_sequences(
     sink: VertexId,
     target: int,
     node_budget: int,
-    what: str,
     group: frozenset | None = None,
-) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
-    """Yield ``(hits, paths)`` for the maximum sequences, canonically.
+) -> Iterator[tuple[int, list[tuple[int, ...]], list[int]]]:
+    """Yield ``(hits, paths, masks)`` for the maximum sequences, canonically.
 
-    ``paths`` lists its paths as arc-id tuples of ``network.compiled``;
-    ``hits`` counts those meeting ``group``, and ``target`` is the pair's
+    ``paths`` lists its paths as arc-id tuples of ``network.compiled`` and
+    ``masks`` their vertex sets, bit ``i`` for vertex id ``i``; ``hits``
+    counts the paths meeting ``group``, and ``target`` is the pair's
     max-flow value.  A node holds a multiset of candidate paths that fits
     the capacities; one with fewer than ``target`` paths is always opened.
-    Without a group every sequence is yielded; with one, a node meeting it
-    at least as often as the last yield is cut, so each yield improves on
-    the one before.  More than ``node_budget`` candidate paths exhaust the
-    budget before the search starts; each node is counted against it as it
-    is entered.  The stack holds the next candidate index of each open node,
-    so the depth is not bounded by Python's.
+    Without a group, a sequence enumeration, every sequence is yielded;
+    with one, a passage minimization, a node meeting it at least as often
+    as the last yield is cut, so each yield improves on the one before.
+    Its budget error names which of the two ran out.  More than
+    ``node_budget`` candidate paths exhaust the budget before the search
+    starts; each node is counted against it as it is entered.  The stack
+    holds the next candidate index of each open node, so the depth is not
+    bounded by Python's.
     """
     if target == 0:
-        yield 0, []
+        yield 0, [], []
         return
-    where = f" group {render_group(group)}" if group is not None else ""
+    what = "sequence enumeration" if group is None else "passage minimization"
+    where = "" if group is None else f" group {render_group(group)}"
     reason = f"{what} budget exhausted at pair ({source}, {sink}){where}"
     net = network.compiled
     s, t = net.index[source], net.index[sink]
     cand_arcs = _path_candidates(net, s, t, node_budget)
     if len(cand_arcs) > node_budget:
         raise BudgetExceededError(reason, partial=0, nodes=0)
-    arcs = net.arcs
-    # a path meets the group at its source or at the head of an arc
-    meets = [
-        group is not None
-        and (source in group or any(arcs[a][1] in group for a in cand))
-        for cand in cand_arcs
-    ]
+    # a path's vertices are its source and the heads of its arcs, all distinct
+    bits = [1 << net.index[head] for _, head in net.arcs]
+    masks = [sum(map(bits.__getitem__, cand), 1 << s) for cand in cand_arcs]
+    xbits = sum(1 << net.index[x] for x in group or ())
+    meets = [bool(mask & xbits) for mask in masks]
     caps = list(net.capacities)
     chosen: list[int] = []
     frames: list[int] = []
@@ -155,7 +157,7 @@ def _max_sequences(
             found += 1
             if group is not None:
                 best = hits
-            yield hits, [cand_arcs[i] for i in chosen]
+            yield hits, [cand_arcs[i] for i in chosen], [masks[i] for i in chosen]
         else:
             frames.append(start)
         # an open node at depth d has d chosen paths, so a path beyond that
@@ -200,18 +202,8 @@ def enumerate_max_sequences(
     """
     _check_endpoints(network, source, sink)
     target = settle_pair(network, source, sink, [], passage=False)[0]
-    for _, paths in _max_sequences(
-        network, source, sink, target, node_budget, "sequence enumeration"
-    ):
+    for _, paths, _ in _max_sequences(network, source, sink, target, node_budget):
         yield _sequence(network.compiled, source, sink, paths)
-
-
-def _sequence(
-    net: CompiledNetwork, source: VertexId, sink: VertexId, paths: list[tuple[int, ...]]
-) -> ArcDisjointSequence:
-    """The sequence of paths given as arc-id tuples of ``net``."""
-    heads = [[net.arcs[a][1] for a in path] for path in paths]
-    return ArcDisjointSequence(tuple(Path((source, *h)) for h in heads), source, sink)
 
 
 def _min_passage(
@@ -226,9 +218,7 @@ def _min_passage(
     """Exact minimum passage count plus a witness sequence attaining it,
     given the pair's max-flow value and its vitality drop."""
     best = None
-    for best in _max_sequences(
-        network, source, sink, target, node_budget, "passage minimization", group
-    ):
+    for best in _max_sequences(network, source, sink, target, node_budget, group):
         if best[0] == lower_bound:
             break
     if best is None:
@@ -410,7 +400,7 @@ def _passage_at_drop(
     # rule 7: a maximum flow entering X least
     costs = [int(head in group and tail not in group) for tail, head in net.arcs]
     cheapest = list(flow)
-    _cancel_negative_cycles(net, net.capacities, cheapest, costs)
+    _cancel_negative_cycles(net, cheapest, costs)
     bound = [min(f, c) for f, c in zip(cheapest, caps)]
     return _augment(net, bound, [0] * len(caps), s, t)[0] == kept
 
@@ -449,9 +439,12 @@ def forced_passage(
 def forced_throughput(
     network: Network, source: VertexId, sink: VertexId, members: Iterable[VertexId]
 ) -> int:
-    """Minimum total flow through the group over all maximum flows."""
+    """Minimum total flow through the group over all maximum flows; 0, with
+    no max flow run, for the empty group."""
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
+    if not group:
+        return 0
     total, flow, _ = settle_pair(network, source, sink, [], passage=False)
     net = network.compiled
     ends = net.index[source], net.index[sink]
@@ -481,7 +474,7 @@ def _least_throughput(
             if a >= 0 and flow[a]:
                 costs = [int(net.index[tail] in interior) for tail, _ in net.arcs]
                 flow = list(flow)
-                _cancel_negative_cycles(net, net.capacities, flow, costs)
+                _cancel_negative_cycles(net, flow, costs)
                 return sum(map(mul, costs, flow)) + ends
     return ends
 

@@ -222,7 +222,10 @@ def mutated(function, old, new):
     for negative controls: a check that passes on the package must fail on
     the mutant."""
     source = inspect.getsource(function)
-    assert source.count(old) == 1
+    count = source.count(old)
+    assert count == 1, (
+        f"{function.__qualname__} holds {old!r} {count} times, expected once"
+    )
     namespace = dict(vars(inspect.getmodule(function)))
     exec(source.replace(old, new), namespace)
     return namespace[function.__name__]
@@ -253,15 +256,16 @@ def cheapest_max_flow(network, source, sink, arc_cost):
     flow = [0] * len(net.arcs)
     s, t = net.index[source], net.index[sink]
     value, _ = flows._augment(net, net.capacities, flow, s, t)
-    flows._cancel_negative_cycles(net, net.capacities, flow, costs)
+    flows._cancel_negative_cycles(net, flow, costs)
     cost = sum(c * f for c, f in zip(costs, flow))
     return value, cost, flows._as_flow(net, source, sink, flow)
 
 
-def cancel_one_cycle(net, caps, flow, costs):
+def cancel_one_cycle(net, flow, costs):
     """A canceller broken for negative controls: it cancels the first
     negative-cost cycle it finds, if any, and stops there."""
-    moves = flows._negative_cycle(net, caps, flow, costs) or []
+    caps = net.capacities
+    moves = flows._negative_cycle(net, flow, costs) or []
     bottleneck = min(
         [caps[arc] - flow[arc] if d == FORWARD else flow[arc] for arc, d in moves],
         default=0,

@@ -54,6 +54,26 @@ BAD_CALLS = {
         lambda: Network(("a", "b"), {("a", "b"): "1"}),
         "capacity '1' on arc ('a', 'b') is not an integer",
     ),
+    "string arc, Network": (
+        lambda: Network(("a", "b"), {"ab": 1}),
+        "arc 'ab' is not a (tail, head) pair",
+    ),
+    "three-vertex arc, Network": (
+        lambda: Network(("a", "b", "c"), {("a", "b", "c"): 1}),
+        "arc ('a', 'b', 'c') is not a (tail, head) pair",
+    ),
+    "integer arc, Network": (
+        lambda: Network(("a", "b"), {5: 1}),
+        "arc 5 is not a (tail, head) pair",
+    ),
+    "two-field entry, build_network": (
+        lambda: build_network(["a", "b"], [("a", "b")]),
+        "entry ('a', 'b') is not a (tail, head, capacity) triple",
+    ),
+    "string entry, build_network": (
+        lambda: build_network(["a", "b"], ["ab1"]),
+        "entry 'ab1' is not a (tail, head, capacity) triple",
+    ),
     "same endpoints, max_flow": (
         lambda: max_flow(AB, "a", "a"),
         "source and sink must differ, both are 'a'",

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import random
+import re
 from math import prod
 
 import pytest
@@ -302,17 +303,30 @@ def test_cross_check_settles_again_when_the_search_runs_out(monkeypatch):
     assert sum(calls) == again.pairs_checked + 2 == 142
 
 
-def test_path_masks_without_the_source_are_caught():
+def test_path_masks_without_the_source_are_caught(monkeypatch):
     # negative control: a path mask missing the source's bit misses every
-    # group that holds the source, where the passage is the max flow
+    # group that holds the source, where the passage is the max flow.  The
+    # enumeration and the passage search share the masks, so the mutant
+    # replaces the search in both modules
     mutant = mutated(
-        oracle.cross_check,
-        "sum(map(head_bits.__getitem__, p), 1 << s)",
-        "sum(map(head_bits.__getitem__, p))",
+        quantities._max_sequences,
+        "sum(map(bits.__getitem__, cand), 1 << s)",
+        "sum(map(bits.__getitem__, cand))",
     )
-    report = mutant(PINNED_BATCH, assignment_budget=5000, node_budget=200)
+    monkeypatch.setattr(quantities, "_max_sequences", mutant)
+    monkeypatch.setattr(oracle, "_max_sequences", mutant)
+    report = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=200)
     assert len(report.violations) == 139
     assert all("enumeration" in violation for violation in report.violations)
+
+
+def test_mutation_strings_must_occur_once():
+    # a mutation that matches no line, or several, names the function and
+    # the count instead of building a mutant
+    for old, count in (("no such line", 0), ("value, arc_flow, settled", 2)):
+        message = f"cross_check holds {old!r} {count} times, expected once"
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            mutated(oracle.cross_check, old, "")
 
 
 def test_oracle_throughput_counting_no_endpoint_is_caught():

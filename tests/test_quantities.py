@@ -22,6 +22,8 @@ from fullflow.flows import (
 from fullflow.network import build_network, ordered_pairs
 from fullflow.paths import ArcDisjointSequence, passage_count
 from fullflow.quantities import (
+    DEFAULT_NODE_BUDGET,
+    _max_sequences,
     enumerate_max_sequences,
     forced_passage,
     forced_throughput,
@@ -130,6 +132,38 @@ def test_enumeration_order_matches_definition(net_yzg):
     counts = [passage_count(ArcDisjointSequence(p, y, z), group) for p in expected]
     first = expected[counts.index(min(counts))]
     assert pair_report(net, y, z, group, exact=True).witness.paths == first
+
+
+def _check_sequence_masks(net, y, z, groups):
+    # every mask the search yields is the vertex set of the path beside it,
+    # read off both ends of the path's arcs, and its hits count the paths
+    # meeting the group; without a group it yields every sequence
+    compiled = net.compiled
+    value = max_flow(net, y, z)[0]
+    sequences = 0
+    for group in (None, *groups):
+        for hits, paths, masks in _max_sequences(
+            net, y, z, value, DEFAULT_NODE_BUDGET, group
+        ):
+            vertices = [{v for a in path for v in compiled.arcs[a]} for path in paths]
+            assert masks == [sum(1 << compiled.index[v] for v in vs) for vs in vertices]
+            assert hits == sum(1 for vs in vertices if group and vs & group)
+            sequences += group is None
+    assert sequences == len(maximum_sequences(net, y, z))
+
+
+@pytest.mark.parametrize("name", FIGURE_NAMES)
+def test_sequence_masks_on_figures(name):
+    net = figure_network(name)
+    for y, z in ordered_pairs(net):
+        _check_sequence_masks(net, y, z, [frozenset({x}) for x in net.vertices])
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks_with_endpoints_and_group(max_vertices=4, max_capacity=2))
+def test_sequence_masks_on_random_networks(net_yzg):
+    net, y, z, group = net_yzg
+    _check_sequence_masks(net, y, z, [group])
 
 
 def test_forced_passage_fig1(fig1):
@@ -636,12 +670,12 @@ def test_empty_group_runs_no_flow(monkeypatch, fig1):
     calls = record_augment_calls(monkeypatch)
     assert vitality_drop(fig1, "y", "z", []) == 0
     assert forced_passage(fig1, "y", "z", [], exact=True) == 0
+    assert forced_throughput(fig1, "y", "z", []) == 0
     assert calls == []
     for bad in (("y", "y", []), ("y", "q", []), ("y", "z", ["q"])):
-        with pytest.raises(InvalidInputError):
-            vitality_drop(fig1, *bad)
-        with pytest.raises(InvalidInputError):
-            forced_passage(fig1, *bad)
+        for quantity in (vitality_drop, forced_passage, forced_throughput):
+            with pytest.raises(InvalidInputError):
+                quantity(fig1, *bad)
 
 
 def _check_settle_pair(net, y, z, max_group):
