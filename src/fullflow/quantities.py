@@ -12,20 +12,22 @@ Three numbers, all nonnegative integers:
 They always satisfy ``0 <= drop <= passage <= min(throughput, max_flow)``,
 and all three coincide whenever X is a single vertex.  :func:`settle_pair`
 is the one place that turns this chain into rules settling drop and
-passage without a search; every caller in the package takes both from
-it.  Two of those rules are max-flow bounds: for any maximum flow F, the
-passage is at most the max-flow value minus the largest flow of G - X
-that fits under F, and a bound that meets the drop settles the passage,
-which leaves the search only the groups whose passage may exceed their
-drop.  Where no rule applies, the passage is computed exactly by one
-backtracking search over the canonical maximum sequences, which both the
-enumeration and the minimization consume.  Capacity bookkeeping (a
-candidate path enters only while every arc on it has capacity left) and
-the budget bound it; the minimization adds two sound prunings (a partial
-sequence already meeting X at least best-so-far times cannot improve; a
-completed sequence matching the vitality-drop lower bound ends the
-search).  One budget caps both its candidate paths and its nodes, and the
-search fails loudly rather than approximating.
+passage without a search; every caller in the package takes the drop
+from it, and the passage too, except where :func:`pair_report` runs the
+search to print a witness.  Two of those rules are max-flow bounds: for
+any maximum flow F, the passage is at most the max-flow value minus the
+largest flow of G - X that fits under F, and a bound that meets the drop
+settles the passage, which leaves the search only the groups whose
+passage may exceed their drop.  Where no rule applies, the passage is
+computed exactly by one backtracking search over the canonical maximum
+sequences, which both the enumeration and the minimization consume.
+Capacity bookkeeping (a candidate path enters only while every arc on it
+has capacity left) and the budget bound it; the minimization adds two
+sound prunings (a partial sequence already meeting X at least
+best-so-far times cannot improve; a completed sequence matching the
+vitality-drop lower bound ends the search).  One budget caps both its
+candidate paths and its nodes, and the search fails loudly rather than
+approximating.
 """
 
 from __future__ import annotations
@@ -76,11 +78,10 @@ def _path_candidates(
     found: list[tuple[int, ...]] = []
     on_trail = bytearray(len(neighbors))
     on_trail[source] = 1
-    trail = [source]
     arcs: list[int] = []  # the arcs between the trail vertices
-    heads = [iter(neighbors[source])]  # unvisited neighbors of each trail vertex
-    while heads:
-        for w, arc, _ in heads[-1]:
+    trail = [(source, iter(neighbors[source]))]  # each with its unvisited neighbors
+    while trail:
+        for w, arc, _ in trail[-1][1]:
             if arc < 0 or on_trail[w]:
                 continue
             if w == sink:
@@ -88,16 +89,13 @@ def _path_candidates(
                 if len(found) > limit:
                     return found
             else:
-                trail.append(w)
                 arcs.append(arc)
                 on_trail[w] = 1
-                heads.append(iter(neighbors[w]))
+                trail.append((w, iter(neighbors[w])))
                 break
         else:
-            heads.pop()
-            on_trail[trail.pop()] = 0
-            if arcs:
-                arcs.pop()
+            on_trail[trail.pop()[0]] = 0
+            del arcs[-1:]
     return found
 
 
@@ -121,9 +119,9 @@ def _max_sequences(
     as the last yield is cut, so each yield improves on the one before.
     Its budget error names which of the two ran out.  More than
     ``node_budget`` candidate paths exhaust the budget before the search
-    starts; each node is counted against it as it is entered.  The stack
-    holds the next candidate index of each open node, so the depth is not
-    bounded by Python's.
+    starts; each node is counted against it as it is entered.  The state
+    is the node's candidate indices, ascending, and the next index to
+    test, so the depth is not bounded by Python's.
     """
     if target == 0:
         yield 0, [], []
@@ -142,48 +140,40 @@ def _max_sequences(
     xbits = sum(1 << net.index[x] for x in group or ())
     meets = [bool(mask & xbits) for mask in masks]
     caps = list(net.capacities)
-    chosen: list[int] = []
-    frames: list[int] = []
-    hits = nodes = found = start = 0
-    best = None
+    chosen: list[int] = []  # the node's candidates, ascending
+    hits = nodes = found = i = 0  # i: the next candidate the scan tests
+    best = target + 1
     n = len(cand_arcs)
     while True:
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(reason, partial=found, nodes=nodes)
-        if best is not None and hits >= best:
-            pass
+        if hits >= best:
+            i = n
         elif len(chosen) == target:
             found += 1
             if group is not None:
                 best = hits
-            yield hits, [cand_arcs[i] for i in chosen], [masks[i] for i in chosen]
-        else:
-            frames.append(start)
-        # an open node at depth d has d chosen paths, so a path beyond that
-        # was chosen by the node just left: undo it, then enter the next
-        # candidate that fits
-        while frames:
-            if len(chosen) == len(frames):
-                i = chosen.pop()
-                for a in cand_arcs[i]:
-                    caps[a] += 1
-                hits -= meets[i]
-            i = frames[-1]
-            while i < n and not all(map(caps.__getitem__, cand_arcs[i])):
+            yield hits, [cand_arcs[j] for j in chosen], [masks[j] for j in chosen]
+            i = n
+        # an open node scans on from its last candidate, as a candidate may
+        # repeat; past the last, undo the node's last candidate j and scan
+        # its parent on from j + 1
+        while i == n or not all(map(caps.__getitem__, cand_arcs[i])):
+            if i < n:
                 i += 1
-            if i == n:
-                frames.pop()
-                continue
-            frames[-1] = i + 1
-            for a in cand_arcs[i]:
-                caps[a] -= 1
-            chosen.append(i)
-            hits += meets[i]
-            start = i
-            break
-        else:
-            return
+            elif chosen:
+                j = chosen.pop()
+                for a in cand_arcs[j]:
+                    caps[a] += 1
+                hits -= meets[j]
+                i = j + 1
+            else:
+                return
+        for a in cand_arcs[i]:
+            caps[a] -= 1
+        chosen.append(i)
+        hits += meets[i]
 
 
 def enumerate_max_sequences(
@@ -214,9 +204,10 @@ def _min_passage(
     node_budget: int,
     target: int,
     lower_bound: int,
-) -> tuple[int, ArcDisjointSequence]:
-    """Exact minimum passage count plus a witness sequence attaining it,
-    given the pair's max-flow value and its vitality drop."""
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Exact minimum passage count plus the canonical witness attaining it,
+    as arc-id paths of ``network.compiled``, given the pair's max-flow value
+    and its vitality drop."""
     best = None
     for best in _max_sequences(network, source, sink, target, node_budget, group):
         if best[0] == lower_bound:
@@ -226,7 +217,7 @@ def _min_passage(
             f"no maximum sequence found for {source!r}->{sink!r} "
             f"despite max flow {target}"
         )
-    return best[0], _sequence(network.compiled, source, sink, best[1])
+    return best[0], best[1]
 
 
 def settle_pair(
@@ -545,12 +536,13 @@ def pair_report(
         network, source, sink, [group], passage=False
     )
     restricted = total - drop
+    net = network.compiled
     witness = None
     if exact or len(group) > 1:
-        passage, witness = _min_passage(
+        passage, paths = _min_passage(
             network, source, sink, group, node_budget, total, drop
         )
-    net = network.compiled
+        witness = _sequence(net, source, sink, paths)
     ends = net.index[source], net.index[sink]
     throughput = _least_throughput(net, flow, *ends, group, total)
     if not (0 <= drop <= passage <= min(throughput, total)):

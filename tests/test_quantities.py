@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -191,6 +192,81 @@ def test_forced_passage_fig5_strict_gap(fig5):
         "passage minimization budget exhausted at pair (y, z) group x1,x2"
     )
     assert (info.value.partial, info.value.nodes) == (1, 13)
+
+
+def _search_accounting(search, net):
+    """One line per search on ``net``: for every ordered pair with flow,
+    the enumeration, then the minimization over each 2-vertex group, run to
+    completion.  A line holds the least budget N at which the search
+    completes and the partial count P of its budget error at N - 1, which
+    must report N nodes."""
+    lines = []
+    groups = [None, *map(frozenset, itertools.combinations(net.vertices, 2))]
+    for y, z in ordered_pairs(net):
+        value = max_flow(net, y, z)[0]
+        for group in groups if value else ():
+            budget = 0
+            while True:
+                try:
+                    for _ in search(net, y, z, value, budget, group):
+                        pass
+                except BudgetExceededError as error:
+                    partial, nodes = error.partial, error.nodes
+                    budget += 1
+                else:
+                    break
+            assert nodes == budget, (y, z, group)
+            label = ",".join(sorted(group)) if group else "-"
+            lines.append(f"{y} {z} {label} {budget} {partial}")
+    return lines
+
+
+def _accounting_pin(lines):
+    """(searches, total N, total P, digest of the lines)."""
+    fields = [line.split() for line in lines]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    return (
+        len(lines),
+        sum(int(f[3]) for f in fields),
+        sum(int(f[4]) for f in fields),
+        digest,
+    )
+
+
+# computed before the search kept its state in one list
+SEARCH_ACCOUNTING = {
+    "fig1": (110, 593, 70, "bdc57b2ae8787893"),
+    "fig2": (143, 484, 79, "e1788975a573cc83"),
+    "fig3": (88, 242, 24, "37fdf473b30f91ad"),
+    "fig4": (88, 198, 11, "8830b0b9c6f5d9a6"),
+    "fig5": (551, 1650, 145, "35c7d12f5e296cb5"),
+    "fig6": (110, 220, 0, "f990561ab4e55611"),
+}
+
+
+@pytest.mark.parametrize("name", FIGURE_NAMES)
+def test_search_node_accounting_pinned(name):
+    # the budget counts every node the search enters, in a fixed order:
+    # on fig1, (v, z) with {u, y} completes at 5 nodes and stops at 4
+    # after one yield
+    net = figure_network(name)
+    lines = _search_accounting(_max_sequences, net)
+    if name == "fig1":
+        assert "v z u,y 5 1" in lines
+    assert _accounting_pin(lines) == SEARCH_ACCOUNTING[name]
+
+
+def test_opened_cut_nodes_are_caught(fig1):
+    # negative control: a search that opens the nodes it cuts yields the
+    # same sequences but enters more nodes, 6 for fig1 (v, z) with {u, y}
+    mutant = mutated(
+        _max_sequences,
+        "if hits >= best:\n            i = n",
+        "if hits >= best:\n            pass",
+    )
+    lines = _search_accounting(mutant, fig1)
+    assert "v z u,y 6 1" in lines
+    assert _accounting_pin(lines) != SEARCH_ACCOUNTING["fig1"]
 
 
 def test_forced_passage_fig6(fig6):
