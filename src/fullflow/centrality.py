@@ -19,6 +19,8 @@ A group X that holds y or z, or leaves no y->z path once the arcs touching
 it are zeroed, has drop = passage = max flow.  Without ``explain``, for a
 source y that at most one group X avoids, one more search finds what y
 reaches in G - X; a sink only G reaches takes 1 for every group, no flow run.
+That search and every pair read the G - X capacities, and the member ids, of
+one encoding per call (:func:`fullflow.quantities.encode_groups`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Iterable, Sequence
 from .errors import InvariantViolationError
 from .flows import _bfs_augmenting
 from .network import Network, VertexId, vertex_group
-from .quantities import DEFAULT_NODE_BUDGET, _zeroed_caps, render_group, settle_pair
+from .quantities import DEFAULT_NODE_BUDGET, encode_groups, render_group, settle_pair
 
 _DECIMAL_PLACES = 6  # the decimal columns of a CLI record
 
@@ -94,9 +96,9 @@ def _group_sums(
     pair order (otherwise no terms are kept).
 
     ``passage``, ``exact`` and ``node_budget`` are passed to
-    :func:`settle_pair`, with the source's tree, once per pair that the
-    module docstring's rules leave, ``explain`` or not; without ``passage``
-    the passage sums stay empty.
+    :func:`settle_pair`, with the source's tree and the call's encoding of
+    the groups, once per pair that the module docstring's rules leave,
+    ``explain`` or not; without ``passage`` the passage sums stay empty.
     """
     drops: list[dict[int, int]] = [{} for _ in groups]
     passages: list[dict[int, int]] = [{} for _ in groups]
@@ -106,26 +108,22 @@ def _group_sums(
         return drops, passages, terms
     net = network.compiled
     zeros = [0] * len(net.arcs)
-    restricted: dict[frozenset, list[int]] = {}  # the capacities of G - X by X
+    encoded = encode_groups(net, groups)
     for s, y in enumerate(network.vertices):
         # a search whose sink is its source keeps all it reaches in its tree
         tree = _bfs_augmenting(net, net.capacities, zeros, s, s)
-        avoiding = [group for group in groups if y not in group]
+        # the G - X capacities of the groups that avoid y
+        avoiding = [caps for members, caps in encoded if s not in members]
         bypass = tree  # the sinks to settle: what y reaches in G - X, if the rule runs
         if not explain and len(avoiding) <= 1:
-            bypass = ()
-            if avoiding:
-                group = avoiding[0]
-                if group not in restricted:
-                    restricted[group] = _zeroed_caps(net, map(net.index.__getitem__, group))
-                bypass = _bfs_augmenting(net, restricted[group], zeros, s, s)
+            bypass = avoiding and _bfs_augmenting(net, avoiding[0], zeros, s, s)
         for t, z in enumerate(network.vertices):
             if t == s or t not in tree:
                 continue
             if t in bypass:
                 total, _, settled = settle_pair(
                     network, y, z, groups, passage=passage, exact=exact,
-                    node_budget=node_budget, tree=tree,
+                    node_budget=node_budget, tree=tree, encoded=encoded,
                 )
             else:
                 total, settled = 1, [(1, 1)] * len(groups)  # drop = passage = max flow

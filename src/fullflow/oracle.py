@@ -31,6 +31,7 @@ from .quantities import (
     DEFAULT_NODE_BUDGET,
     _least_throughput,
     _max_sequences,
+    encode_groups,
     render_group,
     settle_pair,
 )
@@ -213,14 +214,14 @@ def cross_check(
     passage :func:`settle_pair` gives (without ``exact``) and lies in the
     chain drop <= passage <= min(throughput, max flow), all three equal
     for a singleton; and the oracle's least throughput equals the forced
-    throughput.  One oracle walk per instance serves every pair.  A pair's
-    groups are scored against the vertex masks of its enumerated paths, as
-    the enumeration yields them (see :func:`passage_count`), and its
-    validated oracle flows as per-vertex outflows, the value at the
-    endpoints (see :func:`flow_through`).  The passages checked against
-    them come from :func:`settle_pair`, whose rules 1 to 7 read no mask.  An
-    enumeration or assignment space over budget is skipped and counted per
-    pair, never silently dropped.
+    throughput.  One oracle walk and one :func:`encode_groups` per instance
+    serve every pair.  A pair's groups are scored against the vertex masks
+    of its enumerated paths, as the enumeration yields them (see
+    :func:`passage_count`), and its validated oracle flows as per-vertex
+    outflows, the value at the endpoints (see :func:`flow_through`).  The
+    passages checked against them come from :func:`settle_pair`, whose
+    rules 1 to 7 read no mask.  An enumeration or assignment space over
+    budget is skipped and counted per pair, never silently dropped.
     """
     report = CrossCheckReport(generator=GENERATOR_ID, instances=len(batch))
 
@@ -242,6 +243,7 @@ def cross_check(
             size = sample_rng.randint(0, len(net.vertices))
             groups.append(frozenset(sample_rng.sample(net.vertices, size)))
         distinct = list(dict.fromkeys(groups))
+        encoded = encode_groups(net.compiled, distinct)
         try:
             oracle = brute_force_flows(net, assignment_budget=assignment_budget)
         except BudgetExceededError:
@@ -255,13 +257,15 @@ def cross_check(
             sequences = None
             try:
                 value, arc_flow, settled = settle_pair(
-                    net, y, z, distinct, passage=True, node_budget=node_budget
+                    net, y, z, distinct, passage=True, node_budget=node_budget,
+                    encoded=encoded,
                 )
             except BudgetExceededError:
                 # the passage search visits a subset of the enumeration's
                 # nodes, so the enumeration would run out of budget too
                 value, arc_flow, settled = settle_pair(
-                    net, y, z, distinct, passage=False, node_budget=node_budget
+                    net, y, z, distinct, passage=False, node_budget=node_budget,
+                    encoded=encoded,
                 )
             else:
                 with suppress(BudgetExceededError):

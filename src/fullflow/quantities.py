@@ -230,6 +230,7 @@ def settle_pair(
     exact: bool = False,
     node_budget: int = DEFAULT_NODE_BUDGET,
     tree: dict | None = None,
+    encoded: Sequence[tuple[frozenset[int], tuple[int, ...]]] | None = None,
 ) -> tuple[int, list[int], list[tuple[int, int | None]]]:
     """The pair's maximum flow value, its canonical maximum flow ``f`` and
     one ``(drop, passage)`` per group.
@@ -288,6 +289,9 @@ def settle_pair(
     singletons reach rules 6 to 8 too.  The groups must be validated
     (:func:`vertex_group`).  ``tree``, the tree of the search from
     ``source`` to itself at zero flow, saves ``f`` its first search.
+    ``encoded``, :func:`encode_groups` of ``groups``, saves the pair from
+    encoding them itself; its G - X capacities are shared by every pair of
+    a call, so nothing here writes into them.
     """
     net = network.compiled
     s, t = net.index[source], net.index[sink]
@@ -298,16 +302,14 @@ def settle_pair(
     settled: list[tuple[int, int | None]] = []
     units = None  # f's unit paths, once a group's warm start has flow
     shared = len(groups) > 1  # one decomposition serves several groups
-    for group in groups:
-        if source in group or sink in group:
+    for group, (members, caps) in zip(groups, encoded or encode_groups(net, groups)):
+        if s in members or t in members:
             drop = found = total
         else:
-            members = {net.index[x] for x in group}
             through, cut = _through_and_cut(net, flow, reached, members)
             if cut == through:
                 drop = found = through
             else:
-                caps = _zeroed_caps(net, members)
                 if units is None and shared and through < total:
                     units, _ = _decompose_ids(net, flow, s, t, total)
                 # warm start: the unit paths of f with no arc at zero in
@@ -336,7 +338,16 @@ def settle_pair(
     return total, flow, settled
 
 
-def _zeroed_caps(net: CompiledNetwork, members: Iterable[int]) -> list[int]:
+def encode_groups(
+    net: CompiledNetwork, groups: Iterable[frozenset]
+) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    """Each group as :func:`settle_pair` reads it on every pair: its member
+    ids and the capacities of G - X, the arcs touching it at 0."""
+    ids = [frozenset(map(net.index.__getitem__, group)) for group in groups]
+    return [(members, _zeroed_caps(net, members)) for members in ids]
+
+
+def _zeroed_caps(net: CompiledNetwork, members: Iterable[int]) -> tuple[int, ...]:
     """``net.capacities`` with the arcs touching ``members`` (ids) at 0."""
     caps = list(net.capacities)
     for x in members:
@@ -345,11 +356,11 @@ def _zeroed_caps(net: CompiledNetwork, members: Iterable[int]) -> list[int]:
                 caps[out_arc] = 0
             if in_arc >= 0:
                 caps[in_arc] = 0
-    return caps
+    return tuple(caps)
 
 
 def _through_and_cut(
-    net: CompiledNetwork, flow: Sequence[int], reached: dict, members: set[int]
+    net: CompiledNetwork, flow: Sequence[int], reached: dict, members: frozenset[int]
 ) -> tuple[int, int]:
     """``(through, C_X)`` of :func:`settle_pair`'s rule 3, in one walk over
     the arcs at ``members``, none of them an endpoint: the flow out of the
@@ -373,7 +384,7 @@ def _passage_at_drop(
     t: int,
     group: frozenset,
     flow: list[int],
-    caps: list[int],
+    caps: Sequence[int],
     kept_flow: list[int],
     kept: int,
     drop: int,

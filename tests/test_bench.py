@@ -33,3 +33,9 @@ def test_bench_groups_seed_6_digest_matches():
     # paths, 13,684 nodes against a budget of 20,000), so its digest is the
     # first to change when the search's order or its budget does
     _check_digest("groups", 6)
+
+
+def test_bench_singletons_seed_2_digest_matches():
+    # the singleton path (the endpoint rule and the G - X capacities of the
+    # restricted flow) is checked on a second seed's networks
+    _check_digest("singletons", 2)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from fullflow import centrality
+from fullflow import centrality, quantities
 from fullflow.centrality import (
     _group_sums,
     centrality_report,
@@ -19,7 +19,7 @@ from fullflow.errors import InvalidInputError
 from fullflow.figures import figure_network
 from fullflow.flows import _bfs_augmenting, max_flow
 from fullflow.network import ordered_pairs
-from fullflow.quantities import pair_report, settle_pair
+from fullflow.quantities import _zeroed_caps, pair_report, settle_pair
 
 from helpers import mutated, record_augment_calls, restrict, seeded_network
 from strategies import fig5_with_extra_arcs, networks
@@ -107,6 +107,19 @@ def test_empty_groups_run_no_flow(monkeypatch, fig1):
     assert len(rep.pair_terms) == 10
     assert all(t.vitality_drop == t.forced_passage == 0 for t in rep.pair_terms)
     assert calls == [True] * 10
+
+
+@pytest.mark.parametrize("name", ["fig5", "fig6", 12])
+def test_duplicate_groups_match_their_lone_reports(name):
+    # a call's groups are encoded by position, so a group given twice, or
+    # next to the empty group, must read the same as when it runs alone
+    net = seeded_network(name) if name == 12 else figure_network(name)
+    v, w = ("v00", "v01") if name == 12 else ("x1", "x2")
+    groups = [[v], [v], [], [v, w], net.vertices]
+    for explain in (False, True):
+        reports = centrality_report(net, groups, explain=explain)
+        alone = [centrality_report(net, [g], explain=explain)[0] for g in groups]
+        assert reports == alone, explain
 
 
 def test_report_record_format(fig6):
@@ -387,3 +400,33 @@ def test_reach_rule_for_two_avoiding_groups_is_caught(monkeypatch):
     _with_mutant(monkeypatch, "len(avoiding) <= 1", "len(avoiding) <= 2")
     with pytest.raises(AssertionError):
         _check_groups_sharing_a_vertex_on_figures()
+
+
+def _check_one_encoding_per_call(monkeypatch):
+    # each group's G - X capacities are built once per call, however many
+    # pairs it settles: 114, 17, 1,040 and 88 builds when each pair builds
+    # its own
+    builds = []
+
+    def counted(net, members):
+        builds.append(members)
+        return _zeroed_caps(net, members)
+
+    monkeypatch.setattr(quantities, "_zeroed_caps", counted)
+    for n in (9, 16):
+        net = seeded_network(n)
+        for groups, expected in (([[v] for v in net.vertices], n), ([["v01", "v02"]], 1)):
+            builds.clear()
+            centrality_report(net, groups)
+            assert len(builds) == expected, (n, groups)
+
+
+def test_groups_are_encoded_once_per_call(monkeypatch):
+    _check_one_encoding_per_call(monkeypatch)
+
+
+def test_groups_encoded_on_every_pair_are_caught(monkeypatch):
+    # negative control: settle_pair left to encode the groups of each pair
+    _with_mutant(monkeypatch, "tree=tree, encoded=encoded,", "tree=tree,")
+    with pytest.raises(AssertionError):
+        _check_one_encoding_per_call(monkeypatch)

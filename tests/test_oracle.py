@@ -11,7 +11,7 @@ from fullflow.errors import BudgetExceededError, InvalidSpecError
 from fullflow.flows import _as_flow, flow_value, max_flow, validate_flow
 from fullflow.network import ordered_pairs
 from fullflow.oracle import InstanceSpec, brute_force_flows, cross_check, generate
-from fullflow.quantities import _least_throughput
+from fullflow.quantities import _least_throughput, encode_groups
 
 from helpers import (
     mutated,
@@ -279,6 +279,25 @@ def test_cross_check_runs_one_oracle_per_instance(monkeypatch):
     report = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=200)
     assert report.ok
     assert len(calls) == len(PINNED_BATCH) == 10
+
+
+def test_cross_check_encodes_the_groups_once_per_instance(monkeypatch):
+    # one encoding of an instance's distinct groups serves all its pairs,
+    # also the two that settle again once their search runs out of budget
+    # (see the next tests); an encoding inside settle_pair counts here too
+    calls = []
+
+    def counted(net, groups):
+        calls.append(groups)
+        return encode_groups(net, groups)
+
+    monkeypatch.setattr(oracle, "encode_groups", counted)
+    monkeypatch.setattr(quantities, "encode_groups", counted)
+    monkeypatch.setattr(quantities, "_passage_at_drop", lambda *args: False)
+    for budget in (200, 5):
+        calls.clear()
+        cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=budget)
+        assert len(calls) == len(PINNED_BATCH) == 10, budget
 
 
 def test_cross_check_runs_one_canonical_flow_per_pair(monkeypatch):
