@@ -19,8 +19,8 @@ A group X that holds y or z, or leaves no y->z path once the arcs touching
 it are zeroed, has drop = passage = max flow.  Without ``explain``, for a
 source y that at most one group X avoids, one more search finds what y
 reaches in G - X; a sink only G reaches takes 1 for every group, no flow run.
-That search and every pair read the G - X capacities, and the member ids, of
-one encoding per call (:func:`fullflow.quantities.encode_groups`).
+That search and every pair read each group as its member ids and G - X
+capacities, one encoding per call (:func:`fullflow.quantities.encode_groups`).
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ def _group_sums(
                 continue
             if t in bypass:
                 total, _, settled = settle_pair(
-                    network, y, z, groups, passage=passage, exact=exact,
-                    node_budget=node_budget, tree=tree, encoded=encoded,
+                    network, y, z, encoded, passage=passage, exact=exact,
+                    node_budget=node_budget, tree=tree,
                 )
             else:
                 total, settled = 1, [(1, 1)] * len(groups)  # drop = passage = max flow

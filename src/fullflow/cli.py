@@ -87,12 +87,11 @@ def _sep(fmt: str) -> str:
 def cmd_pair(args) -> int:
     _reject_negative(args, "--max-capacity", "--budget")
     network = _load(args.file, args.max_capacity)
-    group = _parse_set(args.set)
     report = pair_report(
         network,
         args.source,
         args.sink,
-        group,
+        _parse_set(args.set),
         exact=args.exact or args.witness,
         node_budget=args.budget,
     )

@@ -161,8 +161,12 @@ def vertex_group(network: Network, members: Iterable[VertexId]) -> frozenset:
     """Validate ``members`` against ``network`` and return them as a frozenset.
 
     Raises InvalidInputError naming the first offending token (in order of
-    ``str``).  The result may be empty and may contain any network vertex.
+    ``str``), or naming ``members`` if it is a string, which would otherwise
+    be read as a group of its characters.  The result may be empty and may
+    contain any network vertex.
     """
+    if isinstance(members, str):
+        raise InvalidInputError(f"group {members!r} is a string, not a set of vertices")
     group = frozenset(members)
     known = network.compiled.index
     for token in sorted(group, key=str):

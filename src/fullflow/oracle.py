@@ -10,9 +10,9 @@ flow of any pair lies below it.
 Instance generation is reproducible: a spec fixes the vertex count,
 capacity bound, arc probability and seed, and the same spec always yields
 the same network.  ``cross_check`` runs a batch of specs against the
-solvers, scoring a pair's groups against vertex masks of its enumerated
-paths and outflow vectors of its oracle flows, and reports violations
-verbatim instead of raising.
+solvers, scoring a pair's groups, by the member ids of one encoding per
+instance, against vertex masks of its enumerated paths and outflow vectors
+of its oracle flows, and reports violations verbatim instead of raising.
 """
 
 from __future__ import annotations
@@ -215,8 +215,9 @@ def cross_check(
     chain drop <= passage <= min(throughput, max flow), all three equal
     for a singleton; and the oracle's least throughput equals the forced
     throughput.  One oracle walk and one :func:`encode_groups` per instance
-    serve every pair.  A pair's groups are scored against the vertex masks
-    of its enumerated paths, as the enumeration yields them (see
+    serve every pair: :func:`settle_pair` and the throughput take the
+    encoding, and its member ids score a pair's groups against the vertex
+    masks of its enumerated paths, as the enumeration yields them (see
     :func:`passage_count`), and its validated oracle flows as per-vertex
     outflows, the value at the endpoints (see :func:`flow_through`).  The
     passages checked against them come from :func:`settle_pair`, whose
@@ -257,15 +258,13 @@ def cross_check(
             sequences = None
             try:
                 value, arc_flow, settled = settle_pair(
-                    net, y, z, distinct, passage=True, node_budget=node_budget,
-                    encoded=encoded,
+                    net, y, z, encoded, passage=True, node_budget=node_budget
                 )
             except BudgetExceededError:
                 # the passage search visits a subset of the enumeration's
                 # nodes, so the enumeration would run out of budget too
                 value, arc_flow, settled = settle_pair(
-                    net, y, z, distinct, passage=False, node_budget=node_budget,
-                    encoded=encoded,
+                    net, y, z, encoded, passage=False, node_budget=node_budget
                 )
             else:
                 with suppress(BudgetExceededError):
@@ -310,13 +309,12 @@ def cross_check(
                     out = [sum(map(a.__getitem__, arcs)) for arcs in out_arcs]
                     out[s] = out[t] = out[s] - sum(map(a.__getitem__, into_s))
                     outflows.append(out)
-            terms = {
-                g: (*term, _least_throughput(net.compiled, arc_flow, s, t, g, value))
-                for g, term in zip(distinct, settled)
-            }
+            terms = {}  # a distinct group's member ids, drop, passage and throughput
+            for g, (ids, _), term in zip(distinct, encoded, settled):
+                least = _least_throughput(net.compiled, arc_flow, s, t, ids, value)
+                terms[g] = (ids, *term, least)
             for group in groups:
-                drop, passage, throughput = terms[group]
-                members = [vertex[x] for x in group]
+                members, drop, passage, throughput = terms[group]
                 if sequences is not None:
                     bits = sum(1 << i for i in members)
                     enum = min(sum(1 for m in masks if m & bits) for masks in sequences)

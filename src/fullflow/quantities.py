@@ -61,12 +61,20 @@ def vitality_drop(
     the group touches an endpoint; monotone in the group; 0, with no max
     flow run, for the empty group.
     """
+    return _settle_group(network, source, sink, members, passage=False)[0]
+
+
+def _settle_group(
+    network: Network, source: VertexId, sink: VertexId, members: Iterable, **options
+) -> tuple[int, int | None]:
+    """``(drop, passage)`` of one group at the pair, by :func:`settle_pair`
+    with ``options``; ``(0, 0)``, with no max flow run, for the empty group."""
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
     if not group:
-        return 0
-    _, _, [(drop, _)] = settle_pair(network, source, sink, [group], passage=False)
-    return drop
+        return 0, 0
+    encoded = encode_groups(network.compiled, [group])
+    return settle_pair(network, source, sink, encoded, **options)[2][0]
 
 
 def _path_candidates(
@@ -105,15 +113,16 @@ def _max_sequences(
     sink: VertexId,
     target: int,
     node_budget: int,
-    group: frozenset | None = None,
+    members: frozenset[int] | None = None,
 ) -> Iterator[tuple[int, list[tuple[int, ...]], list[int]]]:
     """Yield ``(hits, paths, masks)`` for the maximum sequences, canonically.
 
     ``paths`` lists its paths as arc-id tuples of ``network.compiled`` and
     ``masks`` their vertex sets, bit ``i`` for vertex id ``i``; ``hits``
-    counts the paths meeting ``group``, and ``target`` is the pair's
-    max-flow value.  A node holds a multiset of candidate paths that fits
-    the capacities; one with fewer than ``target`` paths is always opened.
+    counts the paths meeting the group of vertex ids ``members``, and
+    ``target`` is the pair's max-flow value.  A node holds a multiset of
+    candidate paths that fits the capacities; one with fewer than
+    ``target`` paths is always opened.
     Without a group, a sequence enumeration, every sequence is yielded;
     with one, a passage minimization, a node meeting it at least as often
     as the last yield is cut, so each yield improves on the one before.
@@ -126,8 +135,9 @@ def _max_sequences(
     if target == 0:
         yield 0, [], []
         return
-    what = "sequence enumeration" if group is None else "passage minimization"
-    where = "" if group is None else f" group {render_group(group)}"
+    what = "sequence enumeration" if members is None else "passage minimization"
+    tokens = {network.vertices[i] for i in members or ()}
+    where = "" if members is None else f" group {render_group(tokens)}"
     reason = f"{what} budget exhausted at pair ({source}, {sink}){where}"
     net = network.compiled
     s, t = net.index[source], net.index[sink]
@@ -137,7 +147,7 @@ def _max_sequences(
     # a path's vertices are its source and the heads of its arcs, all distinct
     bits = [1 << net.index[head] for _, head in net.arcs]
     masks = [sum(map(bits.__getitem__, cand), 1 << s) for cand in cand_arcs]
-    xbits = sum(1 << net.index[x] for x in group or ())
+    xbits = sum(1 << x for x in members or ())
     meets = [bool(mask & xbits) for mask in masks]
     caps = list(net.capacities)
     chosen: list[int] = []  # the node's candidates, ascending
@@ -152,7 +162,7 @@ def _max_sequences(
             i = n
         elif len(chosen) == target:
             found += 1
-            if group is not None:
+            if members is not None:
                 best = hits
             yield hits, [cand_arcs[j] for j in chosen], [masks[j] for j in chosen]
             i = n
@@ -200,16 +210,16 @@ def _min_passage(
     network: Network,
     source: VertexId,
     sink: VertexId,
-    group: frozenset,
+    members: frozenset[int],
     node_budget: int,
     target: int,
     lower_bound: int,
 ) -> tuple[int, list[tuple[int, ...]]]:
-    """Exact minimum passage count plus the canonical witness attaining it,
-    as arc-id paths of ``network.compiled``, given the pair's max-flow value
-    and its vitality drop."""
+    """Exact minimum passage count of the group of vertex ids ``members``
+    plus the canonical witness attaining it, as arc-id paths of
+    ``network.compiled``, given the pair's max-flow value and its drop."""
     best = None
-    for best in _max_sequences(network, source, sink, target, node_budget, group):
+    for best in _max_sequences(network, source, sink, target, node_budget, members):
         if best[0] == lower_bound:
             break
     if best is None:
@@ -224,13 +234,12 @@ def settle_pair(
     network: Network,
     source: VertexId,
     sink: VertexId,
-    groups: Sequence[frozenset],
+    groups: Sequence[tuple[frozenset[int], tuple[int, ...]]],
     *,
     passage: bool,
     exact: bool = False,
     node_budget: int = DEFAULT_NODE_BUDGET,
     tree: dict | None = None,
-    encoded: Sequence[tuple[frozenset[int], tuple[int, ...]]] | None = None,
 ) -> tuple[int, list[int], list[tuple[int, int | None]]]:
     """The pair's maximum flow value, its canonical maximum flow ``f`` and
     one ``(drop, passage)`` per group.
@@ -286,12 +295,11 @@ def settle_pair(
        passage; if not, the passage is None.
 
     Every rule is a proof; ``exact`` only turns off rule 5, so that
-    singletons reach rules 6 to 8 too.  The groups must be validated
-    (:func:`vertex_group`).  ``tree``, the tree of the search from
-    ``source`` to itself at zero flow, saves ``f`` its first search.
-    ``encoded``, :func:`encode_groups` of ``groups``, saves the pair from
-    encoding them itself; its G - X capacities are shared by every pair of
-    a call, so nothing here writes into them.
+    singletons reach rules 6 to 8 too.  ``groups`` is :func:`encode_groups`
+    of validated groups (:func:`vertex_group`); its G - X capacities are
+    shared by every pair of a call, so nothing here writes into them.
+    ``tree``, the tree of the search from ``source`` to itself at zero
+    flow, saves ``f`` its first search.
     """
     net = network.compiled
     s, t = net.index[source], net.index[sink]
@@ -302,7 +310,7 @@ def settle_pair(
     settled: list[tuple[int, int | None]] = []
     units = None  # f's unit paths, once a group's warm start has flow
     shared = len(groups) > 1  # one decomposition serves several groups
-    for group, (members, caps) in zip(groups, encoded or encode_groups(net, groups)):
+    for members, caps in groups:
         if s in members or t in members:
             drop = found = total
         else:
@@ -322,17 +330,17 @@ def settle_pair(
                         kept += 1
                 kept += _augment(net, caps, kept_flow, s, t)[0]
                 drop = total - kept
-                if drop == through or (not exact and len(group) == 1):
+                if drop == through or (not exact and len(members) == 1):
                     found = drop
                 elif not passage:
                     found = None
                 elif _passage_at_drop(
-                    net, s, t, group, flow, caps, kept_flow, kept, drop
+                    net, s, t, members, flow, caps, kept_flow, kept, drop
                 ):
                     found = drop
                 else:
                     found, _ = _min_passage(
-                        network, source, sink, group, node_budget, total, drop
+                        network, source, sink, members, node_budget, total, drop
                     )
         settled.append((drop, found))
     return total, flow, settled
@@ -382,7 +390,7 @@ def _passage_at_drop(
     net: CompiledNetwork,
     s: int,
     t: int,
-    group: frozenset,
+    members: frozenset[int],
     flow: list[int],
     caps: Sequence[int],
     kept_flow: list[int],
@@ -400,7 +408,8 @@ def _passage_at_drop(
     if _augment(net, spare, [0] * len(spare), s, t)[0] == drop:
         return True
     # rule 7: a maximum flow entering X least
-    costs = [int(head in group and tail not in group) for tail, head in net.arcs]
+    index = net.index
+    costs = [int(index[b] in members and index[a] not in members) for a, b in net.arcs]
     cheapest = list(flow)
     _cancel_negative_cycles(net, cheapest, costs)
     bound = [min(f, c) for f, c in zip(cheapest, caps)]
@@ -422,20 +431,8 @@ def forced_passage(
     shortcut, and the search runs where no rule applies.  The empty group
     takes 0 with no max flow run.
     """
-    _check_endpoints(network, source, sink)
-    group = vertex_group(network, members)
-    if not group:
-        return 0
-    _, _, [(_, value)] = settle_pair(
-        network,
-        source,
-        sink,
-        [group],
-        passage=True,
-        exact=exact,
-        node_budget=node_budget,
-    )
-    return value
+    options = {"passage": True, "exact": exact, "node_budget": node_budget}
+    return _settle_group(network, source, sink, members, **options)[1]
 
 
 def forced_throughput(
@@ -450,7 +447,8 @@ def forced_throughput(
     total, flow, _ = settle_pair(network, source, sink, [], passage=False)
     net = network.compiled
     ends = net.index[source], net.index[sink]
-    return _least_throughput(net, flow, *ends, group, total)
+    ids = frozenset(map(net.index.__getitem__, group))
+    return _least_throughput(net, flow, *ends, ids, total)
 
 
 def _least_throughput(
@@ -458,19 +456,19 @@ def _least_throughput(
     flow: Sequence[int],
     s: int,
     t: int,
-    group: frozenset,
+    members: frozenset[int],
     value: int,
 ) -> int:
-    """Forced throughput of the group at the pair (s, t), from a maximum
-    flow ``flow`` of the pair, by arc id and left as it is, and its value.
+    """Forced throughput of the vertex ids ``members`` at the pair (s, t),
+    from its maximum flow ``flow``, by arc id and left as it is, and its value.
 
     A flow's throughput is its value once per endpoint in the group plus
     its flow out of the other members: a cost, unit on their out-arcs,
     least once the negative cycles of ``flow`` are cancelled.  With no flow
     out of them the cost is 0, least already, and no cost vector is built.
     """
-    interior = {net.index[x] for x in group} - {s, t}
-    ends = (len(group) - len(interior)) * value
+    interior = members - {s, t}
+    ends = (len(members) - len(interior)) * value
     for x in interior:
         for _, a, _ in net.neighbors[x]:
             if a >= 0 and flow[a]:
@@ -543,19 +541,20 @@ def pair_report(
     """
     _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
-    total, flow, [(drop, passage)] = settle_pair(
-        network, source, sink, [group], passage=False
-    )
-    restricted = total - drop
     net = network.compiled
+    encoded = encode_groups(net, [group])
+    total, flow, [(drop, passage)] = settle_pair(
+        network, source, sink, encoded, passage=False
+    )
+    ids = encoded[0][0]
     witness = None
     if exact or len(group) > 1:
         passage, paths = _min_passage(
-            network, source, sink, group, node_budget, total, drop
+            network, source, sink, ids, node_budget, total, drop
         )
         witness = _sequence(net, source, sink, paths)
     ends = net.index[source], net.index[sink]
-    throughput = _least_throughput(net, flow, *ends, group, total)
+    throughput = _least_throughput(net, flow, *ends, ids, total)
     if not (0 <= drop <= passage <= min(throughput, total)):
         raise InvariantViolationError(
             f"pair quantity chain violated for ({source!r}, {sink!r}, "
@@ -567,7 +566,7 @@ def pair_report(
         sink=sink,
         group=group,
         max_flow_total=total,
-        max_flow_restricted=restricted,
+        max_flow_restricted=total - drop,
         vitality_drop=drop,
         forced_passage=passage,
         forced_throughput=throughput,

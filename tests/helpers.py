@@ -45,6 +45,7 @@ from fullflow.paths import (
 from fullflow.quantities import (
     DEFAULT_NODE_BUDGET,
     _path_candidates,
+    encode_groups,
     enumerate_max_sequences,
 )
 
@@ -215,6 +216,20 @@ def find_augmenting_path(network, flow):
         sink, arc, direction = tree[sink]
         moves.append((arc, direction))
     return _moves_to_gpath(net, moves[::-1], flow.source)
+
+
+def encoded(network, groups):
+    """The token groups as ``settle_pair`` takes them: their
+    ``encode_groups`` on the compiled network."""
+    return encode_groups(network.compiled, groups)
+
+
+def member_ids(network, group):
+    """A token group as the solvers below ``settle_pair`` take it, as a
+    frozenset of vertex ids; None stays None."""
+    if group is None:
+        return None
+    return frozenset(map(network.compiled.index.__getitem__, group))
 
 
 def mutated(function, old, new):

@@ -426,7 +426,9 @@ def test_groups_are_encoded_once_per_call(monkeypatch):
 
 
 def test_groups_encoded_on_every_pair_are_caught(monkeypatch):
-    # negative control: settle_pair left to encode the groups of each pair
-    _with_mutant(monkeypatch, "tree=tree, encoded=encoded,", "tree=tree,")
+    # negative control: the groups encoded again for each pair settled
+    _with_mutant(
+        monkeypatch, "y, z, encoded, passage", "y, z, encode_groups(net, groups), passage"
+    )
     with pytest.raises(AssertionError):
         _check_one_encoding_per_call(monkeypatch)

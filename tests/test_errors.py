@@ -1,10 +1,12 @@
 import pytest
 
+from fullflow.centrality import centrality_report
 from fullflow.errors import FullFlowError, InvalidInputError
 from fullflow.figures import FIGURE_NAMES, figure_network
 from fullflow.flows import Flow, decompose, max_flow, validate_flow
 from fullflow.network import Network, build_network, vertex_group
 from fullflow.paths import Path, is_arc_disjoint, path_of
+from fullflow.quantities import forced_passage, pair_report, vitality_drop
 
 AB = build_network(["a", "b"], [("a", "b", 1)])
 
@@ -105,6 +107,22 @@ BAD_CALLS = {
     "mixed-type flow vertex": (
         lambda: validate_flow(AB, Flow("a", "b", {(1, "b"): 1, ("a", "b"): 1})),
         "unknown vertex 1 in flow support",
+    ),
+    "string group, vitality_drop": (
+        lambda: vitality_drop(figure_network("fig1"), "y", "z", "uv"),
+        "group 'uv' is a string, not a set of vertices",
+    ),
+    "string group, forced_passage": (
+        lambda: forced_passage(figure_network("fig5"), "y", "z", "x1"),
+        "group 'x1' is a string, not a set of vertices",
+    ),
+    "string group, pair_report": (
+        lambda: pair_report(figure_network("fig1"), "y", "z", "x"),
+        "group 'x' is a string, not a set of vertices",
+    ),
+    "string group, centrality_report": (
+        lambda: centrality_report(figure_network("fig1"), [["x"], "uv"]),
+        "group 'uv' is a string, not a set of vertices",
     ),
     "unknown figure": (
         lambda: figure_network("fig9"),

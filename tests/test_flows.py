@@ -30,7 +30,9 @@ from helpers import (
     augment,
     cancel_one_cycle,
     cheapest_max_flow,
+    encoded,
     find_augmenting_path,
+    member_ids,
     oracle_max_flows,
     random_flow,
     reference_decompose,
@@ -540,9 +542,8 @@ def _check_least_throughput(n):
         compiled = net.compiled
         total, canonical = max_flow(net, y, z)
         arc_flow = [canonical.values.get(arc, 0) for arc in compiled.arcs]
-        least = _least_throughput(
-            compiled, arc_flow, compiled.index[y], compiled.index[z], group, total
-        )
+        ends = compiled.index[y], compiled.index[z]
+        least = _least_throughput(compiled, arc_flow, *ends, member_ids(net, group), total)
         assert least == len(group & {y, z}) * value + cost
         assert arc_flow == [canonical.values.get(arc, 0) for arc in compiled.arcs]
 
@@ -615,6 +616,6 @@ def test_banned_value_matches_restricted_network(n):
             y, z = rng.sample(tokens, 2)
             group = rng.sample(tokens, rng.randint(0, 4))
             total, _, [(drop, _)] = settle_pair(
-                net, y, z, [frozenset(group)], passage=False
+                net, y, z, encoded(net, [frozenset(group)]), passage=False
             )
             assert total - drop == max_flow(restrict(net, group), y, z)[0]

@@ -284,7 +284,7 @@ def test_cross_check_runs_one_oracle_per_instance(monkeypatch):
 def test_cross_check_encodes_the_groups_once_per_instance(monkeypatch):
     # one encoding of an instance's distinct groups serves all its pairs,
     # also the two that settle again once their search runs out of budget
-    # (see the next tests); an encoding inside settle_pair counts here too
+    # (see the next tests); an encoding by quantities counts here too
     calls = []
 
     def counted(net, groups):

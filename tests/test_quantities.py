@@ -20,7 +20,7 @@ from fullflow.flows import (
     max_flow,
     validate_flow,
 )
-from fullflow.network import build_network, ordered_pairs
+from fullflow.network import Network, build_network, ordered_pairs
 from fullflow.paths import ArcDisjointSequence, passage_count
 from fullflow.quantities import (
     DEFAULT_NODE_BUDGET,
@@ -39,9 +39,11 @@ from helpers import (
     capacity_of_set,
     cheapest_max_flow,
     cut_capacity_touching,
+    encoded,
     enumerated_passage,
     induced_flow,
     maximum_sequences,
+    member_ids,
     mutated,
     oracle_max_flows,
     record_augment_calls,
@@ -144,7 +146,7 @@ def _check_sequence_masks(net, y, z, groups):
     sequences = 0
     for group in (None, *groups):
         for hits, paths, masks in _max_sequences(
-            net, y, z, value, DEFAULT_NODE_BUDGET, group
+            net, y, z, value, DEFAULT_NODE_BUDGET, member_ids(net, group)
         ):
             vertices = [{v for a in path for v in compiled.arcs[a]} for path in paths]
             assert masks == [sum(1 << compiled.index[v] for v in vs) for vs in vertices]
@@ -208,7 +210,7 @@ def _search_accounting(search, net):
             budget = 0
             while True:
                 try:
-                    for _ in search(net, y, z, value, budget, group):
+                    for _ in search(net, y, z, value, budget, member_ids(net, group)):
                         pass
                 except BudgetExceededError as error:
                     partial, nodes = error.partial, error.nodes
@@ -356,6 +358,38 @@ def test_pair_report_runs_one_canonical_flow(monkeypatch, fig1, fig6):
     assert calls == [True, False]
 
 
+@pytest.mark.parametrize("n", [9, 16])
+def test_scaled_capacities_scale_throughput_and_drop(n, monkeypatch):
+    # capacities near the CLI's --max-capacity of 10^9: every capacity
+    # times 10^8 scales the throughput and the drop exactly, and the
+    # cancelling finds as many negative cycles, as each residual capacity
+    # scales with them.  Work is counted, not timed
+    scale = 10**8
+    net = seeded_network(n)
+    scaled = Network(net.vertices, {a: c * scale for a, c in net.capacities.items()})
+    real, calls = flows._negative_cycle, []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(flows, "_negative_cycle", counted)
+    rng = random.Random(f"scaled:{n}")
+    cancelled = 0
+    for _ in range(60):
+        y, z = rng.sample(net.vertices, 2)
+        group = rng.sample(net.vertices, rng.randint(1, 3))
+        counts = []
+        for network, factor in ((net, scale), (scaled, 1)):
+            calls.clear()
+            through = forced_throughput(network, y, z, group)
+            drop = vitality_drop(network, y, z, group)
+            counts.append((through * factor, drop * factor, len(calls)))
+        assert counts[0] == counts[1], (y, z, group)
+        cancelled += counts[0][2] > 1
+    assert cancelled > 0
+
+
 @settings(max_examples=60)
 @given(networks_with_endpoints())
 def test_singleton_identity_all_three(net_yz):
@@ -374,14 +408,16 @@ def test_settle_pair_known_gaps(fig5, fig6):
     gap = frozenset({"x1", "x2"})
     for exact in (False, True):
         total, _, settled = settle_pair(
-            fig5, "y", "z", [gap], passage=True, exact=exact
+            fig5, "y", "z", encoded(fig5, [gap]), passage=True, exact=exact
         )
         assert (total, settled) == (3, [(1, 2)])
         total, _, settled = settle_pair(
-            fig6, "y", "z", [gap], passage=True, exact=exact
+            fig6, "y", "z", encoded(fig6, [gap]), passage=True, exact=exact
         )
         assert (total, settled) == (1, [(1, 1)])
-    total, _, settled = settle_pair(fig5, "y", "z", [gap], passage=False)
+    total, _, settled = settle_pair(
+        fig5, "y", "z", encoded(fig5, [gap]), passage=False
+    )
     assert (total, settled) == (3, [(1, None)])
     assert forced_throughput(fig6, "y", "z", gap) == 2
 
@@ -399,36 +435,37 @@ def test_settle_pair_flow_bounds(monkeypatch, fig1, fig5):
     _forbid(monkeypatch, "_min_passage")
     u2_x2 = frozenset({"u2", "x2"})
     n14 = seeded_network(14)
-    v02_v03 = frozenset({"v02", "v03"})
+    n14_groups = encoded(n14, [frozenset({"v02", "v03"}), frozenset({"v01"})])
     with monkeypatch.context() as bounds:
         _forbid(bounds, "_cancel_negative_cycles")
         # the extension rule settles fig1 (y, x, {u, v}), through 4
         uv = frozenset({"u", "v"})
-        _, _, settled = settle_pair(fig1, "y", "x", [uv], passage=True)
+        _, _, settled = settle_pair(
+            fig1, "y", "x", encoded(fig1, [uv]), passage=True
+        )
         assert settled == [(3, 3)]
         # and fig5 (y, z, {u2, x2}), through 2, from the restricted flow
         # warm-started when a second group shares the pair
         _, _, settled = settle_pair(
-            fig5, "y", "z", [u2_x2, frozenset({"y"})], passage=True
+            fig5, "y", "z", encoded(fig5, [u2_x2, frozenset({"y"})]), passage=True
         )
         assert settled == [(1, 1), (3, 3)]
         # but not from the cold one of a lone group
         with pytest.raises(AssertionError, match="_cancel_negative_cycles ran"):
-            settle_pair(fig5, "y", "z", [u2_x2], passage=True)
+            settle_pair(fig5, "y", "z", encoded(fig5, [u2_x2]), passage=True)
         # nor (v05, v08, {v02, v03}), through 3, on the seeded n = 14
         # network, even warm-started
         with pytest.raises(AssertionError, match="_cancel_negative_cycles ran"):
-            settle_pair(n14, "v05", "v08", [v02_v03, frozenset({"v01"})], passage=True)
+            settle_pair(n14, "v05", "v08", n14_groups, passage=True)
     # which the entry bound settles
-    _, _, settled = settle_pair(fig5, "y", "z", [u2_x2], passage=True)
+    _, _, settled = settle_pair(fig5, "y", "z", encoded(fig5, [u2_x2]), passage=True)
     assert settled == [(1, 1)]
-    _, _, settled = settle_pair(
-        n14, "v05", "v08", [v02_v03, frozenset({"v01"})], passage=True
-    )
+    _, _, settled = settle_pair(n14, "v05", "v08", n14_groups, passage=True)
     assert settled == [(1, 1), (3, 3)]
     # fig5's gap term passes both bounds on to the search
     with pytest.raises(AssertionError, match="_min_passage ran"):
-        settle_pair(fig5, "y", "z", [frozenset({"x1", "x2"})], passage=True)
+        gap = encoded(fig5, [frozenset({"x1", "x2"})])
+        settle_pair(fig5, "y", "z", gap, passage=True)
 
 
 def _record_restricted_flows(monkeypatch):
@@ -475,7 +512,7 @@ def test_warm_restricted_flow_matches_cold(n, monkeypatch):
         inner = [v for v in net.vertices if v not in (y, z)]
         groups = [frozenset(rng.sample(inner, size)) for size in (1, 1, 2, 3)]
         records.clear()
-        _, _, settled = settle_pair(net, y, z, groups, passage=False)
+        _, _, settled = settle_pair(net, y, z, encoded(net, groups), passage=False)
         reached = [
             (group, drop)
             for group, (drop, _) in zip(groups, settled)
@@ -504,7 +541,8 @@ def test_warm_restricted_flow_matches_cold(n, monkeypatch):
 def test_lone_group_starts_cold(monkeypatch, fig1):
     # one group has no other group to share the decomposition with
     records = _record_restricted_flows(monkeypatch)
-    _, _, [(drop, _)] = settle_pair(fig1, "y", "z", [frozenset({"x"})], passage=False)
+    x = encoded(fig1, [frozenset({"x"})])
+    _, _, [(drop, _)] = settle_pair(fig1, "y", "z", x, passage=False)
     [(warm, kept_flow, _)] = records
     assert not any(warm) and sum(kept_flow) > 0
 
@@ -521,7 +559,7 @@ def test_warm_restricted_flow_matches_networkx(monkeypatch):
         y, z = rng.sample(net.vertices, 2)
         inner = [v for v in net.vertices if v not in (y, z)]
         groups = [frozenset(rng.sample(inner, size)) for size in (1, 2, 3)]
-        total, _, settled = settle_pair(net, y, z, groups, passage=False)
+        total, _, settled = settle_pair(net, y, z, encoded(net, groups), passage=False)
         for group, (drop, _) in zip(groups, settled):
             graph = nx.DiGraph()
             graph.add_nodes_from(net.vertices)
@@ -557,7 +595,7 @@ def _check_cut_rule(monkeypatch, n, value=lambda net, y, z: max_flow(net, y, z)[
         inner = [v for v in net.vertices if v not in (y, z)]
         groups = [frozenset(rng.sample(inner, rng.randint(1, 3))) for _ in range(4)]
         records.clear()
-        _, _, settled = settle_pair(net, y, z, groups, passage=False)
+        _, _, settled = settle_pair(net, y, z, encoded(net, groups), passage=False)
         flows_run += len(records)
         for group, (drop, passage) in zip(groups, settled):
             through = flow_through(f, group)
@@ -665,6 +703,7 @@ def _check_tree_start(net, search=_bfs_augmenting):
     rng = random.Random(f"tree-start:{net.vertices}")
     groups = [frozenset({x}) for x in net.vertices]
     groups += [frozenset(rng.sample(net.vertices, 2)) for _ in range(2)]
+    groups = encoded(net, groups)
     for s, y in enumerate(net.vertices):
         tree = search(compiled, compiled.capacities, zeros, s, s)
         for t, z in enumerate(net.vertices):
@@ -732,11 +771,11 @@ def test_cut_rule_on_fig1(monkeypatch, fig1):
     canonical = len(bfs_calls)
     calls.clear()
     bfs_calls.clear()
-    x = frozenset({"x"})
-    assert settle_pair(fig1, "u", "z", [x], passage=True)[2] == [(2, 2)]
+    x = encoded(fig1, [frozenset({"x"})])
+    assert settle_pair(fig1, "u", "z", x, passage=True)[2] == [(2, 2)]
     assert calls == [True] and len(bfs_calls) == canonical
     calls.clear()
-    assert settle_pair(fig1, "y", "z", [x], passage=True)[2] == [(2, 2)]
+    assert settle_pair(fig1, "y", "z", x, passage=True)[2] == [(2, 2)]
     assert calls == [True, False]
 
 
@@ -774,7 +813,7 @@ def _check_settle_pair(net, y, z, max_group):
     ]
     for exact in (False, True):
         value, arc_flow, settled = settle_pair(
-            net, y, z, groups, passage=True, exact=exact
+            net, y, z, encoded(net, groups), passage=True, exact=exact
         )
         assert value == total
         assert _as_flow(net.compiled, y, z, arc_flow) == flow
@@ -799,14 +838,14 @@ def test_settle_pair_on_gap_networks(net):
 def test_loosened_extension_rule_is_caught(monkeypatch, fig5):
     # negative control: an extension rule that accepts one unit short of
     # the drop settles fig5's gap term {x1, x2} at 1, where its passage is 2
-    def loosened(net, s, t, group, flow, caps, kept_flow, kept, drop):
+    def loosened(net, s, t, members, flow, caps, kept_flow, kept, drop):
         spare = [c - g for c, g in zip(net.capacities, kept_flow)]
         added, _ = _augment(net, spare, [0] * len(spare), s, t)
         return added >= drop - 1
 
     monkeypatch.setattr(quantities, "_passage_at_drop", loosened)
-    gap = frozenset({"x1", "x2"})
-    assert settle_pair(fig5, "y", "z", [gap], passage=True)[2] == [(1, 1)]
+    gap = encoded(fig5, [frozenset({"x1", "x2"})])
+    assert settle_pair(fig5, "y", "z", gap, passage=True)[2] == [(1, 1)]
     with pytest.raises(AssertionError):
         _check_settle_pair(fig5, "y", "z", 2)
 
