@@ -51,6 +51,8 @@ class PairTerm:
 
 @dataclass(frozen=True)
 class CentralityReport:
+    """A group's exact vitality and betweenness; pair terms with ``explain``."""
+
     group: frozenset
     vitality: Fraction
     betweenness: Fraction
@@ -109,7 +111,7 @@ def _group_sums(
     net = network.compiled
     zeros = [0] * len(net.arcs)
     encoded = encode_groups(net, groups)
-    for s, y in enumerate(network.vertices):
+    for s, y in enumerate(net.vertices):
         # a search whose sink is its source keeps all it reaches in its tree
         tree = _bfs_augmenting(net, net.capacities, zeros, s, s)
         # the G - X capacities of the groups that avoid y
@@ -117,12 +119,12 @@ def _group_sums(
         bypass = tree  # the sinks to settle: what y reaches in G - X, if the rule runs
         if not explain and len(avoiding) <= 1:
             bypass = avoiding and _bfs_augmenting(net, avoiding[0], zeros, s, s)
-        for t, z in enumerate(network.vertices):
+        for t, z in enumerate(net.vertices):
             if t == s or t not in tree:
                 continue
             if t in bypass:
                 total, _, settled = settle_pair(
-                    network, y, z, encoded, passage=passage, exact=exact,
+                    net, s, t, encoded, passage=passage, exact=exact,
                     node_budget=node_budget, tree=tree,
                 )
             else:

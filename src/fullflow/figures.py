@@ -57,6 +57,8 @@ def fig2_stored_flow() -> Flow:
 
 @dataclass(frozen=True)
 class FigureCheck:
+    """One documented fixture assertion: ``detail`` gives both values."""
+
     figure: str
     name: str
     passed: bool

@@ -21,9 +21,10 @@ every result here is a pure, deterministic function of its inputs:
   decompositions and the passage search's witnesses and enumerations.
 
 Max flows run on ``Network.compiled``, built once per network (vertices
-and arcs as integers, each vertex with one sorted list of the neighbors
-it shares an arc with, in either direction), through one augment loop
-(``_augment``) over the trees of a breadth-first search
+as ids, arcs as id pairs, each vertex with one sorted list of the
+neighbors it shares an arc with, in either direction): tokens come back
+only in ``_sequence``, ``_as_flow`` and ``decompose``.  They run through
+one augment loop (``_augment``) over the trees of a breadth-first search
 (``_bfs_augmenting``).  Each tree maps the vertices it reached to their
 parent links, so its keys are what the source reaches: the source side
 of the min cut once the sink is missing, from which ``settle_pair``
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, InvariantViolationError
-from .network import Arc, CompiledNetwork, Network, VertexId
+from .network import Arc, CompiledNetwork, Network, VertexId, as_group
 from .paths import BACKWARD, FORWARD, ArcDisjointSequence, Cycle, Path
 
 
@@ -93,10 +94,10 @@ def flow_through(flow: Flow, members: Iterable[VertexId]) -> int:
     """Total flow passing through the group.
 
     Counts the out-sum at each interior group member and the flow value at
-    the source or sink if they belong to the group.  Membership validation
-    against a network happens where groups are built (:func:`vertex_group`).
+    the source or sink if they belong to the group, not a string
+    (:func:`as_group`); validation against a network is :func:`vertex_group`.
     """
-    group = frozenset(members)
+    group = as_group(members)
     total = 0
     value = None
     for x in group:
@@ -110,11 +111,15 @@ def flow_through(flow: Flow, members: Iterable[VertexId]) -> int:
 
 
 def _check_endpoints(network: Network, source: VertexId, sink: VertexId):
+    """Raise unless ``source`` and ``sink`` are distinct vertices of
+    ``network``; return their ids, which a public function maps here once."""
+    index = network.compiled.index
     for endpoint in (source, sink):
-        if not network.has_vertex(endpoint):
+        if endpoint not in index:
             raise InvalidInputError(f"unknown vertex {endpoint!r}")
     if source == sink:
         raise InvalidInputError(f"source and sink must differ, both are {source!r}")
+    return index[source], index[sink]
 
 
 def validate_flow(network: Network, flow: Flow) -> str | None:
@@ -289,7 +294,8 @@ def _as_flow(
     net: CompiledNetwork, source: VertexId, sink: VertexId, arc_flow: Sequence[int]
 ) -> Flow:
     """The :class:`Flow` of a flow indexed by arc id of ``net``."""
-    support = {net.arcs[a]: val for a, val in enumerate(arc_flow) if val}
+    v = net.vertices
+    support = {(v[t], v[h]): val for (t, h), val in zip(net.arcs, arc_flow) if val}
     return Flow(source, sink, support)
 
 
@@ -302,10 +308,10 @@ def max_flow(network: Network, source: VertexId, sink: VertexId) -> tuple[int, F
     length, this matches repeating the unit augmentation step until that
     path saturates, but is independent of capacity magnitude.
     """
-    _check_endpoints(network, source, sink)
+    s, t = _check_endpoints(network, source, sink)
     net = network.compiled
     flow = [0] * len(net.arcs)
-    value, _ = _augment(net, net.capacities, flow, net.index[source], net.index[sink])
+    value, _ = _augment(net, net.capacities, flow, s, t)
     return value, _as_flow(net, source, sink, flow)
 
 
@@ -340,7 +346,7 @@ def _decompose_ids(
             if a >= 0 and left[a]:
                 break
         else:
-            token = next(x for x, i in net.index.items() if i == walk[-1])
+            token = net.vertices[walk[-1]]
             raise InvariantViolationError(f"decomposition walk stuck at vertex {token!r}")
         if w in walk:
             i = walk.index(w)
@@ -389,19 +395,14 @@ def decompose(network: Network, flow: Flow) -> Decomposition:
             f"{flow.source!r}->{flow.sink!r} paths"
         )
     net = network.compiled
-    arcs = net.arcs
-    get = flow.values.get
-    paths, cycles = _decompose_ids(
-        net,
-        [get(arc, 0) for arc in arcs],
-        net.index[flow.source],
-        net.index[flow.sink],
-        value,
-    )
+    v, arcs, get = net.vertices, net.arcs, flow.values.get
+    s, t = net.index[flow.source], net.index[flow.sink]
+    arc_flow = [get((v[tail], v[head]), 0) for tail, head in arcs]
+    paths, cycles = _decompose_ids(net, arc_flow, s, t, value)
     return Decomposition(
         _sequence(net, flow.source, flow.sink, paths),
         tuple(
-            Cycle(tuple(arcs[a][0] for a in c) + (arcs[c[0]][0],)).rotated_to_least()
+            Cycle(tuple(v[arcs[a][0]] for a in (*c, c[0]))).rotated_to_least()
             for c in cycles
         ),
     )
@@ -412,9 +413,9 @@ def _sequence(
 ) -> ArcDisjointSequence:
     """The sequence of the ``source``->``sink`` paths given as arc ids of
     ``net``: the one place arc-id paths become :class:`Path` values."""
-    arcs = net.arcs
+    v, arcs = net.vertices, net.arcs
     return ArcDisjointSequence(
-        tuple(Path((source, *[arcs[a][1] for a in p])) for p in paths), source, sink
+        tuple(Path((source, *[v[arcs[a][1]] for a in p])) for p in paths), source, sink
     )
 
 

@@ -81,21 +81,22 @@ def _check_arc(arc: Arc, cap, known) -> None:
 
 @dataclass(frozen=True)
 class CompiledNetwork:
-    """Integer-indexed form of a network, built once per network.
-
-    Vertex ``i`` is the ``i``-th vertex in canonical order and arc ``a`` is
-    ``arcs[a]``, the ``a``-th positive arc in canonical order, with
-    capacity ``capacities[a]``.  ``neighbors[i]`` lists every vertex joined
-    to vertex ``i`` by an arc in either direction, in canonical order, as
-    ``(j, out_arc, in_arc)``: the ids of the arcs ``i->j`` and ``j->i``,
-    or -1 where there is no such arc: the residual moves a flow can ever
-    offer at ``i``.  It is the one per-vertex arc index, read by every
-    solver.  ``index`` maps each vertex to its number, so it also holds
-    the vertex set.
+    """Integer-indexed form of a network, built once per network: the one
+    form the solvers run on.  Vertex ``i`` is ``vertices[i]``, in canonical
+    order, and ``index`` maps each vertex to ``i``: the only two maps
+    between tokens and ids, read at the public API's boundary.  Arc ``a``
+    is ``arcs[a]``, the ``a``-th positive arc in canonical order as a
+    ``(tail id, head id)`` pair, with capacity ``capacities[a]``.
+    ``neighbors[i]`` lists every vertex joined to vertex ``i`` by an arc in
+    either direction, in canonical order, as ``(j, out_arc, in_arc)``: the
+    ids of the arcs ``i->j`` and ``j->i``, or -1 where there is no such
+    arc: the residual moves a flow can ever offer at ``i``.  It is the one
+    per-vertex arc index, read by every solver.
     """
 
+    vertices: tuple[VertexId, ...]
     index: dict[VertexId, int]
-    arcs: tuple[Arc, ...]
+    arcs: tuple[tuple[int, int], ...]
     capacities: tuple[int, ...]
     neighbors: tuple[tuple[tuple[int, int, int], ...], ...]
 
@@ -126,48 +127,48 @@ class Network:
         """Capacity of ``arc``; 0 for any pair without a stored entry."""
         return self.capacities.get(arc, 0)
 
-    def has_vertex(self, token: VertexId) -> bool:
-        return token in self.compiled.index
-
     @cached_property
     def compiled(self) -> CompiledNetwork:
         """The integer-indexed form the flow solvers run on."""
         index = {v: i for i, v in enumerate(self.vertices)}
-        arcs = tuple(sorted(self.capacities))
+        caps = {(index[t], index[h]): c for (t, h), c in self.capacities.items()}
+        arcs = tuple(sorted(caps))  # ids follow the canonical order
         arc_ids = {arc: a for a, arc in enumerate(arcs)}
         joined: list[set[int]] = [set() for _ in self.vertices]
         for tail, head in arcs:
-            joined[index[tail]].add(index[head])
-            joined[index[head]].add(index[tail])
+            joined[tail].add(head)
+            joined[head].add(tail)
         return CompiledNetwork(
+            vertices=self.vertices,
             index=index,
             arcs=arcs,
-            capacities=tuple(self.capacities[arc] for arc in arcs),
+            capacities=tuple(map(caps.__getitem__, arcs)),
             neighbors=tuple(
                 tuple(
-                    (
-                        j,
-                        arc_ids.get((v, self.vertices[j]), -1),
-                        arc_ids.get((self.vertices[j], v), -1),
-                    )
-                    for j in sorted(joined[i])
+                    (j, arc_ids.get((i, j), -1), arc_ids.get((j, i), -1))
+                    for j in sorted(around)
                 )
-                for i, v in enumerate(self.vertices)
+                for i, around in enumerate(joined)
             ),
         )
+
+
+def as_group(members: Iterable[VertexId]) -> frozenset:
+    """``members`` as a frozenset; raise InvalidInputError if it is a
+    string, which would otherwise be read as a group of its characters."""
+    if isinstance(members, str):
+        raise InvalidInputError(f"group {members!r} is a string, not a set of vertices")
+    return frozenset(members)
 
 
 def vertex_group(network: Network, members: Iterable[VertexId]) -> frozenset:
     """Validate ``members`` against ``network`` and return them as a frozenset.
 
     Raises InvalidInputError naming the first offending token (in order of
-    ``str``), or naming ``members`` if it is a string, which would otherwise
-    be read as a group of its characters.  The result may be empty and may
-    contain any network vertex.
+    ``str``), or naming ``members`` if it is a string (:func:`as_group`).
+    The result may be empty and may contain any network vertex.
     """
-    if isinstance(members, str):
-        raise InvalidInputError(f"group {members!r} is a string, not a set of vertices")
-    group = frozenset(members)
+    group = as_group(members)
     known = network.compiled.index
     for token in sorted(group, key=str):
         if token not in known:

@@ -20,12 +20,13 @@ from __future__ import annotations
 import random
 from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import permutations
 from math import prod
 from typing import Callable, Sequence
 
 from .errors import BudgetExceededError, InvalidSpecError
 from .flows import _as_flow, decompose, recompose, validate_flow
-from .network import Network, VertexId, ordered_pairs
+from .network import Network, VertexId
 from .paths import is_arc_disjoint
 from .quantities import (
     DEFAULT_NODE_BUDGET,
@@ -114,10 +115,9 @@ def brute_force_flows(
             partial=0,
             nodes=0,
         )
-    ends = [(net.index[tail], net.index[head]) for tail, head in arcs]
     # a vertex's net flow is settled once its incident arcs are all
     # assigned, that is at the last arc index touching it
-    last_index = {v: idx for idx, pair in enumerate(ends) for v in pair}
+    last_index = {v: idx for idx, pair in enumerate(arcs) for v in pair}
     settles: list[tuple[int, ...]] = [()] * len(arcs)
     for vertex, idx in last_index.items():
         settles[idx] += (vertex,)
@@ -141,7 +141,7 @@ def brute_force_flows(
         if idx == len(arcs):
             leaf(source, sink)
             return
-        (tail, head), settled = ends[idx], settles[idx]
+        (tail, head), settled = arcs[idx], settles[idx]
         for val in range(caps[idx] + 1):
             assignment[idx] = val
             balance[tail] -= val
@@ -163,8 +163,8 @@ def brute_force_flows(
 
     rec(0, -1, -1)
     return {
-        (y, z): best.get((net.index[y], net.index[z]), best[-1, -1])
-        for y, z in ordered_pairs(network)
+        (y, z): best.get((s, t), best[-1, -1])
+        for (s, y), (t, z) in permutations(enumerate(net.vertices), 2)
     }
 
 
@@ -244,35 +244,35 @@ def cross_check(
             size = sample_rng.randint(0, len(net.vertices))
             groups.append(frozenset(sample_rng.sample(net.vertices, size)))
         distinct = list(dict.fromkeys(groups))
-        encoded = encode_groups(net.compiled, distinct)
+        compiled = net.compiled
+        encoded = encode_groups(compiled, distinct)
         try:
             oracle = brute_force_flows(net, assignment_budget=assignment_budget)
         except BudgetExceededError:
             oracle = None
-        vertex, moves = net.compiled.index, net.compiled.neighbors
+        moves = compiled.neighbors
         out_arcs = [[a for _, a, _ in around if a >= 0] for around in moves]
-        for y, z in ordered_pairs(net):
+        for (s, y), (t, z) in permutations(enumerate(net.vertices), 2):
             where = f"{label} pair ({y},{z})"
             report.pairs_checked += 1
-            s, t = vertex[y], vertex[z]
             sequences = None
             try:
                 value, arc_flow, settled = settle_pair(
-                    net, y, z, encoded, passage=True, node_budget=node_budget
+                    compiled, s, t, encoded, passage=True, node_budget=node_budget
                 )
             except BudgetExceededError:
                 # the passage search visits a subset of the enumeration's
                 # nodes, so the enumeration would run out of budget too
                 value, arc_flow, settled = settle_pair(
-                    net, y, z, encoded, passage=False, node_budget=node_budget
+                    compiled, s, t, encoded, passage=False, node_budget=node_budget
                 )
             else:
                 with suppress(BudgetExceededError):
-                    found = _max_sequences(net, y, z, value, node_budget)
+                    found = _max_sequences(compiled, s, t, value, node_budget)
                     sequences = [masks for _, _, masks in found]
             if sequences is None:
                 report.enumeration_skips += 1
-            flow = _as_flow(net.compiled, y, z, arc_flow)
+            flow = _as_flow(compiled, y, z, arc_flow)
             dec = decompose(net, flow)
             check(
                 recompose(dec) == flow,
@@ -296,7 +296,7 @@ def cross_check(
                     oracle_value == value,
                     lambda: f"{where}: oracle max {oracle_value}, solver max {value}",
                 )
-                flows = (_as_flow(net.compiled, y, z, a) for a in assignments)
+                flows = (_as_flow(compiled, y, z, a) for a in assignments)
                 bad = next((f for f in flows if validate_flow(net, f)), None)
                 check(
                     bad is None,
@@ -311,7 +311,7 @@ def cross_check(
                     outflows.append(out)
             terms = {}  # a distinct group's member ids, drop, passage and throughput
             for g, (ids, _), term in zip(distinct, encoded, settled):
-                least = _least_throughput(net.compiled, arc_flow, s, t, ids, value)
+                least = _least_throughput(compiled, arc_flow, s, t, ids, value)
                 terms[g] = (ids, *term, least)
             for group in groups:
                 members, drop, passage, throughput = terms[group]

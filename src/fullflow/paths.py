@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
-from .network import Arc, Network, VertexId
+from .network import Arc, Network, VertexId, as_group
 
 FORWARD = 1
 BACKWARD = -1
@@ -158,7 +158,7 @@ def is_arc_disjoint(network: Network, paths: Sequence[Path]) -> bool:
 
 def passage_count(seq: ArcDisjointSequence, members: Iterable[VertexId]) -> int:
     """Number of components meeting the group; invariant under reordering."""
-    group = set(members)
+    group = as_group(members)
     if not group:
         return 0
     return sum(1 for p in seq.paths if any(v in group for v in p.vertices))

@@ -69,12 +69,12 @@ def _settle_group(
 ) -> tuple[int, int | None]:
     """``(drop, passage)`` of one group at the pair, by :func:`settle_pair`
     with ``options``; ``(0, 0)``, with no max flow run, for the empty group."""
-    _check_endpoints(network, source, sink)
+    s, t = _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
     if not group:
         return 0, 0
-    encoded = encode_groups(network.compiled, [group])
-    return settle_pair(network, source, sink, encoded, **options)[2][0]
+    net = network.compiled
+    return settle_pair(net, s, t, encode_groups(net, [group]), **options)[2][0]
 
 
 def _path_candidates(
@@ -108,44 +108,43 @@ def _path_candidates(
 
 
 def _max_sequences(
-    network: Network,
-    source: VertexId,
-    sink: VertexId,
+    net: CompiledNetwork,
+    s: int,
+    t: int,
     target: int,
     node_budget: int,
     members: frozenset[int] | None = None,
 ) -> Iterator[tuple[int, list[tuple[int, ...]], list[int]]]:
-    """Yield ``(hits, paths, masks)`` for the maximum sequences, canonically.
+    """Yield ``(hits, paths, masks)`` for the maximum sequences from vertex
+    id ``s`` to ``t`` of ``net``, canonically.
 
-    ``paths`` lists its paths as arc-id tuples of ``network.compiled`` and
-    ``masks`` their vertex sets, bit ``i`` for vertex id ``i``; ``hits``
-    counts the paths meeting the group of vertex ids ``members``, and
-    ``target`` is the pair's max-flow value.  A node holds a multiset of
-    candidate paths that fits the capacities; one with fewer than
-    ``target`` paths is always opened.
+    ``paths`` lists its paths as arc-id tuples and ``masks`` their vertex
+    sets, bit ``i`` for vertex id ``i``; ``hits`` counts the paths meeting
+    the group of vertex ids ``members``, and ``target`` is the pair's
+    max-flow value.  A node holds a multiset of candidate paths that fits
+    the capacities; one with fewer than ``target`` paths is always opened.
     Without a group, a sequence enumeration, every sequence is yielded;
     with one, a passage minimization, a node meeting it at least as often
     as the last yield is cut, so each yield improves on the one before.
-    Its budget error names which of the two ran out.  More than
-    ``node_budget`` candidate paths exhaust the budget before the search
-    starts; each node is counted against it as it is entered.  The state
-    is the node's candidate indices, ascending, and the next index to
-    test, so the depth is not bounded by Python's.
+    Its budget error names which of the two ran out, and the pair and the
+    group by their tokens.  More than ``node_budget`` candidate paths
+    exhaust the budget before the search starts; each node is counted
+    against it as it is entered.  The state is the node's candidate
+    indices, ascending, and the next index to test, so the depth is not
+    bounded by Python's.
     """
     if target == 0:
         yield 0, [], []
         return
     what = "sequence enumeration" if members is None else "passage minimization"
-    tokens = {network.vertices[i] for i in members or ()}
-    where = "" if members is None else f" group {render_group(tokens)}"
-    reason = f"{what} budget exhausted at pair ({source}, {sink}){where}"
-    net = network.compiled
-    s, t = net.index[source], net.index[sink]
+    v = net.vertices
+    where = "" if members is None else f" group {render_group({v[i] for i in members})}"
+    reason = f"{what} budget exhausted at pair ({v[s]}, {v[t]}){where}"
     cand_arcs = _path_candidates(net, s, t, node_budget)
     if len(cand_arcs) > node_budget:
         raise BudgetExceededError(reason, partial=0, nodes=0)
     # a path's vertices are its source and the heads of its arcs, all distinct
-    bits = [1 << net.index[head] for _, head in net.arcs]
+    bits = [1 << head for _, head in net.arcs]
     masks = [sum(map(bits.__getitem__, cand), 1 << s) for cand in cand_arcs]
     xbits = sum(1 << x for x in members or ())
     meets = [bool(mask & xbits) for mask in masks]
@@ -200,40 +199,41 @@ def enumerate_max_sequences(
     canonical forms.  Raises BudgetExceededError (carrying the partial
     count) when the node budget runs out.
     """
-    _check_endpoints(network, source, sink)
-    target = settle_pair(network, source, sink, [], passage=False)[0]
-    for _, paths, _ in _max_sequences(network, source, sink, target, node_budget):
-        yield _sequence(network.compiled, source, sink, paths)
+    s, t = _check_endpoints(network, source, sink)
+    net = network.compiled
+    target = settle_pair(net, s, t, [], passage=False)[0]
+    for _, paths, _ in _max_sequences(net, s, t, target, node_budget):
+        yield _sequence(net, source, sink, paths)
 
 
 def _min_passage(
-    network: Network,
-    source: VertexId,
-    sink: VertexId,
+    net: CompiledNetwork,
+    s: int,
+    t: int,
     members: frozenset[int],
     node_budget: int,
     target: int,
     lower_bound: int,
 ) -> tuple[int, list[tuple[int, ...]]]:
     """Exact minimum passage count of the group of vertex ids ``members``
-    plus the canonical witness attaining it, as arc-id paths of
-    ``network.compiled``, given the pair's max-flow value and its drop."""
+    at the pair of ids ``(s, t)`` plus the canonical witness attaining it,
+    as arc-id paths of ``net``, given the pair's max-flow value and drop."""
     best = None
-    for best in _max_sequences(network, source, sink, target, node_budget, members):
+    for best in _max_sequences(net, s, t, target, node_budget, members):
         if best[0] == lower_bound:
             break
     if best is None:
         raise InvariantViolationError(
-            f"no maximum sequence found for {source!r}->{sink!r} "
+            f"no maximum sequence found for {net.vertices[s]!r}->{net.vertices[t]!r} "
             f"despite max flow {target}"
         )
     return best[0], best[1]
 
 
 def settle_pair(
-    network: Network,
-    source: VertexId,
-    sink: VertexId,
+    net: CompiledNetwork,
+    s: int,
+    t: int,
     groups: Sequence[tuple[frozenset[int], tuple[int, ...]]],
     *,
     passage: bool,
@@ -241,16 +241,16 @@ def settle_pair(
     node_budget: int = DEFAULT_NODE_BUDGET,
     tree: dict | None = None,
 ) -> tuple[int, list[int], list[tuple[int, int | None]]]:
-    """The pair's maximum flow value, its canonical maximum flow ``f`` and
-    one ``(drop, passage)`` per group.
+    """The max flow value of the pair of vertex ids ``(s, t)``, its canonical
+    maximum flow ``f`` and one ``(drop, passage)`` per group.
 
     ``f`` is the flow :func:`max_flow` returns, indexed by arc id of
-    ``Network.compiled``.  Every group shares it.  The chain
+    ``net``.  Every group shares it.  The chain
     ``0 <= drop <= passage <= min(throughput, max_flow)`` then settles a
     group X by the first rule that applies:
 
     1. ``max_flow == 0``: drop = passage = 0.
-    2. ``source`` or ``sink`` is in X: every path meets X, so drop =
+    2. ``s`` or ``t`` is in X: every path meets X, so drop =
        passage = max_flow; see ``centrality`` for groups meeting every path.
     3. The cut rule: let S be the source side of the min cut where the
        last search of ``f`` failed, and C_X the capacity of the arcs from
@@ -298,11 +298,9 @@ def settle_pair(
     singletons reach rules 6 to 8 too.  ``groups`` is :func:`encode_groups`
     of validated groups (:func:`vertex_group`); its G - X capacities are
     shared by every pair of a call, so nothing here writes into them.
-    ``tree``, the tree of the search from ``source`` to itself at zero
-    flow, saves ``f`` its first search.
+    ``tree``, the tree of the search from ``s`` to itself at zero flow,
+    saves ``f`` its first search.  The public functions map tokens to ids.
     """
-    net = network.compiled
-    s, t = net.index[source], net.index[sink]
     flow = [0] * len(net.arcs)
     total, reached = _augment(net, net.capacities, flow, s, t, tree)
     if total == 0:
@@ -339,9 +337,7 @@ def settle_pair(
                 ):
                     found = drop
                 else:
-                    found, _ = _min_passage(
-                        network, source, sink, members, node_budget, total, drop
-                    )
+                    found, _ = _min_passage(net, s, t, members, node_budget, total, drop)
         settled.append((drop, found))
     return total, flow, settled
 
@@ -408,8 +404,7 @@ def _passage_at_drop(
     if _augment(net, spare, [0] * len(spare), s, t)[0] == drop:
         return True
     # rule 7: a maximum flow entering X least
-    index = net.index
-    costs = [int(index[b] in members and index[a] not in members) for a, b in net.arcs]
+    costs = [int(b in members and a not in members) for a, b in net.arcs]
     cheapest = list(flow)
     _cancel_negative_cycles(net, cheapest, costs)
     bound = [min(f, c) for f, c in zip(cheapest, caps)]
@@ -440,15 +435,14 @@ def forced_throughput(
 ) -> int:
     """Minimum total flow through the group over all maximum flows; 0, with
     no max flow run, for the empty group."""
-    _check_endpoints(network, source, sink)
+    s, t = _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
     if not group:
         return 0
-    total, flow, _ = settle_pair(network, source, sink, [], passage=False)
     net = network.compiled
-    ends = net.index[source], net.index[sink]
+    total, flow, _ = settle_pair(net, s, t, [], passage=False)
     ids = frozenset(map(net.index.__getitem__, group))
-    return _least_throughput(net, flow, *ends, ids, total)
+    return _least_throughput(net, flow, s, t, ids, total)
 
 
 def _least_throughput(
@@ -472,7 +466,7 @@ def _least_throughput(
     for x in interior:
         for _, a, _ in net.neighbors[x]:
             if a >= 0 and flow[a]:
-                costs = [int(net.index[tail] in interior) for tail, _ in net.arcs]
+                costs = [int(tail in interior) for tail, _ in net.arcs]
                 flow = list(flow)
                 _cancel_negative_cycles(net, flow, costs)
                 return sum(map(mul, costs, flow)) + ends
@@ -539,22 +533,17 @@ def pair_report(
     is set or the group has two or more vertices; otherwise the passage is
     the drop.
     """
-    _check_endpoints(network, source, sink)
+    s, t = _check_endpoints(network, source, sink)
     group = vertex_group(network, members)
     net = network.compiled
     encoded = encode_groups(net, [group])
-    total, flow, [(drop, passage)] = settle_pair(
-        network, source, sink, encoded, passage=False
-    )
+    total, flow, [(drop, passage)] = settle_pair(net, s, t, encoded, passage=False)
     ids = encoded[0][0]
     witness = None
     if exact or len(group) > 1:
-        passage, paths = _min_passage(
-            network, source, sink, ids, node_budget, total, drop
-        )
+        passage, paths = _min_passage(net, s, t, ids, node_budget, total, drop)
         witness = _sequence(net, source, sink, paths)
-    ends = net.index[source], net.index[sink]
-    throughput = _least_throughput(net, flow, *ends, ids, total)
+    throughput = _least_throughput(net, flow, s, t, ids, total)
     if not (0 <= drop <= passage <= min(throughput, total)):
         raise InvariantViolationError(
             f"pair quantity chain violated for ({source!r}, {sink!r}, "

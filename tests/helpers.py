@@ -184,10 +184,11 @@ class GeneralizedPath:
 
 
 def _moves_to_gpath(net, moves, source):
+    arcs = token_arcs(net)
     vertices = [source]
     directions = []
     for arc, direction in moves:
-        tail, head = net.arcs[arc]
+        tail, head = arcs[arc]
         vertices.append(head if direction == FORWARD else tail)
         directions.append(direction)
     return GeneralizedPath(tuple(vertices), tuple(directions))
@@ -206,9 +207,8 @@ def find_augmenting_path(network, flow):
         raise InvalidInputError(violation)
     net = network.compiled
     source, sink = net.index[flow.source], net.index[flow.sink]
-    tree = _bfs_augmenting(
-        net, net.capacities, [flow.values.get(arc, 0) for arc in net.arcs], source, sink
-    )
+    values = [flow.values.get(arc, 0) for arc in token_arcs(net)]
+    tree = _bfs_augmenting(net, net.capacities, values, source, sink)
     if sink not in tree:  # no path left
         return None
     moves = []
@@ -216,6 +216,19 @@ def find_augmenting_path(network, flow):
         sink, arc, direction = tree[sink]
         moves.append((arc, direction))
     return _moves_to_gpath(net, moves[::-1], flow.source)
+
+
+def token_arcs(net):
+    """The arcs of the compiled network ``net`` as token pairs, by arc id."""
+    v = net.vertices
+    return [(v[tail], v[head]) for tail, head in net.arcs]
+
+
+def pair_ids(network, source, sink):
+    """``(compiled network, source id, sink id)``: the pair as
+    ``settle_pair`` and the passage search take it."""
+    net = network.compiled
+    return net, net.index[source], net.index[sink]
 
 
 def encoded(network, groups):
@@ -267,7 +280,7 @@ def cheapest_max_flow(network, source, sink, arc_cost):
     steps looked up on ``flows`` when called, so that a patch of either
     takes effect."""
     net = network.compiled
-    costs = [arc_cost.get(arc, 0) for arc in net.arcs]
+    costs = [arc_cost.get(arc, 0) for arc in token_arcs(net)]
     flow = [0] * len(net.arcs)
     s, t = net.index[source], net.index[sink]
     value, _ = flows._augment(net, net.capacities, flow, s, t)
@@ -349,7 +362,7 @@ def reference_min_cost_max_flow(network, source, sink, arc_cost):
     path, found by Bellman-Ford over the residual moves (forward at the
     arc's cost, backward at minus it), until none is left."""
     net = network.compiled
-    costs = [arc_cost.get(arc, 0) for arc in net.arcs]
+    costs = [arc_cost.get(arc, 0) for arc in token_arcs(net)]
     caps = net.capacities
     flow = [0] * len(net.arcs)
     s, t = net.index[source], net.index[sink]
@@ -387,7 +400,7 @@ def reference_min_cost_max_flow(network, source, sink, arc_cost):
             flow[arc] += d * bottleneck
         value += bottleneck
     cost = sum(c * f for c, f in zip(costs, flow))
-    support = {net.arcs[a]: f for a, f in enumerate(flow) if f}
+    support = {arc: f for arc, f in zip(token_arcs(net), flow) if f}
     return value, cost, Flow(source, sink, support)
 
 
@@ -397,7 +410,8 @@ def candidate_paths(network, source, sink):
     found = _path_candidates(
         net, net.index[source], net.index[sink], DEFAULT_NODE_BUDGET
     )
-    return [Path((source,) + tuple(net.arcs[a][1] for a in arcs)) for arcs in found]
+    heads = [head for _, head in token_arcs(net)]
+    return [Path((source,) + tuple(heads[a] for a in arcs)) for arcs in found]
 
 
 def maximum_sequences(network, source, sink):

@@ -39,3 +39,9 @@ def test_bench_singletons_seed_2_digest_matches():
     # the singleton path (the endpoint rule and the G - X capacities of the
     # restricted flow) is checked on a second seed's networks
     _check_digest("singletons", 2)
+
+
+def test_bench_selftest_seed_2_digest_matches():
+    # the oracle's arc ends, the cost vectors and the conversions to flows
+    # and sequences that cross_check runs on every pair, on a second seed
+    _check_digest("selftest", 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -329,9 +330,9 @@ def test_sums_match_explained_terms_on_figure_groups_sharing_a_vertex():
 def _record_settle_calls(monkeypatch):
     calls = []
 
-    def recorded(network, y, z, groups, **options):
-        calls.append((y, z))
-        return settle_pair(network, y, z, groups, **options)
+    def recorded(net, s, t, groups, **options):
+        calls.append((net.vertices[s], net.vertices[t]))
+        return settle_pair(net, s, t, groups, **options)
 
     monkeypatch.setattr(centrality, "settle_pair", recorded)
     return calls
@@ -428,7 +429,38 @@ def test_groups_are_encoded_once_per_call(monkeypatch):
 def test_groups_encoded_on_every_pair_are_caught(monkeypatch):
     # negative control: the groups encoded again for each pair settled
     _with_mutant(
-        monkeypatch, "y, z, encoded, passage", "y, z, encode_groups(net, groups), passage"
+        monkeypatch, "s, t, encoded, passage", "s, t, encode_groups(net, groups), passage"
     )
     with pytest.raises(AssertionError):
         _check_one_encoding_per_call(monkeypatch)
+
+
+def _record_index_lookups(monkeypatch, net):
+    """Swap the compiled network's token-to-id index for one that records
+    each token it looks up; return the list of those tokens."""
+    lookups = []
+
+    class RecordingIndex(dict):
+        def __getitem__(self, token):
+            lookups.append(token)
+            return super().__getitem__(token)
+
+    compiled = net.compiled
+    recording = dataclasses.replace(compiled, index=RecordingIndex(compiled.index))
+    monkeypatch.setitem(net.__dict__, "compiled", recording)
+    return lookups
+
+
+def test_solvers_read_no_vertex_index(monkeypatch):
+    # below the public functions every vertex is an id: centrality over
+    # every singleton looks up each member once, to encode the groups, and
+    # pair_report its source, its sink and its members, once each
+    net = seeded_network(9)
+    assert net.compiled.vertices is net.vertices
+    lookups = _record_index_lookups(monkeypatch, net)
+    centrality_report(net, [[v] for v in net.vertices])
+    assert lookups == list(net.vertices)
+    fig5 = figure_network("fig5")
+    lookups = _record_index_lookups(monkeypatch, fig5)
+    pair_report(fig5, "y", "z", {"x1", "x2"})
+    assert sorted(lookups) == ["x1", "x2", "y", "z"]

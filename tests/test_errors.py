@@ -3,12 +3,17 @@ import pytest
 from fullflow.centrality import centrality_report
 from fullflow.errors import FullFlowError, InvalidInputError
 from fullflow.figures import FIGURE_NAMES, figure_network
-from fullflow.flows import Flow, decompose, max_flow, validate_flow
+from fullflow.flows import Flow, decompose, flow_through, max_flow, validate_flow
 from fullflow.network import Network, build_network, vertex_group
-from fullflow.paths import Path, is_arc_disjoint, path_of
+from fullflow.paths import Path, is_arc_disjoint, passage_count, path_of
 from fullflow.quantities import forced_passage, pair_report, vitality_drop
 
 AB = build_network(["a", "b"], [("a", "b", 1)])
+
+
+def _fig1_flow():
+    return max_flow(figure_network("fig1"), "y", "z")[1]
+
 
 # (call, message): every bad input raises InvalidInputError with this text
 BAD_CALLS = {
@@ -123,6 +128,14 @@ BAD_CALLS = {
     "string group, centrality_report": (
         lambda: centrality_report(figure_network("fig1"), [["x"], "uv"]),
         "group 'uv' is a string, not a set of vertices",
+    ),
+    "string group, flow_through": (
+        lambda: flow_through(_fig1_flow(), "xv"),
+        "group 'xv' is a string, not a set of vertices",
+    ),
+    "string group, passage_count": (
+        lambda: passage_count(decompose(figure_network("fig1"), _fig1_flow()).paths, "xv"),
+        "group 'xv' is a string, not a set of vertices",
     ),
     "unknown figure": (
         lambda: figure_network("fig9"),

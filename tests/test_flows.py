@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 import pytest
 
 from fullflow import flows, quantities
-from fullflow.errors import InvalidInputError
+from fullflow.errors import InvalidInputError, InvariantViolationError
 from fullflow.figures import FIGURE_NAMES, fig2_stored_flow, figure_network
 from fullflow.flows import (
     Decomposition,
     Flow,
     _bfs_augmenting,
+    _decompose_ids,
     decompose,
     flow_through,
     flow_to_text,
@@ -34,12 +35,14 @@ from helpers import (
     find_augmenting_path,
     member_ids,
     oracle_max_flows,
+    pair_ids,
     random_flow,
     reference_decompose,
     reference_min_cost_max_flow,
     residual_reach,
     restrict,
     seeded_network,
+    token_arcs,
 )
 from strategies import networks, networks_with_endpoints, reduced_capacities
 
@@ -147,7 +150,7 @@ def _check_zero_flow_trees(net, members=()):
         assert tree.pop(s) is None
         for w, (v, arc, direction) in tree.items():
             assert direction == FORWARD and caps[arc] > 0
-            assert compiled.arcs[arc] == (token[v], token[w])
+            assert compiled.arcs[arc] == (v, w)
 
 
 def test_zero_flow_trees_on_fixed_networks():
@@ -306,6 +309,18 @@ def test_decompose_rejects_negative_value():
     assert flow_value(backwards) == -1
     with pytest.raises(InvalidInputError, match="negative value"):
         decompose(net, backwards)
+
+
+def test_stuck_decomposition_walk_names_its_vertex(fig1):
+    # one unit on y->v alone breaks conservation at v: the walk from y
+    # takes that arc and finds no positive out-arc at v (vertex id 1)
+    net = fig1.compiled
+    y, v, z = (net.index[x] for x in "yvz")
+    flow = [0] * len(net.arcs)
+    flow[net.arcs.index((y, v))] = 1
+    with pytest.raises(InvariantViolationError) as info:
+        _decompose_ids(net, flow, y, z, 1)
+    assert str(info.value) == "decomposition walk stuck at vertex 'v'"
 
 
 def test_recompose_known_decompositions(fig2):
@@ -541,11 +556,12 @@ def _check_least_throughput(n):
         value, cost, _ = reference_min_cost_max_flow(net, y, z, through)
         compiled = net.compiled
         total, canonical = max_flow(net, y, z)
-        arc_flow = [canonical.values.get(arc, 0) for arc in compiled.arcs]
+        arcs = token_arcs(compiled)
+        arc_flow = [canonical.values.get(arc, 0) for arc in arcs]
         ends = compiled.index[y], compiled.index[z]
         least = _least_throughput(compiled, arc_flow, *ends, member_ids(net, group), total)
         assert least == len(group & {y, z}) * value + cost
-        assert arc_flow == [canonical.values.get(arc, 0) for arc in compiled.arcs]
+        assert arc_flow == [canonical.values.get(arc, 0) for arc in arcs]
 
 
 @pytest.mark.parametrize("n", [9, 16, 24])
@@ -616,6 +632,6 @@ def test_banned_value_matches_restricted_network(n):
             y, z = rng.sample(tokens, 2)
             group = rng.sample(tokens, rng.randint(0, 4))
             total, _, [(drop, _)] = settle_pair(
-                net, y, z, encoded(net, [frozenset(group)]), passage=False
+                *pair_ids(net, y, z), encoded(net, [frozenset(group)]), passage=False
             )
             assert total - drop == max_flow(restrict(net, group), y, z)[0]

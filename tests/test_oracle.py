@@ -19,6 +19,7 @@ from helpers import (
     cancel_one_cycle,
     oracle_max_flows,
     record_augment_calls,
+    token_arcs,
 )
 
 
@@ -150,7 +151,7 @@ def test_cross_check_reports_are_deterministic():
 def _unpruned_max_flows(net):
     # every ordered pair's maximum assignments among the raw product of arc
     # values, indexed by arc id, each checked by validate_flow
-    arcs = net.compiled.arcs
+    arcs = token_arcs(net.compiled)
     ranges = [range(net.capacity(arc) + 1) for arc in arcs]
     assignments = list(itertools.product(*ranges))
     result = {}

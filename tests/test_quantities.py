@@ -46,9 +46,11 @@ from helpers import (
     member_ids,
     mutated,
     oracle_max_flows,
+    pair_ids,
     record_augment_calls,
     restrict,
     seeded_network,
+    token_arcs,
 )
 from strategies import (
     fig5_with_extra_arcs,
@@ -142,13 +144,14 @@ def _check_sequence_masks(net, y, z, groups):
     # read off both ends of the path's arcs, and its hits count the paths
     # meeting the group; without a group it yields every sequence
     compiled = net.compiled
+    arcs = token_arcs(compiled)
     value = max_flow(net, y, z)[0]
     sequences = 0
     for group in (None, *groups):
         for hits, paths, masks in _max_sequences(
-            net, y, z, value, DEFAULT_NODE_BUDGET, member_ids(net, group)
+            *pair_ids(net, y, z), value, DEFAULT_NODE_BUDGET, member_ids(net, group)
         ):
-            vertices = [{v for a in path for v in compiled.arcs[a]} for path in paths]
+            vertices = [{v for a in path for v in arcs[a]} for path in paths]
             assert masks == [sum(1 << compiled.index[v] for v in vs) for vs in vertices]
             assert hits == sum(1 for vs in vertices if group and vs & group)
             sequences += group is None
@@ -207,10 +210,10 @@ def _search_accounting(search, net):
     for y, z in ordered_pairs(net):
         value = max_flow(net, y, z)[0]
         for group in groups if value else ():
-            budget = 0
+            budget, ids = 0, member_ids(net, group)
             while True:
                 try:
-                    for _ in search(net, y, z, value, budget, member_ids(net, group)):
+                    for _ in search(*pair_ids(net, y, z), value, budget, ids):
                         pass
                 except BudgetExceededError as error:
                     partial, nodes = error.partial, error.nodes
@@ -408,15 +411,15 @@ def test_settle_pair_known_gaps(fig5, fig6):
     gap = frozenset({"x1", "x2"})
     for exact in (False, True):
         total, _, settled = settle_pair(
-            fig5, "y", "z", encoded(fig5, [gap]), passage=True, exact=exact
+            *pair_ids(fig5, "y", "z"), encoded(fig5, [gap]), passage=True, exact=exact
         )
         assert (total, settled) == (3, [(1, 2)])
         total, _, settled = settle_pair(
-            fig6, "y", "z", encoded(fig6, [gap]), passage=True, exact=exact
+            *pair_ids(fig6, "y", "z"), encoded(fig6, [gap]), passage=True, exact=exact
         )
         assert (total, settled) == (1, [(1, 1)])
     total, _, settled = settle_pair(
-        fig5, "y", "z", encoded(fig5, [gap]), passage=False
+        *pair_ids(fig5, "y", "z"), encoded(fig5, [gap]), passage=False
     )
     assert (total, settled) == (3, [(1, None)])
     assert forced_throughput(fig6, "y", "z", gap) == 2
@@ -441,31 +444,35 @@ def test_settle_pair_flow_bounds(monkeypatch, fig1, fig5):
         # the extension rule settles fig1 (y, x, {u, v}), through 4
         uv = frozenset({"u", "v"})
         _, _, settled = settle_pair(
-            fig1, "y", "x", encoded(fig1, [uv]), passage=True
+            *pair_ids(fig1, "y", "x"), encoded(fig1, [uv]), passage=True
         )
         assert settled == [(3, 3)]
         # and fig5 (y, z, {u2, x2}), through 2, from the restricted flow
         # warm-started when a second group shares the pair
         _, _, settled = settle_pair(
-            fig5, "y", "z", encoded(fig5, [u2_x2, frozenset({"y"})]), passage=True
+            *pair_ids(fig5, "y", "z"),
+            encoded(fig5, [u2_x2, frozenset({"y"})]),
+            passage=True,
         )
         assert settled == [(1, 1), (3, 3)]
         # but not from the cold one of a lone group
         with pytest.raises(AssertionError, match="_cancel_negative_cycles ran"):
-            settle_pair(fig5, "y", "z", encoded(fig5, [u2_x2]), passage=True)
+            settle_pair(*pair_ids(fig5, "y", "z"), encoded(fig5, [u2_x2]), passage=True)
         # nor (v05, v08, {v02, v03}), through 3, on the seeded n = 14
         # network, even warm-started
         with pytest.raises(AssertionError, match="_cancel_negative_cycles ran"):
-            settle_pair(n14, "v05", "v08", n14_groups, passage=True)
+            settle_pair(*pair_ids(n14, "v05", "v08"), n14_groups, passage=True)
     # which the entry bound settles
-    _, _, settled = settle_pair(fig5, "y", "z", encoded(fig5, [u2_x2]), passage=True)
+    _, _, settled = settle_pair(
+        *pair_ids(fig5, "y", "z"), encoded(fig5, [u2_x2]), passage=True
+    )
     assert settled == [(1, 1)]
-    _, _, settled = settle_pair(n14, "v05", "v08", n14_groups, passage=True)
+    _, _, settled = settle_pair(*pair_ids(n14, "v05", "v08"), n14_groups, passage=True)
     assert settled == [(1, 1), (3, 3)]
     # fig5's gap term passes both bounds on to the search
     with pytest.raises(AssertionError, match="_min_passage ran"):
         gap = encoded(fig5, [frozenset({"x1", "x2"})])
-        settle_pair(fig5, "y", "z", gap, passage=True)
+        settle_pair(*pair_ids(fig5, "y", "z"), gap, passage=True)
 
 
 def _record_restricted_flows(monkeypatch):
@@ -512,7 +519,9 @@ def test_warm_restricted_flow_matches_cold(n, monkeypatch):
         inner = [v for v in net.vertices if v not in (y, z)]
         groups = [frozenset(rng.sample(inner, size)) for size in (1, 1, 2, 3)]
         records.clear()
-        _, _, settled = settle_pair(net, y, z, encoded(net, groups), passage=False)
+        _, _, settled = settle_pair(
+            *pair_ids(net, y, z), encoded(net, groups), passage=False
+        )
         reached = [
             (group, drop)
             for group, (drop, _) in zip(groups, settled)
@@ -542,7 +551,7 @@ def test_lone_group_starts_cold(monkeypatch, fig1):
     # one group has no other group to share the decomposition with
     records = _record_restricted_flows(monkeypatch)
     x = encoded(fig1, [frozenset({"x"})])
-    _, _, [(drop, _)] = settle_pair(fig1, "y", "z", x, passage=False)
+    _, _, [(drop, _)] = settle_pair(*pair_ids(fig1, "y", "z"), x, passage=False)
     [(warm, kept_flow, _)] = records
     assert not any(warm) and sum(kept_flow) > 0
 
@@ -559,7 +568,9 @@ def test_warm_restricted_flow_matches_networkx(monkeypatch):
         y, z = rng.sample(net.vertices, 2)
         inner = [v for v in net.vertices if v not in (y, z)]
         groups = [frozenset(rng.sample(inner, size)) for size in (1, 2, 3)]
-        total, _, settled = settle_pair(net, y, z, encoded(net, groups), passage=False)
+        total, _, settled = settle_pair(
+            *pair_ids(net, y, z), encoded(net, groups), passage=False
+        )
         for group, (drop, _) in zip(groups, settled):
             graph = nx.DiGraph()
             graph.add_nodes_from(net.vertices)
@@ -595,7 +606,9 @@ def _check_cut_rule(monkeypatch, n, value=lambda net, y, z: max_flow(net, y, z)[
         inner = [v for v in net.vertices if v not in (y, z)]
         groups = [frozenset(rng.sample(inner, rng.randint(1, 3))) for _ in range(4)]
         records.clear()
-        _, _, settled = settle_pair(net, y, z, encoded(net, groups), passage=False)
+        _, _, settled = settle_pair(
+            *pair_ids(net, y, z), encoded(net, groups), passage=False
+        )
         flows_run += len(records)
         for group, (drop, passage) in zip(groups, settled):
             through = flow_through(f, group)
@@ -647,7 +660,7 @@ def test_through_and_cut_matches_definitions():
                 compiled.index[tail] in reached
                 and compiled.index[head] not in reached
                 and not {tail, head} & {y, z}
-                for tail, head in compiled.arcs
+                for tail, head in token_arcs(compiled)
             )
         ]
         pairs = random.Random(f"through-and-cut:{n}").sample(list(cuts), 2)
@@ -666,7 +679,7 @@ def test_through_and_cut_matches_definitions():
                         and head in group
                         and compiled.index[tail] in reached
                         and compiled.index[head] not in reached
-                        for tail, head in compiled.arcs
+                        for tail, head in token_arcs(compiled)
                     )
     assert crossing > 0
 
@@ -683,7 +696,7 @@ def test_cut_sum_over_every_cut_arc_is_caught(monkeypatch):
         return through, sum(
             cap
             for (tail, head), cap in zip(net.arcs, net.capacities)
-            if net.index[tail] in reached and net.index[head] not in reached
+            if tail in reached and head not in reached
         )
 
     monkeypatch.setattr(quantities, "_through_and_cut", every_cut_arc)
@@ -713,8 +726,8 @@ def _check_tree_start(net, search=_bfs_augmenting):
             if t not in tree:
                 assert total == 0
                 continue
-            result = settle_pair(net, y, z, groups, passage=True, tree=tree)
-            assert result == settle_pair(net, y, z, groups, passage=True)
+            result = settle_pair(*pair_ids(net, y, z), groups, passage=True, tree=tree)
+            assert result == settle_pair(*pair_ids(net, y, z), groups, passage=True)
             assert _as_flow(compiled, y, z, result[1]) == flow
 
 
@@ -772,10 +785,10 @@ def test_cut_rule_on_fig1(monkeypatch, fig1):
     calls.clear()
     bfs_calls.clear()
     x = encoded(fig1, [frozenset({"x"})])
-    assert settle_pair(fig1, "u", "z", x, passage=True)[2] == [(2, 2)]
+    assert settle_pair(*pair_ids(fig1, "u", "z"), x, passage=True)[2] == [(2, 2)]
     assert calls == [True] and len(bfs_calls) == canonical
     calls.clear()
-    assert settle_pair(fig1, "y", "z", x, passage=True)[2] == [(2, 2)]
+    assert settle_pair(*pair_ids(fig1, "y", "z"), x, passage=True)[2] == [(2, 2)]
     assert calls == [True, False]
 
 
@@ -813,7 +826,7 @@ def _check_settle_pair(net, y, z, max_group):
     ]
     for exact in (False, True):
         value, arc_flow, settled = settle_pair(
-            net, y, z, encoded(net, groups), passage=True, exact=exact
+            *pair_ids(net, y, z), encoded(net, groups), passage=True, exact=exact
         )
         assert value == total
         assert _as_flow(net.compiled, y, z, arc_flow) == flow
@@ -845,7 +858,7 @@ def test_loosened_extension_rule_is_caught(monkeypatch, fig5):
 
     monkeypatch.setattr(quantities, "_passage_at_drop", loosened)
     gap = encoded(fig5, [frozenset({"x1", "x2"})])
-    assert settle_pair(fig5, "y", "z", gap, passage=True)[2] == [(1, 1)]
+    assert settle_pair(*pair_ids(fig5, "y", "z"), gap, passage=True)[2] == [(1, 1)]
     with pytest.raises(AssertionError):
         _check_settle_pair(fig5, "y", "z", 2)
 
