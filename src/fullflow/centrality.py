@@ -25,10 +25,9 @@ capacities, one encoding per call (:func:`fullflow.quantities.encode_groups`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvariantViolationError
 from .flows import _bfs_augmenting
@@ -38,8 +37,7 @@ from .quantities import DEFAULT_NODE_BUDGET, encode_groups, render_group, settle
 _DECIMAL_PLACES = 6  # the decimal columns of a CLI record
 
 
-@dataclass(frozen=True)
-class PairTerm:
+class PairTerm(NamedTuple):
     """One pair's contribution, kept for --explain output."""
 
     source: VertexId
@@ -49,8 +47,7 @@ class PairTerm:
     forced_passage: int | None
 
 
-@dataclass(frozen=True)
-class CentralityReport:
+class CentralityReport(NamedTuple):
     """A group's exact vitality and betweenness; pair terms with ``explain``."""
 
     group: frozenset

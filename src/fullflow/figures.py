@@ -9,8 +9,7 @@ counts, pair quantities and a stored flow whose decompositions are known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
+from typing import NamedTuple
 
 from .centrality import full_flow_betweenness, full_flow_vitality
 from .errors import InvalidInputError
@@ -31,6 +30,8 @@ FIGURE_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
 
 
 def _data_text(name: str) -> str:
+    from importlib import resources  # slow to import; only the fixtures need it
+
     return resources.files("fullflow").joinpath(f"data/{name}").read_text("utf-8")
 
 
@@ -55,8 +56,7 @@ def fig2_stored_flow() -> Flow:
     })
 
 
-@dataclass(frozen=True)
-class FigureCheck:
+class FigureCheck(NamedTuple):
     """One documented fixture assertion: ``detail`` gives both values."""
 
     figure: str

@@ -40,16 +40,14 @@ cancelled (``_cancel_negative_cycles``).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidInputError, InvariantViolationError
-from .network import Arc, CompiledNetwork, Network, VertexId, as_group
+from .network import Arc, CompiledNetwork, Network, VertexId, _Value, as_group
 from .paths import BACKWARD, FORWARD, ArcDisjointSequence, Cycle, Path
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(_Value):
     """Sparse arc assignment with designated endpoints.
 
     Zero entries are normalized away on construction, so two flows are
@@ -58,17 +56,13 @@ class Flow:
     :func:`validate_flow`, not here.
     """
 
-    source: VertexId
-    sink: VertexId
-    values: dict[Arc, int]
+    _fields = ("source", "sink", "values")
 
-    def __post_init__(self):
-        if self.source == self.sink:
-            raise InvalidInputError(
-                f"source and sink must differ, both are {self.source!r}"
-            )
+    def __init__(self, source: VertexId, sink: VertexId, values: dict[Arc, int]):
+        if source == sink:
+            raise InvalidInputError(f"source and sink must differ, both are {source!r}")
         cleaned: dict[Arc, int] = {}
-        for arc, val in self.values.items():
+        for arc, val in values.items():
             if not (isinstance(arc, tuple) and len(arc) == 2):
                 raise InvalidInputError(f"flow arc {arc!r} is not a (tail, head) pair")
             tail, head = arc
@@ -80,6 +74,8 @@ class Flow:
                 raise InvalidInputError(f"negative flow {val} on arc {arc!r}")
             if val > 0:
                 cleaned[(tail, head)] = val
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "sink", sink)
         object.__setattr__(self, "values", cleaned)
 
 
@@ -315,8 +311,7 @@ def max_flow(network: Network, source: VertexId, sink: VertexId) -> tuple[int, F
     return value, _as_flow(net, source, sink, flow)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A flow written as source->sink paths plus cycles, summing back exactly."""
 
     paths: ArcDisjointSequence

@@ -25,8 +25,8 @@ positive-capacity arc.  Parse errors report the offending line number.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -79,8 +79,42 @@ def _check_arc(arc: Arc, cap, known) -> None:
         raise InvalidInputError(f"negative capacity {cap} on arc {arc!r}")
 
 
-@dataclass(frozen=True)
-class CompiledNetwork:
+class _Value:
+    """Base of the package's immutable value types.  Each names its fields
+    in ``_fields`` and sets them once in ``__init__``, by ``_set`` or, where
+    many are built, by ``object.__setattr__``; equality (same class, equal
+    fields), hashing and the ``Name(field=...)`` repr read them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._key = property(attrgetter(*cls._fields))  # the fields, read in C
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CompiledNetwork(_Value):
     """Integer-indexed form of a network, built once per network: the one
     form the solvers run on.  Vertex ``i`` is ``vertices[i]``, in canonical
     order, and ``index`` maps each vertex to ``i``: the only two maps
@@ -94,15 +128,13 @@ class CompiledNetwork:
     per-vertex arc index, read by every solver.
     """
 
-    vertices: tuple[VertexId, ...]
-    index: dict[VertexId, int]
-    arcs: tuple[tuple[int, int], ...]
-    capacities: tuple[int, ...]
-    neighbors: tuple[tuple[tuple[int, int, int], ...], ...]
+    __slots__ = _fields = ("vertices", "index", "arcs", "capacities", "neighbors")
+
+    def __init__(self, vertices, index, arcs, capacities, neighbors):
+        self._set(vertices, index, arcs, capacities, neighbors)
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(_Value):
     """Immutable capacitated complete digraph.
 
     ``vertices`` is kept sorted; ``capacities`` is a read-only mapping from
@@ -110,18 +142,17 @@ class Network:
     construction), so the compiled form built from them once stays valid.
     """
 
-    vertices: tuple[VertexId, ...]
-    capacities: Mapping[Arc, int]
+    _fields = ("vertices", "capacities")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", _check_vertices(self.vertices))
-        known = set(self.vertices)
+    def __init__(self, vertices: Iterable[VertexId], capacities: Mapping[Arc, int]):
+        vertices = _check_vertices(vertices)
+        known = set(vertices)
         cleaned: dict[Arc, int] = {}
-        for arc, cap in self.capacities.items():
+        for arc, cap in capacities.items():
             _check_arc(arc, cap, known)
             if cap > 0:
                 cleaned[tuple(arc)] = cap
-        object.__setattr__(self, "capacities", MappingProxyType(cleaned))
+        self._set(vertices, MappingProxyType(cleaned))
 
     def capacity(self, arc: Arc) -> int:
         """Capacity of ``arc``; 0 for any pair without a stored entry."""

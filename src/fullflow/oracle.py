@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import random
 from contextlib import suppress
-from dataclasses import dataclass, field
 from itertools import permutations
 from math import prod
 from typing import Callable, Sequence
 
 from .errors import BudgetExceededError, InvalidSpecError
 from .flows import _as_flow, decompose, recompose, validate_flow
-from .network import Network, VertexId
+from .network import Network, VertexId, _Value
 from .paths import is_arc_disjoint
 from .quantities import (
     DEFAULT_NODE_BUDGET,
@@ -44,31 +43,31 @@ _RANDOM_GROUPS = 2  # sampled groups per instance besides the empty and whole se
 _TOKEN_POOL = ("a", "b", "c", "d", "e", "f")
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
+class InstanceSpec(_Value):
     """Deterministic recipe for one random network."""
 
-    vertex_count: int
-    max_capacity: int
-    arc_probability: float
-    seed: int
+    _fields = ("vertex_count", "max_capacity", "arc_probability", "seed")
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
+    def __init__(
+        self, vertex_count: int, max_capacity: int, arc_probability: float, seed: int
+    ):
+        values = (vertex_count, max_capacity, arc_probability, seed)
+        for name, value in zip(self._fields, values):
             kind = "a number" if name == "arc_probability" else "an integer"
             types = (int, float) if kind == "a number" else int
             if isinstance(value, bool) or not isinstance(value, types):
                 raise InvalidSpecError(name, f"{value!r} is not {kind}")
-        if not 2 <= self.vertex_count <= 6:
-            raise InvalidSpecError("vertex_count", f"{self.vertex_count} outside 2..6")
-        if not 0 <= self.max_capacity <= 3:
-            raise InvalidSpecError("max_capacity", f"{self.max_capacity} outside 0..3")
-        if not 0 <= self.arc_probability <= 1:
+        if not 2 <= vertex_count <= 6:
+            raise InvalidSpecError("vertex_count", f"{vertex_count} outside 2..6")
+        if not 0 <= max_capacity <= 3:
+            raise InvalidSpecError("max_capacity", f"{max_capacity} outside 0..3")
+        if not 0 <= arc_probability <= 1:
             raise InvalidSpecError(
-                "arc_probability", f"{self.arc_probability} outside [0, 1]"
+                "arc_probability", f"{arc_probability} outside [0, 1]"
             )
-        if not 0 <= self.seed < 2**64:
-            raise InvalidSpecError("seed", f"{self.seed} not a 64-bit integer")
+        if not 0 <= seed < 2**64:
+            raise InvalidSpecError("seed", f"{seed} not a 64-bit integer")
+        self._set(*values)
 
 
 def generate(spec: InstanceSpec) -> Network:
@@ -168,17 +167,26 @@ def brute_force_flows(
     }
 
 
-@dataclass
 class CrossCheckReport:
-    """Outcome of a batch run; violations are verbatim, not raised."""
+    """A batch run's outcome, counted as it runs; violations verbatim, not raised."""
 
-    generator: str
-    instances: int
-    pairs_checked: int = 0
-    assertions: int = 0
-    oracle_skips: int = 0
-    enumeration_skips: int = 0
-    violations: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        generator: str,
+        instances: int,
+        pairs_checked: int = 0,
+        assertions: int = 0,
+        oracle_skips: int = 0,
+        enumeration_skips: int = 0,
+        violations: list[str] | None = None,
+    ):
+        self.generator = generator
+        self.instances = instances
+        self.pairs_checked = pairs_checked
+        self.assertions = assertions
+        self.oracle_skips = oracle_skips
+        self.enumeration_skips = enumeration_skips
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

@@ -16,29 +16,33 @@ come in at use sites (:func:`is_arc_disjoint`).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
-from .network import Arc, Network, VertexId, as_group
+from .network import Arc, Network, VertexId, _Value, as_group
 
 FORWARD = 1
 BACKWARD = -1
 
 
-@dataclass(frozen=True, order=True)
-class Path:
-    """Forward walk through distinct vertices (at least two)."""
+@total_ordering
+class Path(_Value):
+    """Forward walk through distinct vertices (at least two), ordered by them."""
 
-    vertices: tuple[VertexId, ...]
+    _fields = ("vertices",)
 
-    def __post_init__(self):
-        if len(self.vertices) < 2:
+    def __init__(self, vertices: tuple[VertexId, ...]):
+        if len(vertices) < 2:
             raise InvalidInputError("a path needs at least 2 vertices")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise InvalidInputError(
-                f"repeated vertex in path {'-'.join(self.vertices)}"
-            )
+        if len(set(vertices)) != len(vertices):
+            raise InvalidInputError(f"repeated vertex in path {'-'.join(vertices)}")
+        object.__setattr__(self, "vertices", vertices)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices < other.vertices
 
     @property
     def source(self) -> VertexId:
@@ -62,26 +66,24 @@ def path_of(*tokens: VertexId) -> Path:
     return Path(tuple(tokens))
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(_Value):
     """Forward closed walk: first vertex repeated at the end, rest distinct.
 
     Directed 2-cycles are allowed: ``(b, d, b)`` uses the two distinct arcs
     (b, d) and (d, b).
     """
 
-    vertices: tuple[VertexId, ...]
+    _fields = ("vertices",)
 
-    def __post_init__(self):
-        if len(self.vertices) < 3:
+    def __init__(self, vertices: tuple[VertexId, ...]):
+        if len(vertices) < 3:
             raise InvalidInputError("a cycle needs at least 2 distinct vertices")
-        if self.vertices[0] != self.vertices[-1]:
+        if vertices[0] != vertices[-1]:
             raise InvalidInputError("a cycle must end where it starts")
-        body = self.vertices[:-1]
+        body = vertices[:-1]
         if len(set(body)) != len(body):
-            raise InvalidInputError(
-                f"repeated vertex in cycle {'-'.join(self.vertices)}"
-            )
+            raise InvalidInputError(f"repeated vertex in cycle {'-'.join(vertices)}")
+        object.__setattr__(self, "vertices", vertices)
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
@@ -103,8 +105,7 @@ def cycle_of(*tokens: VertexId) -> Cycle:
     return Cycle(tuple(tokens))
 
 
-@dataclass(frozen=True)
-class ArcDisjointSequence:
+class ArcDisjointSequence(_Value):
     """Ordered multiset of source->sink paths, compared modulo reordering.
 
     May be empty, in which case the endpoints still identify the pair it
@@ -112,20 +113,15 @@ class ArcDisjointSequence:
     :func:`is_arc_disjoint`.
     """
 
-    paths: tuple[Path, ...]
-    source: VertexId
-    sink: VertexId
+    _fields = ("paths", "source", "sink")
 
-    def __post_init__(self):
-        if self.source == self.sink:
-            raise InvalidInputError(
-                f"source and sink must differ, both are {self.source!r}"
-            )
-        for p in self.paths:
-            if p.source != self.source or p.sink != self.sink:
-                raise InvalidInputError(
-                    f"path {p} does not run {self.source!r}->{self.sink!r}"
-                )
+    def __init__(self, paths: tuple[Path, ...], source: VertexId, sink: VertexId):
+        if source == sink:
+            raise InvalidInputError(f"source and sink must differ, both are {source!r}")
+        for p in paths:
+            if p.source != source or p.sink != sink:
+                raise InvalidInputError(f"path {p} does not run {source!r}->{sink!r}")
+        self._set(paths, source, sink)
 
     def __len__(self) -> int:
         return len(self.paths)

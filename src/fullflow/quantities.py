@@ -32,9 +32,8 @@ approximating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, InvariantViolationError
 from .flows import (
@@ -440,8 +439,8 @@ def forced_throughput(
     if not group:
         return 0
     net = network.compiled
+    [(ids, _)] = encode_groups(net, [group])
     total, flow, _ = settle_pair(net, s, t, [], passage=False)
-    ids = frozenset(map(net.index.__getitem__, group))
     return _least_throughput(net, flow, s, t, ids, total)
 
 
@@ -473,8 +472,7 @@ def _least_throughput(
     return ends
 
 
-@dataclass(frozen=True)
-class PairQuantities:
+class PairQuantities(NamedTuple):
     """Everything this package can say about one (source, sink, group) triple.
 
     ``witness`` is a canonical sequence attaining the forced passage; it is

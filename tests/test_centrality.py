@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -19,8 +18,13 @@ from fullflow.centrality import (
 from fullflow.errors import InvalidInputError
 from fullflow.figures import figure_network
 from fullflow.flows import _bfs_augmenting, max_flow
-from fullflow.network import ordered_pairs
-from fullflow.quantities import _zeroed_caps, pair_report, settle_pair
+from fullflow.network import CompiledNetwork, ordered_pairs
+from fullflow.quantities import (
+    _zeroed_caps,
+    forced_throughput,
+    pair_report,
+    settle_pair,
+)
 
 from helpers import mutated, record_augment_calls, restrict, seeded_network
 from strategies import fig5_with_extra_arcs, networks
@@ -446,7 +450,13 @@ def _record_index_lookups(monkeypatch, net):
             return super().__getitem__(token)
 
     compiled = net.compiled
-    recording = dataclasses.replace(compiled, index=RecordingIndex(compiled.index))
+    recording = CompiledNetwork(
+        vertices=compiled.vertices,
+        index=RecordingIndex(compiled.index),
+        arcs=compiled.arcs,
+        capacities=compiled.capacities,
+        neighbors=compiled.neighbors,
+    )
     monkeypatch.setitem(net.__dict__, "compiled", recording)
     return lookups
 
@@ -454,7 +464,8 @@ def _record_index_lookups(monkeypatch, net):
 def test_solvers_read_no_vertex_index(monkeypatch):
     # below the public functions every vertex is an id: centrality over
     # every singleton looks up each member once, to encode the groups, and
-    # pair_report its source, its sink and its members, once each
+    # pair_report and forced_throughput their source, their sink and their
+    # members, once each
     net = seeded_network(9)
     assert net.compiled.vertices is net.vertices
     lookups = _record_index_lookups(monkeypatch, net)
@@ -463,4 +474,7 @@ def test_solvers_read_no_vertex_index(monkeypatch):
     fig5 = figure_network("fig5")
     lookups = _record_index_lookups(monkeypatch, fig5)
     pair_report(fig5, "y", "z", {"x1", "x2"})
+    assert sorted(lookups) == ["x1", "x2", "y", "z"]
+    lookups.clear()
+    forced_throughput(fig5, "y", "z", {"x1", "x2"})
     assert sorted(lookups) == ["x1", "x2", "y", "z"]

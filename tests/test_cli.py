@@ -336,6 +336,24 @@ def test_output_stable_under_hash_randomization(fig5_file):
     assert run("1") == run("2")
 
 
+def test_cli_import_loads_no_slow_modules():
+    # every CLI call pays the package import, which loads neither
+    # dataclasses (and inspect through it) nor importlib.resources, which
+    # only the fixture loader reads; -S leaves site's imports out and -B
+    # writes no bytecode into the checkout
+    code = (
+        f"import sys; sys.path.insert(0, {str(REPO / 'src')!r}); "
+        "before = set(sys.modules); import fullflow, fullflow.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    added = subprocess.run(
+        [sys.executable, "-B", "-S", "-c", code],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "fullflow.cli" in added
+    assert not {"dataclasses", "inspect", "importlib.resources"}.intersection(added)
+
+
 def _fixture_sweep(data):
     """Every argv of the fixture sweep, over the network files in ``data``."""
     sweep = []
