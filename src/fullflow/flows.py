@@ -33,8 +33,11 @@ one tree per source gives ``centrality`` what the source reaches and
 every sink's first augmenting path.  A max flow restricted to part of the
 network is the same loop under a capacity vector with the excluded arcs
 at zero.  The forced throughput (in ``quantities``) is a cost of the
-pair's own max flow, least once its negative-cost residual cycles are
-cancelled (``_cancel_negative_cycles``).
+pair's own max flow.  The min cut that flow leaves, the keys of one more
+search tree from the source, bounds it from below and settles most
+throughputs; only where the flow costs more than the bound are its
+negative-cost residual cycles cancelled (``_cancel_negative_cycles``),
+which leaves it least.
 """
 
 from __future__ import annotations

@@ -223,9 +223,10 @@ def cross_check(
     chain drop <= passage <= min(throughput, max flow), all three equal
     for a singleton; and the oracle's least throughput equals the forced
     throughput.  One oracle walk and one :func:`encode_groups` per instance
-    serve every pair: :func:`settle_pair` and the throughput take the
-    encoding, and its member ids score a pair's groups against the vertex
-    masks of its enumerated paths, as the enumeration yields them (see
+    serve every pair: :func:`settle_pair` and the throughput, once per
+    pair, take the encoding, and its member ids, as one vertex mask per
+    group, score a pair's groups against the vertex masks of its
+    enumerated paths, as the enumeration yields them (see
     :func:`passage_count`), and its validated oracle flows as per-vertex
     outflows, the value at the endpoints (see :func:`flow_through`).  The
     passages checked against them come from :func:`settle_pair`, whose
@@ -254,6 +255,8 @@ def cross_check(
         distinct = list(dict.fromkeys(groups))
         compiled = net.compiled
         encoded = encode_groups(compiled, distinct)
+        # each distinct group's member ids and vertex mask, bit i for id i
+        scored = [(ids, sum(1 << i for i in ids)) for ids, _ in encoded]
         try:
             oracle = brute_force_flows(net, assignment_budget=assignment_budget)
         except BudgetExceededError:
@@ -317,14 +320,11 @@ def cross_check(
                     out = [sum(map(a.__getitem__, arcs)) for arcs in out_arcs]
                     out[s] = out[t] = out[s] - sum(map(a.__getitem__, into_s))
                     outflows.append(out)
-            terms = {}  # a distinct group's member ids, drop, passage and throughput
-            for g, (ids, _), term in zip(distinct, encoded, settled):
-                least = _least_throughput(compiled, arc_flow, s, t, ids, value)
-                terms[g] = (ids, *term, least)
+            least = _least_throughput(compiled, arc_flow, s, t, encoded, value)
+            terms = dict(zip(distinct, zip(scored, settled, least)))
             for group in groups:
-                members, drop, passage, throughput = terms[group]
+                (members, bits), (drop, passage), throughput = terms[group]
                 if sequences is not None:
-                    bits = sum(1 << i for i in members)
                     enum = min(sum(1 for m in masks if m & bits) for masks in sequences)
                     check(
                         drop <= enum == passage <= min(throughput, value)

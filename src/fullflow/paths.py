@@ -121,7 +121,9 @@ class ArcDisjointSequence(_Value):
         for p in paths:
             if p.source != source or p.sink != sink:
                 raise InvalidInputError(f"path {p} does not run {source!r}->{sink!r}")
-        self._set(paths, source, sink)
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "sink", sink)
 
     def __len__(self) -> int:
         return len(self.paths)

@@ -40,6 +40,7 @@ from .flows import (
     Flow,
     _as_flow,
     _augment,
+    _bfs_augmenting,
     _cancel_negative_cycles,
     _check_endpoints,
     _decompose_ids,
@@ -439,9 +440,8 @@ def forced_throughput(
     if not group:
         return 0
     net = network.compiled
-    [(ids, _)] = encode_groups(net, [group])
     total, flow, _ = settle_pair(net, s, t, [], passage=False)
-    return _least_throughput(net, flow, s, t, ids, total)
+    return _least_throughput(net, flow, s, t, encode_groups(net, [group]), total)[0]
 
 
 def _least_throughput(
@@ -449,27 +449,54 @@ def _least_throughput(
     flow: Sequence[int],
     s: int,
     t: int,
-    members: frozenset[int],
+    groups: Sequence[tuple[frozenset[int], tuple[int, ...]]],
     value: int,
-) -> int:
-    """Forced throughput of the vertex ids ``members`` at the pair (s, t),
-    from its maximum flow ``flow``, by arc id and left as it is, and its value.
+) -> list[int]:
+    """Forced throughput of each group of :func:`encode_groups` at the pair
+    of ids (s, t), from its maximum flow ``flow``, by arc id and left as it
+    is, and its value.
 
     A flow's throughput is its value once per endpoint in the group plus
-    its flow out of the other members: a cost, unit on their out-arcs,
-    least once the negative cycles of ``flow`` are cancelled.  With no flow
-    out of them the cost is 0, least already, and no cost vector is built.
+    its flow out of the interior members I, the others: a cost, unit on
+    their out-arcs.  With no flow out of I the cost is 0, least already.
+    Otherwise the min cut bounds it from below.  Let S be the source side
+    of the min cut that ``flow``, as it is maximum, leaves: the keys of
+    the search tree from ``s``, built at most once per pair.  Every
+    maximum flow fills the arcs from S to the rest and sends nothing back
+    (Ford and Fulkerson, 1956).  So a member in S sends out at least the
+    capacity of its arcs leaving S, and a member outside S, which passes
+    on all that enters it, at least the capacity of its arcs entering from
+    S; an arc between two members counts at both ends.  When ``flow``
+    costs that bound, it is least.  Only where it costs more are its
+    negative cycles cancelled, under a cost vector built for the group.
     """
-    interior = members - {s, t}
-    ends = (len(members) - len(interior)) * value
-    for x in interior:
-        for _, a, _ in net.neighbors[x]:
-            if a >= 0 and flow[a]:
+    caps = net.capacities
+    reached = None  # S, once a group has flow out of its interior
+    found = []
+    for members, _ in groups:
+        interior = members - {s, t}
+        cost = bound = 0
+        for x in interior:
+            for _, a, _ in net.neighbors[x]:
+                if a >= 0:
+                    cost += flow[a]
+        if cost:
+            if reached is None:
+                reached = _bfs_augmenting(net, caps, flow, s, t)
+            for x in interior:
+                inside = x in reached
+                for w, out_arc, in_arc in net.neighbors[x]:
+                    if inside and out_arc >= 0 and w not in reached:
+                        bound += caps[out_arc]
+                    elif not inside and in_arc >= 0 and w in reached:
+                        bound += caps[in_arc]
+            if cost > bound:
                 costs = [int(tail in interior) for tail, _ in net.arcs]
-                flow = list(flow)
-                _cancel_negative_cycles(net, flow, costs)
-                return sum(map(mul, costs, flow)) + ends
-    return ends
+                cheapest = list(flow)
+                _cancel_negative_cycles(net, cheapest, costs)
+                cost = sum(map(mul, costs, cheapest))
+        found.append(cost + (len(members) - len(interior)) * value)
+    return found
 
 
 class PairQuantities(NamedTuple):
@@ -541,7 +568,7 @@ def pair_report(
     if exact or len(group) > 1:
         passage, paths = _min_passage(net, s, t, ids, node_budget, total, drop)
         witness = _sequence(net, source, sink, paths)
-    throughput = _least_throughput(net, flow, s, t, ids, total)
+    [throughput] = _least_throughput(net, flow, s, t, encoded, total)
     if not (0 <= drop <= passage <= min(throughput, total)):
         raise InvariantViolationError(
             f"pair quantity chain violated for ({source!r}, {sink!r}, "

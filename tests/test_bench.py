@@ -45,3 +45,9 @@ def test_bench_selftest_seed_2_digest_matches():
     # the oracle's arc ends, the cost vectors and the conversions to flows
     # and sequences that cross_check runs on every pair, on a second seed
     _check_digest("selftest", 2)
+
+
+def test_bench_selftest_seed_4_digest_matches():
+    # the throughputs the min cut settles and those it leaves to cycle
+    # cancelling, on a seed held out from the work counts of seed 1
+    _check_digest("selftest", 4)

@@ -453,7 +453,8 @@ def test_selftest_violation_exits_4(capsys, monkeypatch):
 
     real = oracle._least_throughput
     monkeypatch.setattr(
-        "fullflow.oracle._least_throughput", lambda *a, **k: real(*a, **k) + 1
+        "fullflow.oracle._least_throughput",
+        lambda *a, **k: [least + 1 for least in real(*a, **k)],
     )
     assert main(["selftest", "--instances", "3"]) == 4
     lines = capsys.readouterr().out.splitlines()

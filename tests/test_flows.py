@@ -23,7 +23,7 @@ from fullflow.flows import (
 )
 from fullflow.network import build_network, ordered_pairs
 from fullflow.paths import BACKWARD, FORWARD, ArcDisjointSequence, path_of
-from fullflow.quantities import _least_throughput, _zeroed_caps, settle_pair
+from fullflow.quantities import _zeroed_caps, settle_pair
 from helpers import (
     GeneralizedPath,
     ResidualView,
@@ -33,7 +33,7 @@ from helpers import (
     cheapest_max_flow,
     encoded,
     find_augmenting_path,
-    member_ids,
+    mutated,
     oracle_max_flows,
     pair_ids,
     random_flow,
@@ -559,7 +559,9 @@ def _check_least_throughput(n):
         arcs = token_arcs(compiled)
         arc_flow = [canonical.values.get(arc, 0) for arc in arcs]
         ends = compiled.index[y], compiled.index[z]
-        least = _least_throughput(compiled, arc_flow, *ends, member_ids(net, group), total)
+        [least] = quantities._least_throughput(
+            compiled, arc_flow, *ends, encoded(net, [group]), total
+        )
         assert least == len(group & {y, z}) * value + cost
         assert arc_flow == [canonical.values.get(arc, 0) for arc in arcs]
 
@@ -596,6 +598,27 @@ def test_cancelling_one_cycle_is_caught(monkeypatch):
         with pytest.raises(AssertionError):
             for n in (9, 16, 24):
                 check(n)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # a sink-side member's in-arcs from any vertex, not only from the
+        # source side, of which a maximum flow need not fill all
+        ("elif not inside and in_arc >= 0 and w in reached:",
+         "elif not inside and in_arc >= 0:"),
+        # a flow one unit above the bound taken as least
+        ("if cost > bound:", "if cost > bound + 1:"),
+    ],
+)
+def test_loose_min_cut_bound_is_caught(monkeypatch, old, new):
+    # negative control: a bound above the least throughput settles flows
+    # that cost more than the reference's
+    mutant = mutated(quantities._least_throughput, old, new)
+    monkeypatch.setattr(quantities, "_least_throughput", mutant)
+    with pytest.raises(AssertionError):
+        for n in (9, 16, 24):
+            _check_least_throughput(n)
 
 
 @settings(max_examples=30)

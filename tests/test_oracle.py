@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from fullflow import oracle, quantities
+from fullflow import flows, oracle, quantities
 from fullflow.errors import BudgetExceededError, InvalidSpecError
 from fullflow.flows import _as_flow, flow_value, max_flow, validate_flow
 from fullflow.network import ordered_pairs
@@ -233,13 +233,65 @@ def test_cross_check_solves_each_distinct_group_once(monkeypatch):
     calls = []
 
     def counted(*args):
-        calls.append(args)
+        calls.extend(args[4])
         return _least_throughput(*args)
 
     monkeypatch.setattr(oracle, "_least_throughput", counted)
     report = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=200)
     assert report.ok
     assert len(calls) == 1138
+
+
+def _check_cancellations(monkeypatch, least=None):
+    # the min cut settles most throughputs of the pinned batch: of the
+    # 1,138 distinct groups over its 140 pairs, 421 have flow out of their
+    # interior, and 137 of those cancel cycles.  The min cut's search tree
+    # is built at most once per pair.  ``least`` is built after the
+    # counters are in place, as a mutant copies the module's names
+    cancelled, trees = [], []
+
+    def cancel(*args):
+        cancelled.append(args)
+        return flows._cancel_negative_cycles(*args)
+
+    def tree(*args):
+        trees.append(args)
+        return flows._bfs_augmenting(*args)
+
+    monkeypatch.setattr(quantities, "_cancel_negative_cycles", cancel)
+    monkeypatch.setattr(quantities, "_bfs_augmenting", tree)
+    least = quantities._least_throughput if least is None else least()
+
+    def per_pair(*args):
+        trees.clear()
+        found = least(*args)
+        assert len(trees) <= 1
+        return found
+
+    monkeypatch.setattr(oracle, "_least_throughput", per_pair)
+    report = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=200)
+    assert report.ok
+    assert len(cancelled) == 137
+
+
+def test_min_cut_settles_most_throughputs(monkeypatch):
+    _check_cancellations(monkeypatch)
+
+
+def test_min_cut_of_the_zero_flow_is_caught(monkeypatch):
+    # negative control: all the source reaches at zero flow (the search
+    # with the sink at the source) gives the bound 0, which is sound but
+    # settles nothing, so all 421 groups with flow out of their interior
+    # cancel, as without the bound
+    def least():
+        return mutated(
+            quantities._least_throughput,
+            "_bfs_augmenting(net, caps, flow, s, t)",
+            "_bfs_augmenting(net, caps, [0] * len(flow), s, s)",
+        )
+
+    with pytest.raises(AssertionError):
+        _check_cancellations(monkeypatch, least)
 
 
 def test_skipped_cancelling_breaks_cross_check(monkeypatch):
