@@ -2,10 +2,11 @@
 
 A flow assigns a nonnegative integer to every arc, within capacity, with
 conservation at every vertex other than the designated source and sink.
-This module validates flows, measures their value and their throughput at
-vertex groups, computes maximum flows, cancels the negative-cost residual
-cycles of a maximum flow, and decomposes a flow into source-sink paths
-plus cycles (and recomposes it exactly).
+This module validates flows on arc ids (``_flow_violation``, which
+``validate_flow`` runs on a :class:`Flow`), measures their value, computes
+maximum flows, cancels the negative-cost residual cycles of a maximum
+flow, and decomposes a flow into source-sink paths plus cycles (and
+recomposes it exactly).
 
 All search orders follow the canonical lexicographic vertex order, so
 every result here is a pure, deterministic function of its inputs:
@@ -46,7 +47,7 @@ from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidInputError, InvariantViolationError
-from .network import Arc, CompiledNetwork, Network, VertexId, _Value, as_group
+from .network import Arc, CompiledNetwork, Network, VertexId, _Value
 from .paths import BACKWARD, FORWARD, ArcDisjointSequence, Cycle, Path
 
 
@@ -89,26 +90,6 @@ def flow_value(flow: Flow) -> int:
     return out - back
 
 
-def flow_through(flow: Flow, members: Iterable[VertexId]) -> int:
-    """Total flow passing through the group.
-
-    Counts the out-sum at each interior group member and the flow value at
-    the source or sink if they belong to the group, not a string
-    (:func:`as_group`); validation against a network is :func:`vertex_group`.
-    """
-    group = as_group(members)
-    total = 0
-    value = None
-    for x in group:
-        if x in (flow.source, flow.sink):
-            if value is None:
-                value = flow_value(flow)
-            total += value
-        else:
-            total += sum(v for (t, _h), v in flow.values.items() if t == x)
-    return total
-
-
 def _check_endpoints(network: Network, source: VertexId, sink: VertexId):
     """Raise unless ``source`` and ``sink`` are distinct vertices of
     ``network``; return their ids, which a public function maps here once."""
@@ -124,28 +105,45 @@ def _check_endpoints(network: Network, source: VertexId, sink: VertexId):
 def validate_flow(network: Network, flow: Flow) -> str | None:
     """Check compatibility on every arc and conservation at interior vertices.
 
-    Returns None when the flow is valid, otherwise a message naming the
-    first arc over capacity in canonical order, else the first vertex whose
-    inflow and outflow, summed in one pass over the arcs, differ.  Unknown
-    vertices raise InvalidInputError, naming the first in order of ``str``.
+    The flow is mapped to arc ids once and checked by :func:`_flow_violation`;
+    a pair that is no arc of the network has capacity 0.  Unknown vertices
+    raise InvalidInputError, naming the first in order of ``str``.
     """
-    _check_endpoints(network, flow.source, flow.sink)
-    index = network.compiled.index
+    s, t = _check_endpoints(network, flow.source, flow.sink)
+    net = network.compiled
+    index = net.index
     unknown = {v for arc in flow.values for v in arc if v not in index}
     if unknown:
         vertex = min(unknown, key=str)
         raise InvalidInputError(f"unknown vertex {vertex!r} in flow support")
-    over = [arc for arc, val in flow.values.items() if val > network.capacity(arc)]
+    ids = {(index[tail], index[head]): val for (tail, head), val in flow.values.items()}
+    arc_flow = [ids.pop(arc, 0) for arc in net.arcs]
+    return _flow_violation(net, arc_flow, s, t, ids.items())
+
+
+def _flow_violation(
+    net: CompiledNetwork, flow: Sequence[int], source: int, sink: int, outside=()
+) -> str | None:
+    """Check a flow indexed by arc id of ``net``: None when it is valid,
+    otherwise a message naming the first arc over capacity in canonical
+    order, else the first vertex other than ``source`` and ``sink`` whose
+    inflow and outflow, summed in one pass over the arcs, differ.
+
+    The one validator in the package.  ``outside`` holds the flow on pairs
+    that are no arc of ``net``, as ``((tail id, head id), value)``.
+    """
+    arcs, caps, v = net.arcs, net.capacities, net.vertices
+    over = [(arc, val, cap) for arc, val, cap in zip(arcs, flow, caps) if val > cap]
+    over += [(arc, val, 0) for arc, val in outside]
     if over:
-        arc = min(over)
-        cap = network.capacity(arc)
-        return f"flow {flow.values[arc]} exceeds capacity {cap} on arc {arc!r}"
-    into, out = [0] * len(index), [0] * len(index)
-    for (tail, head), val in flow.values.items():
-        out[index[tail]] += val
-        into[index[head]] += val
-    for x, i in index.items():
-        if into[i] != out[i] and x not in (flow.source, flow.sink):
+        (tail, head), val, cap = min(over)
+        return f"flow {val} exceeds capacity {cap} on arc {(v[tail], v[head])!r}"
+    into, out = [0] * len(v), [0] * len(v)
+    for (tail, head), val in zip(arcs, flow):
+        out[tail] += val
+        into[head] += val
+    for i, x in enumerate(v):
+        if into[i] != out[i] and i != source and i != sink:
             return f"conservation fails at vertex {x!r}: in {into[i]}, out {out[i]}"
     return None
 

@@ -288,10 +288,3 @@ def load_network(path, *, max_capacity: int | None = None) -> Network:
     """Read and parse a network file."""
     with open(path, "r", encoding="utf-8") as handle:
         return parse_network(handle.read(), max_capacity=max_capacity)
-
-
-def ordered_pairs(network: Network) -> list[tuple[VertexId, VertexId]]:
-    """All ordered pairs of distinct vertices, in canonical order."""
-    return [
-        (y, z) for y in network.vertices for z in network.vertices if y != z
-    ]

@@ -9,10 +9,13 @@ flow of any pair lies below it.
 
 Instance generation is reproducible: a spec fixes the vertex count,
 capacity bound, arc probability and seed, and the same spec always yields
-the same network.  ``cross_check`` runs a batch of specs against the
-solvers, scoring a pair's groups, by the member ids of one encoding per
-instance, against vertex masks of its enumerated paths and outflow vectors
-of its oracle flows, and reports violations verbatim instead of raising.
+the same network.  ``cross_check``, which the ``selftest`` subcommand
+runs, checks a batch of specs against the solvers, on the vertex and arc
+ids they computed with: each pair's maximum flow splits into value-many
+arc-disjoint paths plus cycles, the oracle's maximum flows are valid and
+of the same value, and each group's drop, passage and throughput agree
+with the enumerated sequences and the oracle.  Violations are reported
+verbatim instead of raised.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ import random
 from contextlib import suppress
 from itertools import permutations
 from math import prod
+from operator import le
 from typing import Callable, Sequence
 
 from .errors import BudgetExceededError, InvalidSpecError
-from .flows import _as_flow, decompose, recompose, validate_flow
+from .flows import _as_flow, _decompose_ids, _flow_violation
 from .network import Network, VertexId, _Value
-from .paths import is_arc_disjoint
 from .quantities import (
     DEFAULT_NODE_BUDGET,
     _least_throughput,
@@ -214,24 +217,25 @@ def cross_check(
 ) -> CrossCheckReport:
     """Verify the solvers against first principles on every batch instance.
 
-    Per instance and ordered pair: the decomposition round-trips and its
-    paths are arc-disjoint with length equal to the flow value; when the
-    assignment space fits the budget, the oracle's maximum flows are valid
-    and of the solver's value.  Then, for every singleton and sampled
-    group, the minimum passage over the complete enumeration equals the
-    passage :func:`settle_pair` gives (without ``exact``) and lies in the
-    chain drop <= passage <= min(throughput, max flow), all three equal
-    for a singleton; and the oracle's least throughput equals the forced
-    throughput.  One oracle walk and one :func:`encode_groups` per instance
-    serve every pair: :func:`settle_pair` and the throughput, once per
-    pair, take the encoding, and its member ids, as one vertex mask per
-    group, score a pair's groups against the vertex masks of its
-    enumerated paths, as the enumeration yields them (see
-    :func:`passage_count`), and its validated oracle flows as per-vertex
-    outflows, the value at the endpoints (see :func:`flow_through`).  The
-    passages checked against them come from :func:`settle_pair`, whose
-    rules 1 to 7 read no mask.  An enumeration or assignment space over
-    budget is skipped and counted per pair, never silently dropped.
+    All checks run on vertex and arc ids, on what the solvers computed; a
+    :class:`Flow` is built only for a violation's message.  Per instance
+    and ordered pair: :func:`_decompose_ids` splits the pair's maximum
+    flow into paths and cycles whose arc counts sum back to it, value-many
+    paths, with no arc used beyond its capacity (so the paths are
+    arc-disjoint); when the assignment space fits the budget, the oracle's
+    maximum flows pass :func:`_flow_violation` and have the solver's value.
+    Then, for every singleton and sampled group, the minimum passage over
+    the complete enumeration equals the passage :func:`settle_pair` gives
+    (without ``exact``) and lies in the chain drop <= passage <=
+    min(throughput, max flow), all three equal for a singleton; and the
+    oracle's least throughput equals the forced throughput.  One oracle
+    walk and one :func:`encode_groups` per instance serve every pair.  A
+    group is scored by its vertex mask against the masks of the enumerated
+    paths, and by its member ids against the oracle flows' outflows per
+    vertex, the value at the endpoints.  The passages checked against them
+    come from :func:`settle_pair`, whose rules 1 to 7 read no mask.  An
+    enumeration or assignment space over budget is skipped and counted per
+    pair, never silently dropped.
     """
     report = CrossCheckReport(generator=GENERATOR_ID, instances=len(batch))
 
@@ -261,7 +265,7 @@ def cross_check(
             oracle = brute_force_flows(net, assignment_budget=assignment_budget)
         except BudgetExceededError:
             oracle = None
-        moves = compiled.neighbors
+        moves, caps = compiled.neighbors, compiled.capacities
         out_arcs = [[a for _, a, _ in around if a >= 0] for around in moves]
         for (s, y), (t, z) in permutations(enumerate(net.vertices), 2):
             where = f"{label} pair ({y},{z})"
@@ -283,19 +287,23 @@ def cross_check(
                     sequences = [masks for _, _, masks in found]
             if sequences is None:
                 report.enumeration_skips += 1
-            flow = _as_flow(compiled, y, z, arc_flow)
-            dec = decompose(net, flow)
+            paths, cycles = _decompose_ids(compiled, arc_flow, s, t, value)
+            # each arc's uses over the paths and cycles: the flow they recompose
+            used = [0] * len(caps)
+            for walk in paths + cycles:
+                for a in walk:
+                    used[a] += 1
             check(
-                recompose(dec) == flow,
+                used == arc_flow,
                 lambda: f"{where}: decomposition does not recompose to the flow",
             )
             check(
-                len(dec.paths) == value,
-                lambda: f"{where}: decomposition has {len(dec.paths)} paths, "
+                len(paths) == value,
+                lambda: f"{where}: decomposition has {len(paths)} paths, "
                 f"value {value}",
             )
             check(
-                is_arc_disjoint(net, dec.paths.paths),
+                all(map(le, used, caps)),
                 lambda: f"{where}: decomposition paths not arc-disjoint",
             )
             outflows = None
@@ -307,11 +315,13 @@ def cross_check(
                     oracle_value == value,
                     lambda: f"{where}: oracle max {oracle_value}, solver max {value}",
                 )
-                flows = (_as_flow(compiled, y, z, a) for a in assignments)
-                bad = next((f for f in flows if validate_flow(net, f)), None)
+                bad = next(
+                    (a for a in assignments if _flow_violation(compiled, a, s, t)), None
+                )
                 check(
                     bad is None,
-                    lambda: f"{where}: oracle produced an invalid maximum flow {bad}",
+                    lambda: f"{where}: oracle produced an invalid maximum flow "
+                    f"{_as_flow(compiled, y, z, bad)}",
                 )
                 # a vertex's share of a throughput: its outflow, or the value
                 into_s = [a for _, _, a in moves[s] if a >= 0]

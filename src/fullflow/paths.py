@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import total_ordering
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidInputError
-from .network import Arc, Network, VertexId, _Value, as_group
+from .network import Arc, Network, VertexId, _Value
 
 FORWARD = 1
 BACKWARD = -1
@@ -152,11 +152,3 @@ def is_arc_disjoint(network: Network, paths: Sequence[Path]) -> bool:
     for p in paths:
         counts.update(p.arcs)
     return all(count <= network.capacity(arc) for arc, count in counts.items())
-
-
-def passage_count(seq: ArcDisjointSequence, members: Iterable[VertexId]) -> int:
-    """Number of components meeting the group; invariant under reordering."""
-    group = as_group(members)
-    if not group:
-        return 0
-    return sum(1 for p in seq.paths if any(v in group for v in p.vertices))

@@ -254,8 +254,8 @@ def settle_pair(
        passage = max_flow; see ``centrality`` for groups meeting every path.
     3. The cut rule: let S be the source side of the min cut where the
        last search of ``f`` failed, and C_X the capacity of the arcs from
-       S to the rest that touch X.  If C_X equals ``through =
-       flow_through(f, X)`` (always so when through is 0), drop = passage
+       S to the rest that touch X.  If C_X equals ``through``, the flow
+       of ``f`` through X (always so when through is 0), drop = passage
        = through, with no restricted flow.  C_X <= through, as ``f`` fills
        those arcs and each unit on them passes through X; and the
        restricted flow is at most ``max_flow - C_X``, what the cut keeps
@@ -263,7 +263,7 @@ def settle_pair(
     4. Otherwise the drop comes from one more max flow ``g``, with the
        arcs touching X at zero capacity.  When several groups share the
        pair, ``g`` is warm-started from the unit paths of ``f`` that
-       avoid X, which carry at least ``max_flow - flow_through(f, X)``,
+       avoid X, which carry at least ``max_flow - through``,
        so at most ``through - drop`` augmentations remain.  ``f`` is
        decomposed, its cycles dropped, at most once per pair: for the
        first group that reaches ``g`` with a positive bound (``through <

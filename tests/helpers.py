@@ -1,16 +1,18 @@
 """Builders and paper definitions shared between test modules (not
 hypothesis strategies).
 
-The definitions -- restriction, boundary arcs, set capacity, generalized
-paths and the augmenting path, the signed arc function and what is built
-from it, the oracle throughput and the enumerated passage -- are written
-as the paper states them, with no shortcut, so that tests can check the
-library against them; ``cut_capacity_touching`` is the cut rule's C_X
-on vertex tokens, over the vertices ``residual_reach`` finds.
+The definitions -- the ordered pairs, the flow through a group and the
+passage count of a sequence, restriction, boundary arcs, set capacity,
+generalized paths and the augmenting path, the signed arc function and
+what is built from it, the oracle throughput and the enumerated passage
+-- are written as the paper states them, with no shortcut, so that tests
+can check the library against them; ``cut_capacity_touching`` is the cut
+rule's C_X on vertex tokens, over the vertices ``residual_reach`` finds.
 ``reference_decompose`` is the canonical decomposition walk on vertex
-tokens, the reference for the library's walk on arc ids.  ``reference_min_cost_max_flow`` is the successive shortest
-path solver, the reference for the library's negative-cycle canceller,
-which ``cheapest_max_flow`` runs on the canonical max flow.
+tokens, the reference for the library's walk on arc ids.
+``reference_min_cost_max_flow`` is the successive shortest path solver,
+the reference for the library's negative-cycle canceller, which
+``cheapest_max_flow`` runs on the canonical max flow.
 """
 
 import inspect
@@ -26,12 +28,11 @@ from fullflow.flows import (
     Flow,
     _augment,
     _bfs_augmenting,
-    flow_through,
     flow_value,
     max_flow,
     validate_flow,
 )
-from fullflow.network import Arc, Network, VertexId, vertex_group
+from fullflow.network import Arc, Network, VertexId, as_group, vertex_group
 from fullflow.oracle import brute_force_flows
 from fullflow.paths import (
     BACKWARD,
@@ -40,7 +41,6 @@ from fullflow.paths import (
     Cycle,
     Path,
     is_arc_disjoint,
-    passage_count,
 )
 from fullflow.quantities import (
     DEFAULT_NODE_BUDGET,
@@ -48,6 +48,31 @@ from fullflow.quantities import (
     encode_groups,
     enumerate_max_sequences,
 )
+
+
+def ordered_pairs(network):
+    """All ordered pairs of distinct vertices, in canonical order."""
+    return [(y, z) for y in network.vertices for z in network.vertices if y != z]
+
+
+def flow_through(flow, members):
+    """Total flow passing through the group: the out-sum at each interior
+    member, and the flow value at the source or sink if they belong to it.
+    ``members`` may not be a string (``as_group``)."""
+    total = 0
+    for x in as_group(members):
+        if x in (flow.source, flow.sink):
+            total += flow_value(flow)
+        else:
+            total += sum(v for (t, _h), v in flow.values.items() if t == x)
+    return total
+
+
+def passage_count(seq, members):
+    """Number of components of the sequence meeting the group; invariant
+    under reordering.  ``members`` may not be a string (``as_group``)."""
+    group = as_group(members)
+    return sum(1 for p in seq.paths if any(v in group for v in p.vertices))
 
 
 def restrict(network, members):

@@ -19,22 +19,15 @@ from fullflow.flows import (
     recompose,
     validate_flow,
 )
-from fullflow.network import ordered_pairs
 from fullflow.oracle import InstanceSpec, cross_check, generate
-from fullflow.paths import (
-    ArcDisjointSequence,
-    cycle_of,
-    is_arc_disjoint,
-    passage_count,
-    path_of,
-)
+from fullflow.paths import ArcDisjointSequence, cycle_of, is_arc_disjoint, path_of
 from fullflow.quantities import (
     enumerate_max_sequences,
     forced_passage,
     forced_throughput,
     vitality_drop,
 )
-from helpers import capacity_of_set, random_flow
+from helpers import capacity_of_set, ordered_pairs, passage_count, random_flow
 
 BATCH_SIZE = 500
 ASSIGNMENT_BUDGET = 50_000

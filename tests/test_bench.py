@@ -51,3 +51,9 @@ def test_bench_selftest_seed_4_digest_matches():
     # the throughputs the min cut settles and those it leaves to cycle
     # cancelling, on a seed held out from the work counts of seed 1
     _check_digest("selftest", 4)
+
+
+def test_bench_selftest_seed_7_digest_matches():
+    # the checks cross_check makes on arc ids, on the seed held out from
+    # the timings of seed 1
+    _check_digest("selftest", 7)

@@ -18,7 +18,7 @@ from fullflow.centrality import (
 from fullflow.errors import InvalidInputError
 from fullflow.figures import figure_network
 from fullflow.flows import _bfs_augmenting, max_flow
-from fullflow.network import CompiledNetwork, ordered_pairs
+from fullflow.network import CompiledNetwork
 from fullflow.quantities import (
     _zeroed_caps,
     forced_throughput,
@@ -26,7 +26,13 @@ from fullflow.quantities import (
     settle_pair,
 )
 
-from helpers import mutated, record_augment_calls, restrict, seeded_network
+from helpers import (
+    mutated,
+    ordered_pairs,
+    record_augment_calls,
+    restrict,
+    seeded_network,
+)
 from strategies import fig5_with_extra_arcs, networks
 
 

@@ -3,10 +3,12 @@ import pytest
 from fullflow.centrality import centrality_report
 from fullflow.errors import FullFlowError, InvalidInputError
 from fullflow.figures import FIGURE_NAMES, figure_network
-from fullflow.flows import Flow, decompose, flow_through, max_flow, validate_flow
+from fullflow.flows import Flow, decompose, max_flow, validate_flow
 from fullflow.network import Network, build_network, vertex_group
-from fullflow.paths import Path, is_arc_disjoint, passage_count, path_of
+from fullflow.paths import Path, is_arc_disjoint, path_of
 from fullflow.quantities import forced_passage, pair_report, vitality_drop
+
+from helpers import flow_through, passage_count
 
 AB = build_network(["a", "b"], [("a", "b", 1)])
 

@@ -14,14 +14,13 @@ from fullflow.flows import (
     _bfs_augmenting,
     _decompose_ids,
     decompose,
-    flow_through,
     flow_to_text,
     flow_value,
     max_flow,
     recompose,
     validate_flow,
 )
-from fullflow.network import build_network, ordered_pairs
+from fullflow.network import build_network
 from fullflow.paths import BACKWARD, FORWARD, ArcDisjointSequence, path_of
 from fullflow.quantities import _zeroed_caps, settle_pair
 from helpers import (
@@ -33,8 +32,10 @@ from helpers import (
     cheapest_max_flow,
     encoded,
     find_augmenting_path,
+    flow_through,
     mutated,
     oracle_max_flows,
+    ordered_pairs,
     pair_ids,
     random_flow,
     reference_decompose,
@@ -87,6 +88,35 @@ def test_validate_reports_conservation_violation(fig1):
 )
 def test_validate_reports_the_first_violation_in_canonical_order(fig1, values, message):
     assert validate_flow(fig1, Flow("y", "z", values)) == message
+
+
+def _check_one_validator(arc_check):
+    # validate_flow maps a token Flow to arc ids once and says what the
+    # arc-id check says of them, on random assignments (many over capacity
+    # or unbalanced) between random endpoints
+    @settings(max_examples=100, deadline=None)
+    @given(networks_with_endpoints(), st.data())
+    def agree(case, data):
+        net, y, z = case
+        compiled = net.compiled
+        arc_flow = [data.draw(st.integers(0, cap + 1)) for cap in compiled.capacities]
+        s, t = compiled.index[y], compiled.index[z]
+        message = validate_flow(net, flows._as_flow(compiled, y, z, arc_flow))
+        assert message == arc_check(compiled, arc_flow, s, t)
+
+    agree()
+
+
+def test_validate_flow_says_what_the_arc_id_check_says():
+    _check_one_validator(flows._flow_violation)
+
+
+def test_conservation_checked_at_the_sink_is_caught():
+    # negative control: an arc-id check that also balances the sink
+    # rejects every valid flow of positive value
+    mutant = mutated(flows._flow_violation, "i != source and i != sink", "i != source")
+    with pytest.raises(AssertionError):
+        _check_one_validator(mutant)
 
 
 def test_flow_rejects_negative_and_same_endpoints():
@@ -446,6 +476,20 @@ def test_decompose_matches_token_walk():
     for y, z in ordered_pairs(net):
         _, f = max_flow(net, y, z)
         assert decompose(net, f) == reference_decompose(net, f)
+
+
+def test_decompositions_without_their_cycles_are_caught(monkeypatch):
+    # negative control: cross_check cannot see a walk that drops its
+    # cycles, as none of the maximum flows it decomposes has one; the
+    # seeded flows with cycles of the test above do
+    walk = flows._decompose_ids
+
+    def without_cycles(*args):
+        return walk(*args)[0], []
+
+    monkeypatch.setattr(flows, "_decompose_ids", without_cycles)
+    with pytest.raises(AssertionError):
+        test_decompose_matches_token_walk()
 
 
 @settings(max_examples=40)

@@ -6,10 +6,9 @@ from math import prod
 
 import pytest
 
-from fullflow import flows, oracle, quantities
+from fullflow import flows, oracle, paths, quantities
 from fullflow.errors import BudgetExceededError, InvalidSpecError
 from fullflow.flows import _as_flow, flow_value, max_flow, validate_flow
-from fullflow.network import ordered_pairs
 from fullflow.oracle import InstanceSpec, brute_force_flows, cross_check, generate
 from fullflow.quantities import _least_throughput, encode_groups
 
@@ -20,6 +19,7 @@ from helpers import (
     oracle_max_flows,
     record_augment_calls,
     token_arcs,
+    ordered_pairs,
 )
 
 
@@ -240,6 +240,82 @@ def test_cross_check_solves_each_distinct_group_once(monkeypatch):
     report = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=200)
     assert report.ok
     assert len(calls) == 1138
+
+
+def test_cross_check_builds_no_flow_on_a_clean_pass(monkeypatch):
+    # the checks run on the arc-id flows the solvers and the oracle give: no
+    # Flow is built and no token wrapper runs.  A round trip through them
+    # builds 416 Flows on this batch and makes 140 calls each to decompose,
+    # recompose and is_arc_disjoint and 276 to validate_flow
+    built, called = [], []
+    init = flows.Flow.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(flows.Flow, "__init__", counted_init)
+    for module, name in ((flows, "decompose"), (flows, "recompose"),
+                         (flows, "validate_flow"), (paths, "is_arc_disjoint")):
+        def counted(*args, _function=getattr(module, name), _name=name):
+            called.append(_name)
+            return _function(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(oracle, name, counted, raising=False)
+    report = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=200)
+    assert report.ok
+    assert report.assertions == 2221
+    assert built == []
+    assert called == []
+
+
+def _first_path_repeats_its_last_arc(*args):
+    found, cycles = flows._decompose_ids(*args)
+    if found:
+        found[0] = found[0] + found[0][-1:]
+    return found, cycles
+
+
+def _one_path_too_many(*args):
+    found, cycles = flows._decompose_ids(*args)
+    return found + found[:1], cycles
+
+
+@pytest.mark.parametrize(
+    "mutant, violations",
+    [(_first_path_repeats_its_last_arc, 214), (_one_path_too_many, 351)],
+)
+def test_miscounted_decompositions_are_caught(monkeypatch, mutant, violations):
+    # negative controls on the 117 pairs of positive value: a first path
+    # with its last arc twice does not recompose to the flow, and overloads
+    # that arc on 97 pairs; a first path twice does not recompose either,
+    # overloads its arcs and makes the count differ from the value
+    monkeypatch.setattr(oracle, "_decompose_ids", mutant)
+    report = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=200)
+    assert len(report.violations) == violations
+    assert all("decomposition" in violation for violation in report.violations)
+    assert sum("does not recompose" in v for v in report.violations) == 117
+
+
+def test_invalid_oracle_flows_are_caught(monkeypatch):
+    # negative control: one unit more on every arc leaves an invalid oracle
+    # flow on 57 of the 60 pairs the oracle checks; the message shows the
+    # first one as a Flow, built only then
+    def more_on_every_arc(*args, **kwargs):
+        return {
+            pair: (value, [tuple(x + 1 for x in a) for a in assignments])
+            for pair, (value, assignments) in brute_force_flows(*args, **kwargs).items()
+        }
+
+    monkeypatch.setattr(oracle, "brute_force_flows", more_on_every_arc)
+    report = cross_check(PINNED_BATCH, assignment_budget=5000, node_budget=200)
+    invalid = [v for v in report.violations if "invalid maximum flow" in v]
+    assert len(invalid) == 57
+    assert invalid[0] == (
+        "instance 0 (n=2 cap<=2 p=0.5 seed=300) pair (b,a): oracle produced an "
+        "invalid maximum flow Flow(source='b', sink='a', values={('b', 'a'): 2})"
+    )
 
 
 def _check_cancellations(monkeypatch, least=None):

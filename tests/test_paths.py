@@ -13,11 +13,10 @@ from fullflow.paths import (
     ArcDisjointSequence,
     cycle_of,
     is_arc_disjoint,
-    passage_count,
     path_of,
 )
 
-from helpers import GeneralizedPath, candidate_paths, chi, induced_flow
+from helpers import GeneralizedPath, candidate_paths, chi, induced_flow, passage_count
 from strategies import networks_with_endpoints
 
 

@@ -15,13 +15,12 @@ from fullflow.flows import (
     _augment,
     _bfs_augmenting,
     decompose,
-    flow_through,
     flow_value,
     max_flow,
     validate_flow,
 )
-from fullflow.network import Network, build_network, ordered_pairs
-from fullflow.paths import ArcDisjointSequence, passage_count
+from fullflow.network import Network, build_network
+from fullflow.paths import ArcDisjointSequence
 from fullflow.quantities import (
     DEFAULT_NODE_BUDGET,
     _max_sequences,
@@ -41,12 +40,15 @@ from helpers import (
     cut_capacity_touching,
     encoded,
     enumerated_passage,
+    flow_through,
     induced_flow,
     maximum_sequences,
     member_ids,
     mutated,
     oracle_max_flows,
+    ordered_pairs,
     pair_ids,
+    passage_count,
     record_augment_calls,
     restrict,
     seeded_network,
