@@ -120,7 +120,7 @@ def _group_sums(
             if t == s or t not in tree:
                 continue
             if t in bypass:
-                total, _, settled = settle_pair(
+                total, _, _, settled = settle_pair(
                     net, s, t, encoded, passage=passage, exact=exact,
                     node_budget=node_budget, tree=tree,
                 )

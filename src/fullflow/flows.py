@@ -27,18 +27,16 @@ neighbors it shares an arc with, in either direction): tokens come back
 only in ``_sequence``, ``_as_flow`` and ``decompose``.  They run through
 one augment loop (``_augment``) over the trees of a breadth-first search
 (``_bfs_augmenting``).  Each tree maps the vertices it reached to their
-parent links, so its keys are what the source reaches: the source side
-of the min cut once the sink is missing, from which ``settle_pair``
-proves some drops.  At zero flow the links do not depend on the sink, so
-one tree per source gives ``centrality`` what the source reaches and
-every sink's first augmenting path.  A max flow restricted to part of the
-network is the same loop under a capacity vector with the excluded arcs
-at zero.  The forced throughput (in ``quantities``) is a cost of the
-pair's own max flow.  The min cut that flow leaves, the keys of one more
-search tree from the source, bounds it from below and settles most
-throughputs; only where the flow costs more than the bound are its
-negative-cost residual cycles cancelled (``_cancel_negative_cycles``),
-which leaves it least.
+parent links, so its keys are what the source reaches.  At zero flow the
+links do not depend on the sink, so one tree per source gives
+``centrality`` what the source reaches and every sink's first augmenting
+path.  A max flow restricted to part of the network is the same loop
+under a capacity vector with the excluded arcs at zero.  The keys of the
+tree a pair's max flow ends on are the source side of a min cut, from
+which ``settle_pair`` proves some drops and ``quantities`` bounds the
+forced throughput, a cost of that flow, from below.  Only where the flow
+costs more than the bound are its negative-cost residual cycles
+cancelled (``_cancel_negative_cycles``), which leaves it least.
 """
 
 from __future__ import annotations
@@ -109,6 +107,11 @@ def validate_flow(network: Network, flow: Flow) -> str | None:
     a pair that is no arc of the network has capacity 0.  Unknown vertices
     raise InvalidInputError, naming the first in order of ``str``.
     """
+    return _flow_violation(*_arc_ids(network, flow))
+
+
+def _arc_ids(network: Network, flow: Flow):
+    """The arguments of :func:`_flow_violation` for ``flow``, on ids."""
     s, t = _check_endpoints(network, flow.source, flow.sink)
     net = network.compiled
     index = net.index
@@ -118,7 +121,7 @@ def validate_flow(network: Network, flow: Flow) -> str | None:
         raise InvalidInputError(f"unknown vertex {vertex!r} in flow support")
     ids = {(index[tail], index[head]): val for (tail, head), val in flow.values.items()}
     arc_flow = [ids.pop(arc, 0) for arc in net.arcs]
-    return _flow_violation(net, arc_flow, s, t, ids.items())
+    return net, arc_flow, s, t, ids.items()
 
 
 def _flow_violation(
@@ -379,7 +382,8 @@ def decompose(network: Network, flow: Flow) -> Decomposition:
     :class:`Path` and :class:`Cycle` (rotated to its least vertex).
     Raises InvalidInputError when the flow does not validate.
     """
-    violation = validate_flow(network, flow)
+    net, arc_flow, s, t, outside = _arc_ids(network, flow)
+    violation = _flow_violation(net, arc_flow, s, t, outside)
     if violation is not None:
         raise InvalidInputError(violation)
     value = flow_value(flow)
@@ -390,10 +394,7 @@ def decompose(network: Network, flow: Flow) -> Decomposition:
             f"flow has negative value {value}; cannot decompose into "
             f"{flow.source!r}->{flow.sink!r} paths"
         )
-    net = network.compiled
-    v, arcs, get = net.vertices, net.arcs, flow.values.get
-    s, t = net.index[flow.source], net.index[flow.sink]
-    arc_flow = [get((v[tail], v[head]), 0) for tail, head in arcs]
+    v, arcs = net.vertices, net.arcs
     paths, cycles = _decompose_ids(net, arc_flow, s, t, value)
     return Decomposition(
         _sequence(net, flow.source, flow.sink, paths),

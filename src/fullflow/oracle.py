@@ -173,23 +173,12 @@ def brute_force_flows(
 class CrossCheckReport:
     """A batch run's outcome, counted as it runs; violations verbatim, not raised."""
 
-    def __init__(
-        self,
-        generator: str,
-        instances: int,
-        pairs_checked: int = 0,
-        assertions: int = 0,
-        oracle_skips: int = 0,
-        enumeration_skips: int = 0,
-        violations: list[str] | None = None,
-    ):
+    def __init__(self, generator: str, instances: int):
         self.generator = generator
         self.instances = instances
-        self.pairs_checked = pairs_checked
-        self.assertions = assertions
-        self.oracle_skips = oracle_skips
-        self.enumeration_skips = enumeration_skips
-        self.violations = [] if violations is None else violations
+        self.pairs_checked = self.assertions = 0
+        self.oracle_skips = self.enumeration_skips = 0
+        self.violations: list[str] = []
 
     @property
     def ok(self) -> bool:
@@ -272,13 +261,13 @@ def cross_check(
             report.pairs_checked += 1
             sequences = None
             try:
-                value, arc_flow, settled = settle_pair(
+                value, arc_flow, reached, settled = settle_pair(
                     compiled, s, t, encoded, passage=True, node_budget=node_budget
                 )
             except BudgetExceededError:
                 # the passage search visits a subset of the enumeration's
                 # nodes, so the enumeration would run out of budget too
-                value, arc_flow, settled = settle_pair(
+                value, arc_flow, reached, settled = settle_pair(
                     compiled, s, t, encoded, passage=False, node_budget=node_budget
                 )
             else:
@@ -330,7 +319,7 @@ def cross_check(
                     out = [sum(map(a.__getitem__, arcs)) for arcs in out_arcs]
                     out[s] = out[t] = out[s] - sum(map(a.__getitem__, into_s))
                     outflows.append(out)
-            least = _least_throughput(compiled, arc_flow, s, t, encoded, value)
+            least = _least_throughput(compiled, arc_flow, reached, s, t, encoded, value)
             terms = dict(zip(distinct, zip(scored, settled, least)))
             for group in groups:
                 (members, bits), (drop, passage), throughput = terms[group]

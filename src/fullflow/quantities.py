@@ -40,7 +40,6 @@ from .flows import (
     Flow,
     _as_flow,
     _augment,
-    _bfs_augmenting,
     _cancel_negative_cycles,
     _check_endpoints,
     _decompose_ids,
@@ -74,7 +73,7 @@ def _settle_group(
     if not group:
         return 0, 0
     net = network.compiled
-    return settle_pair(net, s, t, encode_groups(net, [group]), **options)[2][0]
+    return settle_pair(net, s, t, encode_groups(net, [group]), **options)[3][0]
 
 
 def _path_candidates(
@@ -240,26 +239,29 @@ def settle_pair(
     exact: bool = False,
     node_budget: int = DEFAULT_NODE_BUDGET,
     tree: dict | None = None,
-) -> tuple[int, list[int], list[tuple[int, int | None]]]:
+) -> tuple[int, list[int], dict, list[tuple[int, int | None]]]:
     """The max flow value of the pair of vertex ids ``(s, t)``, its canonical
-    maximum flow ``f`` and one ``(drop, passage)`` per group.
+    maximum flow ``f``, the search tree ``f`` ends on and one ``(drop,
+    passage)`` per group.
 
     ``f`` is the flow :func:`max_flow` returns, indexed by arc id of
-    ``net``.  Every group shares it.  The chain
+    ``net``.  The tree misses ``t``, so its keys are the source side S of
+    a min cut, which rule 3 and :func:`_least_throughput` read.  Every
+    group shares both.  The chain
     ``0 <= drop <= passage <= min(throughput, max_flow)`` then settles a
     group X by the first rule that applies:
 
     1. ``max_flow == 0``: drop = passage = 0.
     2. ``s`` or ``t`` is in X: every path meets X, so drop =
        passage = max_flow; see ``centrality`` for groups meeting every path.
-    3. The cut rule: let S be the source side of the min cut where the
-       last search of ``f`` failed, and C_X the capacity of the arcs from
-       S to the rest that touch X.  If C_X equals ``through``, the flow
-       of ``f`` through X (always so when through is 0), drop = passage
-       = through, with no restricted flow.  C_X <= through, as ``f`` fills
-       those arcs and each unit on them passes through X; and the
-       restricted flow is at most ``max_flow - C_X``, what the cut keeps
-       in G - X: so C_X <= drop <= through, and rule 4's squeeze follows.
+    3. The cut rule: let C_X be the capacity of the arcs from S to the
+       rest that touch X (:func:`_through_and_cut`).  If C_X equals
+       ``through``, the flow of ``f`` through X (always so when through is
+       0), drop = passage = through, with no restricted flow.  C_X <=
+       through, as ``f`` fills those arcs and each unit on them passes
+       through X; and the restricted flow is at most ``max_flow - C_X``,
+       what the cut keeps in G - X: so C_X <= drop <= through, and rule
+       4's squeeze follows.
     4. Otherwise the drop comes from one more max flow ``g``, with the
        arcs touching X at zero capacity.  When several groups share the
        pair, ``g`` is warm-started from the unit paths of ``f`` that
@@ -304,7 +306,7 @@ def settle_pair(
     flow = [0] * len(net.arcs)
     total, reached = _augment(net, net.capacities, flow, s, t, tree)
     if total == 0:
-        return total, flow, [(0, 0)] * len(groups)
+        return total, flow, reached, [(0, 0)] * len(groups)
     settled: list[tuple[int, int | None]] = []
     units = None  # f's unit paths, once a group's warm start has flow
     shared = len(groups) > 1  # one decomposition serves several groups
@@ -312,7 +314,7 @@ def settle_pair(
         if s in members or t in members:
             drop = found = total
         else:
-            through, cut = _through_and_cut(net, flow, reached, members)
+            through, cut, _ = _through_and_cut(net, flow, reached, members)
             if cut == through:
                 drop = found = through
             else:
@@ -339,7 +341,7 @@ def settle_pair(
                 else:
                     found, _ = _min_passage(net, s, t, members, node_budget, total, drop)
         settled.append((drop, found))
-    return total, flow, settled
+    return total, flow, reached, settled
 
 
 def encode_groups(
@@ -365,21 +367,27 @@ def _zeroed_caps(net: CompiledNetwork, members: Iterable[int]) -> tuple[int, ...
 
 def _through_and_cut(
     net: CompiledNetwork, flow: Sequence[int], reached: dict, members: frozenset[int]
-) -> tuple[int, int]:
-    """``(through, C_X)`` of :func:`settle_pair`'s rule 3, in one walk over
-    the arcs at ``members``, none of them an endpoint: the flow out of the
-    members, and the capacity of the arcs from ``reached`` to the rest that
-    touch them, each counted once."""
-    caps, through, cut = net.capacities, 0, 0
+) -> tuple[int, int, int]:
+    """``(through, C_X, inner)`` in one walk over the arcs at ``members``,
+    none of them an endpoint: the flow out of the members, the capacity of
+    the arcs from S, the keys of ``reached``, to the rest that touch them,
+    each counted once, and of those the arcs from a member to a member.
+    Rule 3 of :func:`settle_pair` reads C_X; :func:`_least_throughput`
+    reads ``C_X + inner``, which counts an arc between members twice."""
+    caps, through, cut, inner = net.capacities, 0, 0, 0
     for x in members:
+        inside = x in reached
         for w, out_arc, in_arc in net.neighbors[x]:
             if out_arc >= 0:
                 through += flow[out_arc]
-                if x in reached and w not in reached:
+                if inside and w not in reached:
                     cut += caps[out_arc]
-            if in_arc >= 0 and x not in reached and w in reached and w not in members:
-                cut += caps[in_arc]  # an arc from a member counts at its tail
-    return through, cut
+            if in_arc >= 0 and not inside and w in reached:
+                if w in members:
+                    inner += caps[in_arc]  # C_X counts it at its tail
+                else:
+                    cut += caps[in_arc]
+    return through, cut, inner
 
 
 def _passage_at_drop(
@@ -440,13 +448,15 @@ def forced_throughput(
     if not group:
         return 0
     net = network.compiled
-    total, flow, _ = settle_pair(net, s, t, [], passage=False)
-    return _least_throughput(net, flow, s, t, encode_groups(net, [group]), total)[0]
+    total, flow, reached, _ = settle_pair(net, s, t, [], passage=False)
+    encoded = encode_groups(net, [group])
+    return _least_throughput(net, flow, reached, s, t, encoded, total)[0]
 
 
 def _least_throughput(
     net: CompiledNetwork,
     flow: Sequence[int],
+    reached: dict,
     s: int,
     t: int,
     groups: Sequence[tuple[frozenset[int], tuple[int, ...]]],
@@ -454,47 +464,29 @@ def _least_throughput(
 ) -> list[int]:
     """Forced throughput of each group of :func:`encode_groups` at the pair
     of ids (s, t), from its maximum flow ``flow``, by arc id and left as it
-    is, and its value.
+    is, the min cut it ends on, ``reached``, and its value.
 
     A flow's throughput is its value once per endpoint in the group plus
     its flow out of the interior members I, the others: a cost, unit on
-    their out-arcs.  With no flow out of I the cost is 0, least already.
-    Otherwise the min cut bounds it from below.  Let S be the source side
-    of the min cut that ``flow``, as it is maximum, leaves: the keys of
-    the search tree from ``s``, built at most once per pair.  Every
-    maximum flow fills the arcs from S to the rest and sends nothing back
-    (Ford and Fulkerson, 1956).  So a member in S sends out at least the
-    capacity of its arcs leaving S, and a member outside S, which passes
-    on all that enters it, at least the capacity of its arcs entering from
-    S; an arc between two members counts at both ends.  When ``flow``
-    costs that bound, it is least.  Only where it costs more are its
-    negative cycles cancelled, under a cost vector built for the group.
+    their out-arcs.  The min cut bounds it from below.  Every maximum flow
+    fills the arcs from the source side S, the keys of ``reached``, to the
+    rest and sends nothing back (Ford and Fulkerson, 1956).  So a member in
+    S sends out at least the capacity of its arcs leaving S, and a member
+    outside S, which passes on all that enters it, at least the capacity of
+    its arcs entering from S: ``C_X + inner`` of :func:`_through_and_cut`
+    over I.  When ``flow`` costs that bound, as it does with no flow out of
+    I, it is least.  Only where it costs more are its negative cycles
+    cancelled, under a cost vector built for the group.
     """
-    caps = net.capacities
-    reached = None  # S, once a group has flow out of its interior
     found = []
     for members, _ in groups:
         interior = members - {s, t}
-        cost = bound = 0
-        for x in interior:
-            for _, a, _ in net.neighbors[x]:
-                if a >= 0:
-                    cost += flow[a]
-        if cost:
-            if reached is None:
-                reached = _bfs_augmenting(net, caps, flow, s, t)
-            for x in interior:
-                inside = x in reached
-                for w, out_arc, in_arc in net.neighbors[x]:
-                    if inside and out_arc >= 0 and w not in reached:
-                        bound += caps[out_arc]
-                    elif not inside and in_arc >= 0 and w in reached:
-                        bound += caps[in_arc]
-            if cost > bound:
-                costs = [int(tail in interior) for tail, _ in net.arcs]
-                cheapest = list(flow)
-                _cancel_negative_cycles(net, cheapest, costs)
-                cost = sum(map(mul, costs, cheapest))
+        cost, cut, inner = _through_and_cut(net, flow, reached, interior)
+        if cost > cut + inner:
+            costs = [int(tail in interior) for tail, _ in net.arcs]
+            cheapest = list(flow)
+            _cancel_negative_cycles(net, cheapest, costs)
+            cost = sum(map(mul, costs, cheapest))
         found.append(cost + (len(members) - len(interior)) * value)
     return found
 
@@ -562,13 +554,15 @@ def pair_report(
     group = vertex_group(network, members)
     net = network.compiled
     encoded = encode_groups(net, [group])
-    total, flow, [(drop, passage)] = settle_pair(net, s, t, encoded, passage=False)
+    total, flow, reached, [(drop, passage)] = settle_pair(
+        net, s, t, encoded, passage=False
+    )
     ids = encoded[0][0]
     witness = None
     if exact or len(group) > 1:
         passage, paths = _min_passage(net, s, t, ids, node_budget, total, drop)
         witness = _sequence(net, source, sink, paths)
-    [throughput] = _least_throughput(net, flow, s, t, encoded, total)
+    [throughput] = _least_throughput(net, flow, reached, s, t, encoded, total)
     if not (0 <= drop <= passage <= min(throughput, total)):
         raise InvariantViolationError(
             f"pair quantity chain violated for ({source!r}, {sink!r}, "

@@ -120,6 +120,22 @@ def cut_capacity_touching(network, flow, members):
     )
 
 
+def throughput_cut_bound(network, flow, members):
+    """The min cut's lower bound on a throughput, from the paper's
+    definitions: each member on the source side of the residual network of
+    ``flow`` sends out its arcs leaving that side, and each other member
+    passes on its arcs entering from it, so an arc between two members
+    counts at both ends."""
+    reached = residual_reach(network, flow.source, flow.values)
+    return sum(
+        cap
+        for (tail, head), cap in network.capacities.items()
+        for x in vertex_group(network, members)
+        if (x == tail and x in reached and head not in reached)
+        or (x == head and x not in reached and tail in reached)
+    )
+
+
 def boundary_arcs(network, members):
     """``(outgoing, incoming)``: every ordered pair from the group to its
     complement and back, whatever its capacity."""

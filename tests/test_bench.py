@@ -57,3 +57,10 @@ def test_bench_selftest_seed_7_digest_matches():
     # the checks cross_check makes on arc ids, on the seed held out from
     # the timings of seed 1
     _check_digest("selftest", 7)
+
+
+def test_bench_groups_seed_2_digest_matches():
+    # the cut rule and the throughput read one min cut per pair in one walk
+    # over the members' arcs; the multi-vertex groups, whose arcs between
+    # members the walk counts once in C_X, on a second seed's networks
+    _check_digest("groups", 2)

@@ -594,17 +594,18 @@ def _check_min_cost_max_flow(n):
 
 
 def _check_least_throughput(n):
-    # from the canonical max flow, which it leaves as it is, against the
-    # reference's cheapest flow under the group's throughput costs
+    # from the canonical max flow and the min cut it ends on, as settle_pair
+    # hands them out, leaving the flow as it is, against the reference's
+    # cheapest flow under the group's throughput costs
     for net, y, z, _, group, through in _min_cost_cases(n):
         value, cost, _ = reference_min_cost_max_flow(net, y, z, through)
         compiled = net.compiled
-        total, canonical = max_flow(net, y, z)
+        _, canonical = max_flow(net, y, z)
         arcs = token_arcs(compiled)
-        arc_flow = [canonical.values.get(arc, 0) for arc in arcs]
         ends = compiled.index[y], compiled.index[z]
+        total, arc_flow, reached, _ = settle_pair(compiled, *ends, [], passage=False)
         [least] = quantities._least_throughput(
-            compiled, arc_flow, *ends, encoded(net, [group]), total
+            compiled, arc_flow, reached, *ends, encoded(net, [group]), total
         )
         assert least == len(group & {y, z}) * value + cost
         assert arc_flow == [canonical.values.get(arc, 0) for arc in arcs]
@@ -645,21 +646,23 @@ def test_cancelling_one_cycle_is_caught(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "old, new",
+    "function, old, new",
     [
         # a sink-side member's in-arcs from any vertex, not only from the
         # source side, of which a maximum flow need not fill all
-        ("elif not inside and in_arc >= 0 and w in reached:",
-         "elif not inside and in_arc >= 0:"),
+        ("_through_and_cut",
+         "if in_arc >= 0 and not inside and w in reached:",
+         "if in_arc >= 0 and not inside:"),
         # a flow one unit above the bound taken as least
-        ("if cost > bound:", "if cost > bound + 1:"),
+        ("_least_throughput", "if cost > cut + inner:", "if cost > cut + inner + 1:"),
     ],
+    ids=["in-arcs-from-any-vertex", "one-above-the-bound"],
 )
-def test_loose_min_cut_bound_is_caught(monkeypatch, old, new):
+def test_loose_min_cut_bound_is_caught(monkeypatch, function, old, new):
     # negative control: a bound above the least throughput settles flows
     # that cost more than the reference's
-    mutant = mutated(quantities._least_throughput, old, new)
-    monkeypatch.setattr(quantities, "_least_throughput", mutant)
+    mutant = mutated(getattr(quantities, function), old, new)
+    monkeypatch.setattr(quantities, function, mutant)
     with pytest.raises(AssertionError):
         for n in (9, 16, 24):
             _check_least_throughput(n)
@@ -698,7 +701,7 @@ def test_banned_value_matches_restricted_network(n):
         for _ in range(20):
             y, z = rng.sample(tokens, 2)
             group = rng.sample(tokens, rng.randint(0, 4))
-            total, _, [(drop, _)] = settle_pair(
+            total, _, _, [(drop, _)] = settle_pair(
                 *pair_ids(net, y, z), encoded(net, [frozenset(group)]), passage=False
             )
             assert total - drop == max_flow(restrict(net, group), y, z)[0]

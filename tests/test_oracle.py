@@ -8,7 +8,13 @@ import pytest
 
 from fullflow import flows, oracle, paths, quantities
 from fullflow.errors import BudgetExceededError, InvalidSpecError
-from fullflow.flows import _as_flow, flow_value, max_flow, validate_flow
+from fullflow.flows import (
+    _as_flow,
+    _bfs_augmenting,
+    flow_value,
+    max_flow,
+    validate_flow,
+)
 from fullflow.oracle import InstanceSpec, brute_force_flows, cross_check, generate
 from fullflow.quantities import _least_throughput, encode_groups
 
@@ -233,7 +239,7 @@ def test_cross_check_solves_each_distinct_group_once(monkeypatch):
     calls = []
 
     def counted(*args):
-        calls.extend(args[4])
+        calls.extend(args[5])
         return _least_throughput(*args)
 
     monkeypatch.setattr(oracle, "_least_throughput", counted)
@@ -321,9 +327,9 @@ def test_invalid_oracle_flows_are_caught(monkeypatch):
 def _check_cancellations(monkeypatch, least=None):
     # the min cut settles most throughputs of the pinned batch: of the
     # 1,138 distinct groups over its 140 pairs, 421 have flow out of their
-    # interior, and 137 of those cancel cycles.  The min cut's search tree
-    # is built at most once per pair.  ``least`` is built after the
-    # counters are in place, as a mutant copies the module's names
+    # interior, and 137 of those cancel cycles.  The min cut is the one
+    # settle_pair hands out, so the throughput runs no search of its own.
+    # ``least`` stands in for _least_throughput, with its arguments
     cancelled, trees = [], []
 
     def cancel(*args):
@@ -332,16 +338,17 @@ def _check_cancellations(monkeypatch, least=None):
 
     def tree(*args):
         trees.append(args)
-        return flows._bfs_augmenting(*args)
+        return _bfs_augmenting(*args)
 
     monkeypatch.setattr(quantities, "_cancel_negative_cycles", cancel)
-    monkeypatch.setattr(quantities, "_bfs_augmenting", tree)
-    least = quantities._least_throughput if least is None else least()
+    for module in (flows, quantities):
+        monkeypatch.setattr(module, "_bfs_augmenting", tree, raising=False)
+    least = quantities._least_throughput if least is None else least
 
     def per_pair(*args):
         trees.clear()
         found = least(*args)
-        assert len(trees) <= 1
+        assert trees == []
         return found
 
     monkeypatch.setattr(oracle, "_least_throughput", per_pair)
@@ -356,18 +363,15 @@ def test_min_cut_settles_most_throughputs(monkeypatch):
 
 def test_min_cut_of_the_zero_flow_is_caught(monkeypatch):
     # negative control: all the source reaches at zero flow (the search
-    # with the sink at the source) gives the bound 0, which is sound but
-    # settles nothing, so all 421 groups with flow out of their interior
-    # cancel, as without the bound
-    def least():
-        return mutated(
-            quantities._least_throughput,
-            "_bfs_augmenting(net, caps, flow, s, t)",
-            "_bfs_augmenting(net, caps, [0] * len(flow), s, s)",
-        )
+    # with the sink at the source), in place of the pair's min cut, gives
+    # the bound 0, which is sound but settles nothing, so all 421 groups
+    # with flow out of their interior cancel, as without the bound
+    def zero_flow_reach(net, flow, reached, s, *rest):
+        reached = _bfs_augmenting(net, net.capacities, [0] * len(flow), s, s)
+        return quantities._least_throughput(net, flow, reached, s, *rest)
 
-    with pytest.raises(AssertionError):
-        _check_cancellations(monkeypatch, least)
+    with pytest.raises(AssertionError, match="421 == 137"):
+        _check_cancellations(monkeypatch, zero_flow_reach)
 
 
 def test_skipped_cancelling_breaks_cross_check(monkeypatch):
@@ -471,7 +475,7 @@ def test_path_masks_without_the_source_are_caught(monkeypatch):
 def test_mutation_strings_must_occur_once():
     # a mutation that matches no line, or several, names the function and
     # the count instead of building a mutant
-    for old, count in (("no such line", 0), ("value, arc_flow, settled", 2)):
+    for old, count in (("no such line", 0), ("value, arc_flow, reached, settled", 2)):
         message = f"cross_check holds {old!r} {count} times, expected once"
         with pytest.raises(AssertionError, match=re.escape(message)):
             mutated(oracle.cross_check, old, "")

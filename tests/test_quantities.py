@@ -50,8 +50,10 @@ from helpers import (
     pair_ids,
     passage_count,
     record_augment_calls,
+    residual_reach,
     restrict,
     seeded_network,
+    throughput_cut_bound,
     token_arcs,
 )
 from strategies import (
@@ -412,15 +414,15 @@ def test_settle_pair_known_gaps(fig5, fig6):
     # fig6 separates passage from throughput
     gap = frozenset({"x1", "x2"})
     for exact in (False, True):
-        total, _, settled = settle_pair(
+        total, _, _, settled = settle_pair(
             *pair_ids(fig5, "y", "z"), encoded(fig5, [gap]), passage=True, exact=exact
         )
         assert (total, settled) == (3, [(1, 2)])
-        total, _, settled = settle_pair(
+        total, _, _, settled = settle_pair(
             *pair_ids(fig6, "y", "z"), encoded(fig6, [gap]), passage=True, exact=exact
         )
         assert (total, settled) == (1, [(1, 1)])
-    total, _, settled = settle_pair(
+    total, _, _, settled = settle_pair(
         *pair_ids(fig5, "y", "z"), encoded(fig5, [gap]), passage=False
     )
     assert (total, settled) == (3, [(1, None)])
@@ -445,13 +447,13 @@ def test_settle_pair_flow_bounds(monkeypatch, fig1, fig5):
         _forbid(bounds, "_cancel_negative_cycles")
         # the extension rule settles fig1 (y, x, {u, v}), through 4
         uv = frozenset({"u", "v"})
-        _, _, settled = settle_pair(
+        _, _, _, settled = settle_pair(
             *pair_ids(fig1, "y", "x"), encoded(fig1, [uv]), passage=True
         )
         assert settled == [(3, 3)]
         # and fig5 (y, z, {u2, x2}), through 2, from the restricted flow
         # warm-started when a second group shares the pair
-        _, _, settled = settle_pair(
+        _, _, _, settled = settle_pair(
             *pair_ids(fig5, "y", "z"),
             encoded(fig5, [u2_x2, frozenset({"y"})]),
             passage=True,
@@ -465,11 +467,13 @@ def test_settle_pair_flow_bounds(monkeypatch, fig1, fig5):
         with pytest.raises(AssertionError, match="_cancel_negative_cycles ran"):
             settle_pair(*pair_ids(n14, "v05", "v08"), n14_groups, passage=True)
     # which the entry bound settles
-    _, _, settled = settle_pair(
+    _, _, _, settled = settle_pair(
         *pair_ids(fig5, "y", "z"), encoded(fig5, [u2_x2]), passage=True
     )
     assert settled == [(1, 1)]
-    _, _, settled = settle_pair(*pair_ids(n14, "v05", "v08"), n14_groups, passage=True)
+    _, _, _, settled = settle_pair(
+        *pair_ids(n14, "v05", "v08"), n14_groups, passage=True
+    )
     assert settled == [(1, 1), (3, 3)]
     # fig5's gap term passes both bounds on to the search
     with pytest.raises(AssertionError, match="_min_passage ran"):
@@ -521,7 +525,7 @@ def test_warm_restricted_flow_matches_cold(n, monkeypatch):
         inner = [v for v in net.vertices if v not in (y, z)]
         groups = [frozenset(rng.sample(inner, size)) for size in (1, 1, 2, 3)]
         records.clear()
-        _, _, settled = settle_pair(
+        _, _, _, settled = settle_pair(
             *pair_ids(net, y, z), encoded(net, groups), passage=False
         )
         reached = [
@@ -553,7 +557,7 @@ def test_lone_group_starts_cold(monkeypatch, fig1):
     # one group has no other group to share the decomposition with
     records = _record_restricted_flows(monkeypatch)
     x = encoded(fig1, [frozenset({"x"})])
-    _, _, [(drop, _)] = settle_pair(*pair_ids(fig1, "y", "z"), x, passage=False)
+    _, _, _, [(drop, _)] = settle_pair(*pair_ids(fig1, "y", "z"), x, passage=False)
     [(warm, kept_flow, _)] = records
     assert not any(warm) and sum(kept_flow) > 0
 
@@ -570,7 +574,7 @@ def test_warm_restricted_flow_matches_networkx(monkeypatch):
         y, z = rng.sample(net.vertices, 2)
         inner = [v for v in net.vertices if v not in (y, z)]
         groups = [frozenset(rng.sample(inner, size)) for size in (1, 2, 3)]
-        total, _, settled = settle_pair(
+        total, _, _, settled = settle_pair(
             *pair_ids(net, y, z), encoded(net, groups), passage=False
         )
         for group, (drop, _) in zip(groups, settled):
@@ -608,7 +612,7 @@ def _check_cut_rule(monkeypatch, n, value=lambda net, y, z: max_flow(net, y, z)[
         inner = [v for v in net.vertices if v not in (y, z)]
         groups = [frozenset(rng.sample(inner, rng.randint(1, 3))) for _ in range(4)]
         records.clear()
-        _, _, settled = settle_pair(
+        _, _, _, settled = settle_pair(
             *pair_ids(net, y, z), encoded(net, groups), passage=False
         )
         flows_run += len(records)
@@ -638,21 +642,23 @@ def test_cut_rule_matches_networkx(monkeypatch):
 
 
 def test_through_and_cut_matches_definitions():
-    # the one walk over the members' arcs against flow_through and
-    # cut_capacity_touching (on tokens), for every group of 1-3 vertices
+    # the one walk over the members' arcs, on the min cut settle_pair hands
+    # out, against flow_through, cut_capacity_touching and
+    # throughput_cut_bound (on tokens), for every group of 1-3 vertices
     # without an endpoint, at two random pairs with a positive flow per
     # network and at the first pair whose cut has an arc between two other
     # vertices: the group of both has an arc from one member to another
-    # across the cut, which C_X counts once.  At n = 24 no pair has one
+    # across the cut, which C_X counts once and the throughput's bound
+    # C_X + inner at both ends.  At n = 24 no pair has one
     crossing = 0
     for n in (9, 16, 24):
         net = seeded_network(n)
         compiled = net.compiled
         cuts = {}
         for y, z in ordered_pairs(net):
-            flow = [0] * len(compiled.arcs)
-            s, t = compiled.index[y], compiled.index[z]
-            total, reached = _augment(compiled, compiled.capacities, flow, s, t)
+            total, flow, reached, _ = settle_pair(
+                *pair_ids(net, y, z), [], passage=False
+            )
             if total:
                 cuts[y, z] = flow, reached
         inner_cut = [
@@ -673,16 +679,21 @@ def test_through_and_cut_matches_definitions():
             for size in (1, 2, 3):
                 for group in itertools.combinations(inner, size):
                     members = {compiled.index[x] for x in group}
-                    assert quantities._through_and_cut(
+                    through, cut, across = quantities._through_and_cut(
                         compiled, flow, reached, members
-                    ) == (flow_through(f, group), cut_capacity_touching(net, f, group))
-                    crossing += any(
+                    )
+                    assert through == flow_through(f, group)
+                    assert cut == cut_capacity_touching(net, f, group)
+                    assert cut + across == throughput_cut_bound(net, f, group)
+                    crossed = any(
                         tail in group
                         and head in group
                         and compiled.index[tail] in reached
                         and compiled.index[head] not in reached
                         for tail, head in token_arcs(compiled)
                     )
+                    assert across > 0 if crossed else across == 0
+                    crossing += crossed
     assert crossing > 0
 
 
@@ -694,12 +705,12 @@ def test_cut_sum_over_every_cut_arc_is_caught(monkeypatch):
     real = quantities._through_and_cut
 
     def every_cut_arc(net, flow, reached, members):
-        through, _ = real(net, flow, reached, members)
+        through, _, inner = real(net, flow, reached, members)
         return through, sum(
             cap
             for (tail, head), cap in zip(net.arcs, net.capacities)
             if tail in reached and head not in reached
-        )
+        ), inner
 
     monkeypatch.setattr(quantities, "_through_and_cut", every_cut_arc)
     _, flows_run, flows_left = _check_cut_rule(monkeypatch, 9)
@@ -787,10 +798,10 @@ def test_cut_rule_on_fig1(monkeypatch, fig1):
     calls.clear()
     bfs_calls.clear()
     x = encoded(fig1, [frozenset({"x"})])
-    assert settle_pair(*pair_ids(fig1, "u", "z"), x, passage=True)[2] == [(2, 2)]
+    assert settle_pair(*pair_ids(fig1, "u", "z"), x, passage=True)[3] == [(2, 2)]
     assert calls == [True] and len(bfs_calls) == canonical
     calls.clear()
-    assert settle_pair(*pair_ids(fig1, "y", "z"), x, passage=True)[2] == [(2, 2)]
+    assert settle_pair(*pair_ids(fig1, "y", "z"), x, passage=True)[3] == [(2, 2)]
     assert calls == [True, False]
 
 
@@ -818,6 +829,7 @@ def _check_settle_pair(net, y, z, max_group):
         for members in itertools.combinations(net.vertices, size)
     ]
     total, flow = max_flow(net, y, z)
+    cut = residual_reach(net, y, flow.values)
     sequences = list(enumerate_max_sequences(net, y, z))
     expected = [
         (
@@ -827,11 +839,12 @@ def _check_settle_pair(net, y, z, max_group):
         for group in groups
     ]
     for exact in (False, True):
-        value, arc_flow, settled = settle_pair(
+        value, arc_flow, reached, settled = settle_pair(
             *pair_ids(net, y, z), encoded(net, groups), passage=True, exact=exact
         )
         assert value == total
         assert _as_flow(net.compiled, y, z, arc_flow) == flow
+        assert {net.vertices[i] for i in reached} == cut
         assert settled == expected
 
 
@@ -860,7 +873,7 @@ def test_loosened_extension_rule_is_caught(monkeypatch, fig5):
 
     monkeypatch.setattr(quantities, "_passage_at_drop", loosened)
     gap = encoded(fig5, [frozenset({"x1", "x2"})])
-    assert settle_pair(*pair_ids(fig5, "y", "z"), gap, passage=True)[2] == [(1, 1)]
+    assert settle_pair(*pair_ids(fig5, "y", "z"), gap, passage=True)[3] == [(1, 1)]
     with pytest.raises(AssertionError):
         _check_settle_pair(fig5, "y", "z", 2)
 
